@@ -8,6 +8,8 @@ package wwb
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"wwb/internal/chrome"
@@ -26,15 +28,6 @@ func benchSnapshotBytes(b *testing.B) []byte {
 	return buf.Bytes()
 }
 
-func benchJSONBytes(b *testing.B) []byte {
-	b.Helper()
-	var buf bytes.Buffer
-	if err := study(b).Dataset.Encode(&buf); err != nil {
-		b.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // BenchmarkSnapshotEncode measures writing the default-scale dataset
 // (lists + curves + interned index + per-cell views) as a .wwb file.
 func BenchmarkSnapshotEncode(b *testing.B) {
@@ -47,16 +40,20 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotLoad is the serving cold start: decode a .wwb
-// snapshot into a fully queryable dataset with its interned index
-// restored. Compare against BenchmarkDatasetJSONDecode (the old -data
-// path) and the assembly benchmarks (the no-artifact path).
+// BenchmarkSnapshotLoad is the serving cold start: read a .wwb
+// snapshot file and decode it into a fully queryable dataset with its
+// interned index restored. Compare against the assembly benchmarks
+// (the no-artifact path).
 func BenchmarkSnapshotLoad(b *testing.B) {
 	snap := benchSnapshotBytes(b)
+	path := filepath.Join(b.TempDir(), "study.wwb")
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(int64(len(snap)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := chrome.DecodeSnapshot(bytes.NewReader(snap)); err != nil {
+		if _, _, err := chrome.DecodeAnyPath(path); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -76,40 +73,15 @@ func BenchmarkSnapshotLoadBytes(b *testing.B) {
 	}
 }
 
-// BenchmarkDatasetJSONEncode is the wwbgen JSON write baseline.
-func BenchmarkDatasetJSONEncode(b *testing.B) {
-	ds := study(b).Dataset
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ds.Encode(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDatasetJSONDecode is the old -data cold start: parse the
-// wwbgen JSON dump (and leave the index to be re-interned lazily on
-// first query — not measured here, so the JSON number is flattered).
-func BenchmarkDatasetJSONDecode(b *testing.B) {
-	raw := benchJSONBytes(b)
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := chrome.Decode(bytes.NewReader(raw)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSnapshotLoadPlusFirstQuery decodes and then touches the
-// restored index the way /v1/site does, so the number includes what
-// the JSON path defers to first-query time.
+// restored index the way /v1/site does, so the number includes the
+// first query's index lookup.
 func BenchmarkSnapshotLoadPlusFirstQuery(b *testing.B) {
 	snap := benchSnapshotBytes(b)
 	b.SetBytes(int64(len(snap)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ds, _, err := chrome.DecodeSnapshot(bytes.NewReader(snap))
+		ds, _, err := chrome.DecodeSnapshotBytes(snap)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,14 +8,12 @@ package wwb
 // reproduction log compared in EXPERIMENTS.md.
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 
 	"wwb/internal/analysis"
 	"wwb/internal/catapi"
-	"wwb/internal/chrome"
 	"wwb/internal/cluster"
 	"wwb/internal/core"
 	"wwb/internal/endemicity"
@@ -338,26 +336,6 @@ func BenchmarkSubstrateWeightedRBOIDs10K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = rbo.WeightedIDs(a, c, curve.WeightAt, scr)
-	}
-}
-
-func BenchmarkSubstrateDatasetIndexBuild(b *testing.B) {
-	// One-time interning cost over the full default-scale dataset: the
-	// price paid to make every later geography analysis ID-based.
-	s := study(b)
-	var enc bytes.Buffer
-	if err := s.Dataset.Encode(&enc); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		ds, err := chrome.Decode(bytes.NewReader(enc.Bytes()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		_ = ds.Index()
 	}
 }
 

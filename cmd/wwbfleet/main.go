@@ -89,7 +89,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8079", "supervisor admin listen address")
 		manifestPath = flag.String("manifest", "", "JSON fleet manifest (overrides -data/-shards/-replicas/-base-port)")
-		data         = flag.String("data", "", "artifact every replica serves at boot (.wwb snapshot or JSON)")
+		data         = flag.String("data", "", "artifact every replica serves at boot (.wwb snapshot, or .wwbd delta over its base chain)")
 		shards       = flag.Int("shards", 2, "shard count")
 		replicas     = flag.Int("replicas", 1, "replicas per shard")
 		basePort     = flag.Int("base-port", 8081, "first replica port; slot s,r listens on base-port + s*replicas + r")

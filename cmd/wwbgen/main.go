@@ -1,5 +1,6 @@
 // Command wwbgen generates a synthetic study dataset and writes it as
-// JSON, CSV, or a .wwb binary snapshot: the rank lists and traffic-
+// a .wwb binary snapshot (the lossless format, with embedded
+// provenance) or as CSV rank lists: the rank lists and traffic-
 // distribution curves a downstream analysis (or the wwbserve server)
 // consumes. Generation is fully deterministic in the seed, and file
 // output is atomic: the target path only ever holds a complete,
@@ -7,8 +8,8 @@
 //
 // Usage:
 //
-//	wwbgen -scale small -seed 42 -months feb -o dataset.json
-//	wwbgen -scale default -seed 42 -o study.wwb -format wwb
+//	wwbgen -scale small -seed 42 -months feb -o dataset.wwb
+//	wwbgen -scale default -seed 42 -format csv -o lists.csv
 //
 // Append mode rolls an existing binary snapshot forward by one month
 // without rebuilding the covered window: only the new month's cells
@@ -45,7 +46,7 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "world generation seed")
 		months    = flag.String("months", "all", "months to assemble: all, feb, or an inclusive range like 2021-09..2022-03")
 		out       = flag.String("o", "-", "output path (- for stdout)")
-		format    = flag.String("format", "json", "output format: json (lossless), wwb (binary snapshot with interned index, near-instant load), or csv (rank lists only)")
+		format    = flag.String("format", "wwb", "output format: wwb (lossless binary snapshot with interned index, near-instant load) or csv (rank lists only)")
 		threshold = flag.Int64("privacy-threshold", 50, "minimum unique clients per site per month")
 		topN      = flag.Int("topn", 10000, "rank list depth")
 		workers   = flag.Int("workers", 0, "assembly worker goroutines (0 = one per CPU, 1 = sequential; output is identical)")
@@ -61,11 +62,11 @@ func main() {
 	}
 
 	switch *format {
-	case "json", "csv", "wwb":
+	case "wwb", "csv":
 	default:
 		// Rejected before the (potentially minutes-long) assembly, not
 		// after.
-		log.Fatalf("unknown -format %q (want json, wwb, or csv)", *format)
+		log.Fatalf("unknown -format %q (want wwb or csv)", *format)
 	}
 	// Scale is validated here, before the expensive world generation —
 	// the error enumerates every accepted name, huge included.
@@ -108,8 +109,6 @@ func main() {
 	prov := chrome.SnapshotProvenance{Tool: "wwbgen", WorldSeed: *seed, Scale: *scale}
 	var encode func(io.Writer) error
 	switch *format {
-	case "json":
-		encode = ds.Encode
 	case "csv":
 		encode = ds.EncodeCSV
 	case "wwb":
@@ -153,7 +152,7 @@ func runAppend(monthName, basePath string, rollDist bool, format, out string, wo
 	}
 	switch format {
 	case "wwbd", "wwb":
-	case "json", "csv":
+	case "csv":
 		log.Fatalf("-format %q unavailable in append mode: deltas bind to their base by binary checksum and provenance (want wwbd or wwb)", format)
 	default:
 		log.Fatalf("unknown -format %q (want wwbd or wwb)", format)
@@ -164,7 +163,7 @@ func runAppend(monthName, basePath string, rollDist bool, format, out string, wo
 		log.Fatalf("loading base %s: %v", basePath, err)
 	}
 	if info.Provenance.Tool == "" {
-		log.Fatalf("base %s carries no provenance (JSON dataset?): append cannot regenerate its world — re-export the base as a .wwb snapshot first", basePath)
+		log.Fatalf("base %s carries no provenance: append cannot regenerate its world — regenerate the base with wwbgen first", basePath)
 	}
 	wcfg, err := world.ConfigForScale(info.Provenance.Scale)
 	if err != nil {

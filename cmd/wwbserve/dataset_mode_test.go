@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -12,19 +11,10 @@ import (
 )
 
 // TestDatasetOnlyMode exercises the -data path: a dataset round-
-// tripped through the wwbgen JSON format, served without a study.
+// tripped through a .wwb snapshot file, served without a study.
 func TestDatasetOnlyMode(t *testing.T) {
-	// Reuse the study's dataset via encode/decode so the test covers
-	// the same loading path the -data flag uses.
-	var buf bytes.Buffer
-	if err := testStudyDataset().Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := chrome.Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(newDatasetServer(ds, fleet.Assignment{}).routes(middlewareConfig{}))
+	ds, _ := loadSnapshotFile(t, testStudyDataset())
+	srv := httptest.NewServer(newDatasetServer(ds, fleet.Assignment{}).Routes(fleet.MiddlewareConfig{}))
 	defer srv.Close()
 
 	// Lists work; category is empty without a study.

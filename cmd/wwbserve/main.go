@@ -2,7 +2,9 @@
 // lists, distribution curves, per-site popularity profiles, CrUX-style
 // public buckets, and rendered experiments. It is the "public dataset
 // access" path of the reproduction — what a researcher without the raw
-// telemetry would query.
+// telemetry would query. With -data it serves a wwbgen .wwb snapshot,
+// or a .wwbd delta resolved over its base chain, instead of assembling
+// a study.
 //
 // Endpoints:
 //
@@ -59,7 +61,7 @@ func main() {
 
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8089", "listen address")
-		data        = flag.String("data", "", "serve a wwbgen dataset file (.wwb snapshot or JSON, auto-detected) instead of assembling a study (site categories and experiments unavailable)")
+		data        = flag.String("data", "", "serve a wwbgen dataset file (.wwb snapshot, or .wwbd delta over its base chain) instead of assembling a study (site categories and experiments unavailable)")
 		shardFlag   = flag.String("shard", "", "serve only shard i/N of the dataset's (country, month) cells, e.g. 1/4 (requires -data; fronted by wwbrouter)")
 		scale       = flag.String("scale", "small", "universe scale: small, default, large, or huge")
 		seed        = flag.Uint64("seed", 42, "world generation seed")
@@ -92,7 +94,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	mcfg := middlewareConfig{MaxInFlight: *maxInFlight, RequestTimeout: *reqTimeout, Pprof: *pprofFlag}
+	mcfg := fleet.MiddlewareConfig{MaxInFlight: *maxInFlight, RequestTimeout: *reqTimeout, Pprof: *pprofFlag}
 	var shard fleet.Assignment
 	if *shardFlag != "" {
 		if *data == "" {
@@ -105,20 +107,10 @@ func main() {
 	}
 	var handler http.Handler
 	if *data != "" {
-		f, err := os.Open(*data)
-		if err != nil {
-			log.Fatal(err)
-		}
 		loadStart := time.Now()
-		ds, info, err := decodeDataFile(f)
-		cerr := f.Close()
+		ds, info, err := decodeDataFile(*data)
 		if err != nil {
 			log.Fatalf("loading %s: %v", *data, err)
-		}
-		if cerr != nil {
-			// A close failure after a clean decode means the artifact
-			// read cannot be trusted end to end; refuse to serve it.
-			log.Fatalf("closing %s: %v", *data, cerr)
 		}
 		logDatasetLoad(*data, ds, info, time.Since(loadStart))
 		srv := newDatasetServer(ds, shard)
@@ -126,7 +118,7 @@ func main() {
 			log.Printf("shard %s: serving %d of %d rank lists", shard, srv.Dataset().NumLists(), ds.NumLists())
 		}
 		log.Printf("serving on http://%s", *addr)
-		handler = srv.routes(mcfg)
+		handler = srv.Routes(mcfg)
 	} else {
 		log.Printf("assembling %s study (seed %d)...", *scale, *seed)
 		if cfg.Chaos.Enabled() {
@@ -140,7 +132,7 @@ func main() {
 			log.Printf("assembly stage timings:\n%s", summary)
 		}
 		log.Printf("study ready; serving on http://%s", *addr)
-		handler = newServer(study).routes(mcfg)
+		handler = newServer(study).Routes(mcfg)
 	}
 
 	srv := &http.Server{
@@ -161,20 +153,17 @@ func main() {
 }
 
 // logDatasetLoad records which artifact this replica is serving: the
-// detected format, the snapshot's embedded provenance, and the
-// dataset's own assembly options.
+// format, the artifact's embedded provenance, and the dataset's own
+// assembly options.
 func logDatasetLoad(path string, ds *chrome.Dataset, info *chrome.SnapshotInfo, took time.Duration) {
-	switch info.Format {
-	case chrome.FormatWWB:
-		log.Printf("loaded %s: wwb snapshot v%d (tool %q, world seed %d, scale %q) in %s",
-			path, info.Version, info.Provenance.Tool, info.Provenance.WorldSeed,
-			info.Provenance.Scale, took.Round(time.Millisecond))
-	case chrome.FormatWWBD:
+	if info.Format == chrome.FormatWWBD {
 		log.Printf("loaded %s: wwbd delta chain of %d over base (producer %q, world seed %d, scale %q) in %s",
 			path, info.Chain, info.Provenance.Tool, info.Provenance.WorldSeed,
 			info.Provenance.Scale, took.Round(time.Millisecond))
-	default:
-		log.Printf("loaded %s: json dataset in %s", path, took.Round(time.Millisecond))
+	} else {
+		log.Printf("loaded %s: wwb snapshot v%d (tool %q, world seed %d, scale %q) in %s",
+			path, info.Version, info.Provenance.Tool, info.Provenance.WorldSeed,
+			info.Provenance.Scale, took.Round(time.Millisecond))
 	}
 	log.Printf("dataset: %d countries, %d months, sampling seed %d, privacy threshold %d, topN %d, dist month %s",
 		len(ds.Countries), len(ds.Months), ds.Opts.Seed, ds.Opts.PrivacyThreshold,

@@ -11,6 +11,7 @@ import (
 
 	"wwb/internal/chaos"
 	"wwb/internal/core"
+	"wwb/internal/fleet"
 	"wwb/internal/metrics"
 )
 
@@ -77,7 +78,7 @@ func TestMetricsEndToEndChaos(t *testing.T) {
 
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(prevWriter())
-	srv := httptest.NewServer(newServer(study).routes(middlewareConfig{MaxInFlight: 8}))
+	srv := httptest.NewServer(newServer(study).Routes(fleet.MiddlewareConfig{MaxInFlight: 8}))
 	defer srv.Close()
 
 	before := scrape(t, srv.URL)
@@ -152,11 +153,11 @@ func TestMetricsReflectsSheds(t *testing.T) {
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	h := withMiddleware(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	h := fleet.WithMiddleware(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		close(entered)
 		<-release
 		w.WriteHeader(http.StatusOK)
-	}), middlewareConfig{MaxInFlight: 1})
+	}), fleet.MiddlewareConfig{MaxInFlight: 1})
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(prevWriter())
 	srv := httptest.NewServer(h)
@@ -187,7 +188,7 @@ func TestMetricsReflectsSheds(t *testing.T) {
 
 	// And the shed request is classified 5xx under the synthetic
 	// "other" route in the exposition.
-	ms := httptest.NewServer(newServer(testStudyForDataset).routes(middlewareConfig{}))
+	ms := httptest.NewServer(newServer(testStudyForDataset).Routes(fleet.MiddlewareConfig{}))
 	defer ms.Close()
 	text := scrape(t, ms.URL)
 	if v := metricValue(text, `http_requests_total{route="other",class="5xx"}`); v < 1 {

@@ -2,25 +2,10 @@
 
 package main
 
-import (
-	"io"
-	"os"
+import "wwb/internal/chrome"
 
-	"wwb/internal/chrome"
-)
-
-// decodeDataFile loads a -data artifact via the portable streaming
-// decoder on platforms without mmap support. A .wwbd delta needs its
-// base resolved relative to the file's directory, so the delta magic
-// routes to the path-aware chain resolver.
-func decodeDataFile(f *os.File) (*chrome.Dataset, *chrome.SnapshotInfo, error) {
-	var prefix [8]byte
-	n, _ := io.ReadFull(f, prefix[:])
-	if chrome.IsDeltaSnapshot(prefix[:n]) {
-		return chrome.DecodeAnyPath(f.Name())
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, nil, err
-	}
-	return chrome.DecodeAny(f)
+// decodeDataFile loads a -data artifact, resolving delta chains, on
+// platforms without mmap support.
+func decodeDataFile(path string) (*chrome.Dataset, *chrome.SnapshotInfo, error) {
+	return chrome.DecodeAnyPath(path)
 }

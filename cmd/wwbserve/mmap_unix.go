@@ -10,24 +10,27 @@ import (
 )
 
 // decodeDataFile loads a -data artifact. Regular files are mmapped and
-// decoded through the zero-copy bytes path — the dataset copies
-// everything it keeps, so the mapping is released before returning.
-// Anything not mappable (pipes, empty files) falls back to the
-// streaming decoder. A .wwbd delta cannot decode from its own bytes —
-// its base resolves relative to the file's directory — so the delta
-// magic routes to the path-aware chain resolver instead.
-func decodeDataFile(f *os.File) (*chrome.Dataset, *chrome.SnapshotInfo, error) {
+// decoded zero-copy — the dataset copies everything it keeps, so the
+// mapping is released before returning. Anything not mappable, and a
+// .wwbd delta (its base resolves relative to the file's directory),
+// goes through the path-aware loader instead.
+func decodeDataFile(path string) (*chrome.Dataset, *chrome.SnapshotInfo, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
 	st, err := f.Stat()
 	if err != nil || !st.Mode().IsRegular() || st.Size() <= 0 || int64(int(st.Size())) != st.Size() {
-		return chrome.DecodeAny(f)
+		return chrome.DecodeAnyPath(path)
 	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(st.Size()), syscall.PROT_READ, syscall.MAP_PRIVATE)
 	if err != nil {
-		return chrome.DecodeAny(f)
+		return chrome.DecodeAnyPath(path)
 	}
 	defer syscall.Munmap(data)
 	if chrome.IsDeltaSnapshot(data) {
-		return chrome.DecodeAnyPath(f.Name())
+		return chrome.DecodeAnyPath(path)
 	}
-	return chrome.DecodeAnyBytes(data)
+	return chrome.DecodeSnapshotBytes(data)
 }

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"net/http"
-
 	"wwb/internal/chrome"
 	"wwb/internal/core"
 	"wwb/internal/experiments"
@@ -16,18 +14,6 @@ import (
 type server struct {
 	*fleet.Server
 }
-
-// middlewareConfig aliases the fleet middleware knobs so the flag
-// wiring and the tests read naturally in this package.
-type middlewareConfig = fleet.MiddlewareConfig
-
-// withMiddleware wraps a handler in the fleet hardening stack.
-func withMiddleware(next http.Handler, cfg middlewareConfig) http.Handler {
-	return fleet.WithMiddleware(next, cfg)
-}
-
-// maxListN bounds /v1/list responses.
-const maxListN = fleet.MaxListN
 
 // newServer serves a fully assembled study: site categories and
 // experiments are available.
@@ -48,10 +34,4 @@ func newDatasetServer(ds *chrome.Dataset, shard fleet.Assignment) *server {
 		Month:        ds.Opts.DistMonth,
 		LoadSnapshot: loadSnapshot,
 	})}
-}
-
-// routes builds the handler; kept as a lower-case method so existing
-// call sites and tests read unchanged.
-func (s *server) routes(mcfg middlewareConfig) http.Handler {
-	return s.Routes(mcfg)
 }

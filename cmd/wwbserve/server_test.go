@@ -11,6 +11,7 @@ import (
 	"wwb/internal/chrome"
 	"wwb/internal/core"
 	"wwb/internal/crux"
+	"wwb/internal/fleet"
 	"wwb/internal/world"
 )
 
@@ -18,7 +19,7 @@ import (
 // study; the study is shared with the dataset-only mode test.
 var (
 	testStudyForDataset = core.New(core.SmallConfig().FebOnly())
-	testSrv             = httptest.NewServer(newServer(testStudyForDataset).routes(middlewareConfig{}))
+	testSrv             = httptest.NewServer(newServer(testStudyForDataset).Routes(fleet.MiddlewareConfig{}))
 )
 
 func get(t *testing.T, path string) (*http.Response, []byte) {
@@ -92,8 +93,8 @@ func TestListEndpointHugeNClamped(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := len(testStudyForDataset.Dataset.List("US", world.Windows, world.PageLoads, testStudyForDataset.Month))
-	if want > maxListN {
-		want = maxListN
+	if want > fleet.MaxListN {
+		want = fleet.MaxListN
 	}
 	if len(out) != want {
 		t.Errorf("entries = %d, want full list length %d", len(out), want)
@@ -216,7 +217,7 @@ func TestCruxRecoversFromFailedFirstExport(t *testing.T) {
 		}
 		return crux.Export(ds, m)
 	})
-	ts := httptest.NewServer(srv.routes(middlewareConfig{}))
+	ts := httptest.NewServer(srv.Routes(fleet.MiddlewareConfig{}))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/v1/crux?country=US")

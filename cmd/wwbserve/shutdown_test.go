@@ -19,13 +19,13 @@ import (
 func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	h := withMiddleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := fleet.WithMiddleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/slow" {
 			close(entered)
 			<-release
 		}
 		w.WriteHeader(http.StatusOK)
-	}), middlewareConfig{})
+	}), fleet.MiddlewareConfig{})
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(prevWriter())
 

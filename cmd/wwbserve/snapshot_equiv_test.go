@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"wwb/internal/chrome"
@@ -26,6 +28,25 @@ var equivPaths = []string{
 	"/v1/site?domain=naver.com&platform=android&metric=time",
 	"/v1/crux?country=US",
 	"/v1/crux",
+}
+
+// loadSnapshotFile writes ds as a .wwb snapshot file with a fixed
+// provenance and loads it back through the -data loader.
+func loadSnapshotFile(t *testing.T, ds *chrome.Dataset) (*chrome.Dataset, *chrome.SnapshotInfo) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ds.EncodeSnapshot(&buf, chrome.SnapshotProvenance{Tool: "test"}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "study.wwb")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, info, err := decodeDataFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap, info
 }
 
 func fetch(t *testing.T, base, path string) (int, []byte) {
@@ -56,22 +77,14 @@ func TestSnapshotServedResponsesByteIdentical(t *testing.T) {
 	opts.Workers = 8
 	ds8 := chrome.Assemble(w, telemetry.DefaultConfig(), opts)
 
-	var buf bytes.Buffer
-	prov := chrome.SnapshotProvenance{Tool: "wwbgen", WorldSeed: w.Cfg.Seed, Scale: "small"}
-	if err := ds1.EncodeSnapshot(&buf, prov); err != nil {
-		t.Fatal(err)
-	}
-	snap, info, err := chrome.DecodeAny(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap, info := loadSnapshotFile(t, ds1)
 	if info.Format != chrome.FormatWWB {
 		t.Fatalf("format = %q, want wwb", info.Format)
 	}
 
-	memSrv := httptest.NewServer(newDatasetServer(ds8, fleet.Assignment{}).routes(middlewareConfig{}))
+	memSrv := httptest.NewServer(newDatasetServer(ds8, fleet.Assignment{}).Routes(fleet.MiddlewareConfig{}))
 	defer memSrv.Close()
-	snapSrv := httptest.NewServer(newDatasetServer(snap, fleet.Assignment{}).routes(middlewareConfig{}))
+	snapSrv := httptest.NewServer(newDatasetServer(snap, fleet.Assignment{}).Routes(fleet.MiddlewareConfig{}))
 	defer snapSrv.Close()
 
 	for _, path := range equivPaths {
@@ -92,14 +105,7 @@ func TestSnapshotServedResponsesByteIdentical(t *testing.T) {
 // not rebuilt, and must give the same answer.
 func TestSnapshotModeSiteLookupUsesRestoredIndex(t *testing.T) {
 	ds := testStudyDataset()
-	var buf bytes.Buffer
-	if err := ds.EncodeSnapshot(&buf, chrome.SnapshotProvenance{Tool: "test"}); err != nil {
-		t.Fatal(err)
-	}
-	snap, _, err := chrome.DecodeAny(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap, _ := loadSnapshotFile(t, ds)
 	ix, want := snap.Index(), ds.Index()
 	if ix.NumKeys() != want.NumKeys() {
 		t.Fatalf("restored universe %d keys, want %d", ix.NumKeys(), want.NumKeys())

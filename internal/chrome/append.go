@@ -16,9 +16,8 @@ import (
 // new (country, platform, month) cells through the same bounded-memory
 // pipeline full assembly uses and merges them into an existing
 // Dataset, with the acceptance bar that the merged dataset is
-// byte-identical — encoded JSON, snapshot bytes, and every served
-// response — to a full rebuild whose Options cover the extended
-// window.
+// byte-identical — snapshot bytes and every served response — to a
+// full rebuild whose Options cover the extended window.
 //
 // Byte-identity holds because nothing a cell produces depends on which
 // other cells are assembled: each cell forks its RNG stream from the
@@ -310,12 +309,7 @@ func (d *Dataset) validateIncrementLocked(inc *Increment) error {
 	} else if len(inc.Dist) != 0 {
 		return fmt.Errorf("non-roll increment carries %d dist curves, want none", len(inc.Dist))
 	}
-	return validateDataset(&datasetJSON{
-		Months:   []world.Month{inc.Month},
-		Lists:    inc.Lists,
-		Dist:     inc.Dist,
-		Coverage: inc.Coverage,
-	})
+	return validateDataset([]world.Month{inc.Month}, inc.Lists, inc.Coverage, inc.Dist)
 }
 
 // cellKeyMonth validates a cell key and pins its month field.

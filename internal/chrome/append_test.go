@@ -25,20 +25,11 @@ func appendBaseOpts() Options {
 	}
 }
 
-func encodeBytes(t *testing.T, ds *Dataset) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := ds.Encode(&buf); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	return buf.Bytes()
-}
-
-// cloneDataset round-trips through the JSON codec — a cheap deep copy
-// so one assembled base can feed several mutating append runs.
+// cloneDataset round-trips through the snapshot codec — a cheap deep
+// copy so one assembled base can feed several mutating append runs.
 func cloneDataset(t *testing.T, ds *Dataset) *Dataset {
 	t.Helper()
-	clone, err := Decode(bytes.NewReader(encodeBytes(t, ds)))
+	clone, _, err := DecodeSnapshotBytes(snapshotBytes(t, ds))
 	if err != nil {
 		t.Fatalf("decode clone: %v", err)
 	}
@@ -51,7 +42,7 @@ func TestAppendMatchesFullRebuild(t *testing.T) {
 
 	oracleOpts := appendBaseOpts()
 	oracleOpts.Months = []world.Month{world.Jan2022, world.Feb2022, world.Mar2022}
-	oracle := encodeBytes(t, Assemble(testWorld, tcfg, oracleOpts))
+	oracle := snapshotBytes(t, Assemble(testWorld, tcfg, oracleOpts))
 
 	for _, workers := range []int{1, 8} {
 		ds := cloneDataset(t, base)
@@ -64,7 +55,7 @@ func TestAppendMatchesFullRebuild(t *testing.T) {
 		if inc.Month != world.Mar2022 || inc.RollDist || inc.Dist != nil {
 			t.Fatalf("workers=%d: increment = %+v, want plain Mar2022 append", workers, inc)
 		}
-		if got := encodeBytes(t, ds); !bytes.Equal(got, oracle) {
+		if got := snapshotBytes(t, ds); !bytes.Equal(got, oracle) {
 			t.Errorf("workers=%d: appended dataset differs from full rebuild (%d vs %d bytes)", workers, len(got), len(oracle))
 		}
 	}
@@ -81,7 +72,7 @@ func TestAppendRollDistMatchesFullRebuild(t *testing.T) {
 	oracleOpts.Months = []world.Month{world.Jan2022, world.Feb2022, world.Mar2022}
 	oracleOpts.DistMonth = world.Mar2022
 	oracleDS := Assemble(testWorld, tcfg, oracleOpts)
-	oracle := encodeBytes(t, oracleDS)
+	oracle := snapshotBytes(t, oracleDS)
 
 	ds := cloneDataset(t, base)
 	inc, err := AppendMonthCtx(context.Background(), ds, testWorld, tcfg, AppendOptions{
@@ -96,7 +87,7 @@ func TestAppendRollDistMatchesFullRebuild(t *testing.T) {
 	if ds.Opts.DistMonth != world.Mar2022 {
 		t.Fatalf("DistMonth = %s after roll, want 2022-03", ds.Opts.DistMonth)
 	}
-	if got := encodeBytes(t, ds); !bytes.Equal(got, oracle) {
+	if got := snapshotBytes(t, ds); !bytes.Equal(got, oracle) {
 		t.Errorf("roll-dist appended dataset differs from full rebuild (%d vs %d bytes)", len(got), len(oracle))
 	}
 	// The curves must actually have moved — identical curves would

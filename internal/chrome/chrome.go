@@ -83,17 +83,17 @@ type Options struct {
 	Months []world.Month
 	// Workers bounds the goroutines sampling cells concurrently:
 	// 0 (the default) means one per CPU, 1 is the sequential path.
-	// Output is byte-identical for every value. Excluded from the
-	// serialised dataset — it describes the machine, not the data.
-	Workers int `json:"-"`
+	// Output is byte-identical for every value. Not written to
+	// snapshots — it describes the machine, not the data.
+	Workers int
 	// LegacyAssembly selects the materialise-and-sort reference
 	// pipeline (every cell builds a full []SiteStats and sorts it)
 	// instead of the streaming bounded-memory path. Both produce
 	// byte-identical datasets; the legacy path exists as the oracle
 	// the equivalence tests compare against and costs O(sites) memory
-	// per in-flight cell. Machine knob, not data: excluded from the
-	// serialised dataset.
-	LegacyAssembly bool `json:"-"`
+	// per in-flight cell. Machine knob, not data: not written to
+	// snapshots.
+	LegacyAssembly bool
 }
 
 // DefaultOptions mirrors the paper's setup.

@@ -1,7 +1,6 @@
 package chrome
 
 import (
-	"bytes"
 	"testing"
 
 	"wwb/internal/telemetry"
@@ -192,11 +191,7 @@ func TestAssembleDeterminism(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := testDataset.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
+	got, _, err := DecodeSnapshotBytes(snapshotBytes(t, testDataset))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,12 +213,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewBufferString("{nope")); err == nil {
+	if _, _, err := DecodeSnapshotBytes([]byte("{nope")); err == nil {
 		t.Error("garbage input should error")
 	}
-	ds, err := Decode(bytes.NewBufferString("{}"))
+	ds, _, err := DecodeSnapshotBytes(snapshotBytes(t, &Dataset{}))
 	if err != nil {
-		t.Fatalf("empty object should decode: %v", err)
+		t.Fatalf("empty dataset should decode: %v", err)
 	}
 	if ds.List("US", world.Windows, world.PageLoads, world.Feb2022) != nil {
 		t.Error("empty dataset should have nil lists")

@@ -15,7 +15,7 @@ import (
 //
 // one row per list entry, in deterministic order (countries as stored,
 // platforms/metrics/months in canonical order, rank ascending). The
-// distribution curves are not included — use Encode (JSON) for a
+// distribution curves are not included — use EncodeSnapshot for a
 // lossless dump.
 func (d *Dataset) EncodeCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

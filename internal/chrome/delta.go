@@ -54,9 +54,6 @@ const maxDeltaChain = 16
 // the full snapshot's magic.
 var deltaMagic = [8]byte{0x89, 'W', 'W', 'D', '\r', '\n', 0x1a, '\n'}
 
-// deltaSections is the required section order.
-var deltaSections = [...]string{"DMET", "DOMS", "LSTS", "COVR", "DIST"}
-
 var errDeltaNeedsPath = errors.New("chrome: input is a delta snapshot (.wwbd), which requires resolving its base file: decode it with DecodeAnyPath")
 
 // IsDeltaSnapshot reports whether a file prefix carries the .wwbd
@@ -139,76 +136,30 @@ func EncodeDelta(w io.Writer, inc *Increment, base DeltaBase, prov SnapshotProve
 	return e.w.Flush()
 }
 
-// DecodeDelta reads a delta snapshot. Decoding is defensive like the
-// full snapshot path — counts validated against remaining bytes,
-// per-section checksums, no trailing garbage — and the embedded
-// increment passes the structural half of validation here; the
-// base-relative half runs when the increment is applied.
-func DecodeDelta(r io.Reader) (*DeltaSnapshot, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("chrome: delta: reading input: %w", err)
-	}
-	return DecodeDeltaBytes(data)
-}
-
-// DecodeDeltaBytes is DecodeDelta over an input held fully in memory.
+// DecodeDeltaBytes decodes a delta snapshot held fully in memory.
+// Decoding is defensive like the full snapshot path — lengths and
+// counts checked against the bytes present, per-section checksums, no
+// trailing garbage — and the embedded increment passes the structural
+// half of validation here; the base-relative half runs when the
+// increment is applied.
 func DecodeDeltaBytes(data []byte) (*DeltaSnapshot, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("chrome: delta: reading file header: file too short")
+	w, err := openArtifact(data, "delta", ".wwbd delta snapshot", deltaMagic, DeltaVersion)
+	if err != nil {
+		return nil, err
 	}
-	if !IsDeltaSnapshot(data) {
-		return nil, fmt.Errorf("chrome: delta: bad magic %x (not a .wwbd delta snapshot)", data[:8])
-	}
-	version := binary.LittleEndian.Uint32(data[8:12])
-	if version != DeltaVersion {
-		return nil, fmt.Errorf("chrome: delta: unsupported version %d (this build reads version %d)", version, DeltaVersion)
-	}
-
-	off := 12
-	next := func(tag string) (*snapCursor, error) {
-		if len(data)-off < 16 {
-			return nil, fmt.Errorf("chrome: delta: reading %s section header: file truncated", tag)
-		}
-		length, wantCRC, err := checkSectionHeader(data[off:off+16], tag)
-		if err != nil {
-			return nil, err
-		}
-		if length > uint64(len(data)-off-16) {
-			return nil, fmt.Errorf("chrome: delta: section %s truncated: declared %d bytes, file ends after %d",
-				tag, length, len(data)-off-16)
-		}
-		payload := data[off+16 : off+16+int(length)]
-		if err := verifySectionCRC(payload, wantCRC, tag); err != nil {
-			return nil, err
-		}
-		off += 16 + int(length)
-		return &snapCursor{tag: tag, b: payload}, nil
-	}
-
-	d := &DeltaSnapshot{Version: version, Increment: &Increment{}}
+	d := &DeltaSnapshot{Version: DeltaVersion, Increment: &Increment{}}
 	sd := &snapDecoded{}
-	decoders := map[string]func(*snapCursor) error{
-		"DMET": d.decodeMeta,
-		"DOMS": sd.decodeDoms,
-		"LSTS": sd.decodeLists,
-		"COVR": sd.decodeCoverage,
-		"DIST": sd.decodeDist,
+	if err := w.decode(
+		section{"DMET", d.decodeMeta},
+		section{"DOMS", sd.decodeDoms},
+		section{"LSTS", sd.decodeLists},
+		section{"COVR", sd.decodeCoverage},
+		section{"DIST", sd.decodeDist},
+	); err != nil {
+		return nil, err
 	}
-	for _, tag := range deltaSections {
-		cur, err := next(tag)
-		if err != nil {
-			return nil, err
-		}
-		if err := decoders[tag](cur); err != nil {
-			return nil, err
-		}
-		if cur.rem() != 0 {
-			return nil, fmt.Errorf("chrome: delta: section %s has %d undecoded trailing bytes — corrupt file", tag, cur.rem())
-		}
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("chrome: delta: trailing data after final section")
+	if err := w.end(); err != nil {
+		return nil, err
 	}
 
 	d.Increment.Lists = sd.lists
@@ -223,12 +174,7 @@ func DecodeDeltaBytes(data []byte) (*DeltaSnapshot, error) {
 	// coverage range, normalised curves); base-relative validation —
 	// countries, month coverage, options consistency — happens in
 	// ApplyIncrement against the actual base.
-	if err := validateDataset(&datasetJSON{
-		Months:   []world.Month{d.Increment.Month},
-		Lists:    sd.lists,
-		Dist:     d.Increment.Dist,
-		Coverage: sd.coverage,
-	}); err != nil {
+	if err := validateDataset([]world.Month{d.Increment.Month}, sd.lists, sd.coverage, d.Increment.Dist); err != nil {
 		return nil, fmt.Errorf("chrome: delta: invalid increment: %w", err)
 	}
 	return d, nil
@@ -328,24 +274,27 @@ func (d *DeltaSnapshot) ValidateBase(baseData []byte, baseInfo *SnapshotInfo) er
 // DecodeAnyPath decodes a dataset artifact by path, resolving delta
 // chains: a .wwbd's base (named relative to the delta's directory) is
 // decoded recursively — itself possibly a delta — validated against
-// the DMET binding, and the increment applied. Plain .wwb and JSON
-// artifacts decode exactly as DecodeAnyBytes would. The returned
-// SnapshotInfo carries the chain depth and, for deltas, the final
-// delta's producer provenance.
+// the DMET binding, and the increment applied. A plain .wwb decodes
+// exactly as DecodeSnapshotBytes would. The returned SnapshotInfo
+// carries the chain depth and, for deltas, the final delta's producer
+// provenance.
 func DecodeAnyPath(path string) (*Dataset, *SnapshotInfo, error) {
-	return decodeAnyPathDepth(path, 0)
-}
-
-func decodeAnyPathDepth(path string, depth int) (*Dataset, *SnapshotInfo, error) {
-	if depth > maxDeltaChain {
-		return nil, nil, fmt.Errorf("chrome: delta: base chain deeper than %d at %q — cyclic or runaway delta chain", maxDeltaChain, path)
-	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("chrome: reading dataset %s: %w", path, err)
 	}
+	return decodeArtifact(path, data, 0)
+}
+
+// decodeArtifact decodes the bytes read from path, depth links down a
+// delta chain. Each link's file is read once: its bytes both decode
+// and bind it to the delta above.
+func decodeArtifact(path string, data []byte, depth int) (*Dataset, *SnapshotInfo, error) {
 	if !IsDeltaSnapshot(data) {
-		return DecodeAnyBytes(data)
+		return DecodeSnapshotBytes(data)
+	}
+	if depth > maxDeltaChain {
+		return nil, nil, fmt.Errorf("chrome: delta: base chain deeper than %d at %q — cyclic or runaway delta chain", maxDeltaChain, path)
 	}
 	d, err := DecodeDeltaBytes(data)
 	if err != nil {
@@ -359,15 +308,7 @@ func decodeAnyPathDepth(path string, depth int) (*Dataset, *SnapshotInfo, error)
 	if err != nil {
 		return nil, nil, fmt.Errorf("chrome: delta %s: reading base: %w", path, err)
 	}
-	var (
-		ds       *Dataset
-		baseInfo *SnapshotInfo
-	)
-	if IsDeltaSnapshot(baseData) {
-		ds, baseInfo, err = decodeAnyPathDepth(basePath, depth+1)
-	} else {
-		ds, baseInfo, err = DecodeAnyBytes(baseData)
-	}
+	ds, baseInfo, err := decodeArtifact(basePath, baseData, depth+1)
 	if err != nil {
 		return nil, nil, err
 	}

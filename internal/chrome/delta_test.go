@@ -38,20 +38,11 @@ func writeArtifact(t *testing.T, dir, name string, data []byte) string {
 	return path
 }
 
-func snapshotBytes(t *testing.T, ds *Dataset) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := ds.EncodeSnapshot(&buf, testProvenance); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestDeltaChainResolvesByteIdentical is the delta acceptance bar: a
 // base .wwb plus a chain of .wwbd deltas resolved by DecodeAnyPath
-// must be byte-identical — JSON encoding and full snapshot re-encoding
-// both — to a full rebuild covering the extended window. The chain's
-// second link rolls DistMonth forward, exercising the DIST section.
+// must re-encode to the snapshot bytes of a full rebuild covering the
+// extended window. The chain's second link rolls DistMonth forward,
+// exercising the DIST section.
 func TestDeltaChainResolvesByteIdentical(t *testing.T) {
 	tcfg := telemetry.DefaultConfig()
 	dir := t.TempDir()
@@ -79,9 +70,6 @@ func TestDeltaChainResolvesByteIdentical(t *testing.T) {
 	oracleOpts := appendBaseOpts()
 	oracleOpts.Months = []world.Month{world.Jan2022, world.Feb2022, world.Mar2022}
 	oracle := Assemble(testWorld, tcfg, oracleOpts)
-	if !bytes.Equal(encodeBytes(t, ds), encodeBytes(t, oracle)) {
-		t.Error("base+delta dataset differs from full rebuild")
-	}
 	if !bytes.Equal(snapshotBytes(t, ds), snapshotBytes(t, oracle)) {
 		t.Error("base+delta snapshot bytes differ from full rebuild's")
 	}
@@ -105,9 +93,6 @@ func TestDeltaChainResolvesByteIdentical(t *testing.T) {
 	oracleOpts2.Months = []world.Month{world.Jan2022, world.Feb2022, world.Mar2022, world.Apr2022}
 	oracleOpts2.DistMonth = world.Apr2022
 	oracle2 := Assemble(testWorld, tcfg, oracleOpts2)
-	if !bytes.Equal(encodeBytes(t, ds2), encodeBytes(t, oracle2)) {
-		t.Error("two-link chain dataset differs from full rebuild")
-	}
 	if !bytes.Equal(snapshotBytes(t, ds2), snapshotBytes(t, oracle2)) {
 		t.Error("two-link chain snapshot bytes differ from full rebuild's")
 	}
@@ -120,7 +105,7 @@ func TestDeltaChainResolvesByteIdentical(t *testing.T) {
 	if info3.Format != FormatWWB || info3.Chain != 0 {
 		t.Errorf("plain artifact info = %+v", info3)
 	}
-	if !bytes.Equal(encodeBytes(t, ds3), encodeBytes(t, base)) {
+	if !bytes.Equal(snapshotBytes(t, ds3), snapshotBytes(t, base)) {
 		t.Error("plain artifact decode differs from original")
 	}
 }
@@ -157,7 +142,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 	if err := clone.ApplyIncrement(got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encodeBytes(t, clone), encodeBytes(t, work)) {
+	if !bytes.Equal(snapshotBytes(t, clone), snapshotBytes(t, work)) {
 		t.Error("decoded increment applies differently from the original")
 	}
 }
@@ -257,13 +242,10 @@ func TestDeltaRejectsCorruptionAndDecodeAny(t *testing.T) {
 	if _, err := DecodeDeltaBytes(baseSnap); err == nil {
 		t.Error("full snapshot accepted by delta decoder")
 	}
-	// The reader-based decoders can't resolve a base: they must say so
-	// descriptively rather than misparse.
-	if _, _, err := DecodeAny(bytes.NewReader(delta)); err != errDeltaNeedsPath {
-		t.Errorf("DecodeAny on delta: err = %v, want errDeltaNeedsPath", err)
-	}
-	if _, _, err := DecodeAnyBytes(delta); err != errDeltaNeedsPath {
-		t.Errorf("DecodeAnyBytes on delta: err = %v, want errDeltaNeedsPath", err)
+	// The in-memory snapshot decoder can't resolve a base: it must say
+	// so descriptively rather than misparse.
+	if _, _, err := DecodeSnapshotBytes(delta); err != errDeltaNeedsPath {
+		t.Errorf("DecodeSnapshotBytes on delta: err = %v, want errDeltaNeedsPath", err)
 	}
 }
 
@@ -273,15 +255,8 @@ func TestDeltaRejectsCorruptionAndDecodeAny(t *testing.T) {
 func FuzzDecodeDelta(f *testing.F) {
 	tcfg := telemetry.DefaultConfig()
 	base := Assemble(testWorld, tcfg, appendBaseOpts())
-	var baseBuf bytes.Buffer
-	if err := base.EncodeSnapshot(&baseBuf, testProvenance); err != nil {
-		f.Fatal(err)
-	}
-	work, err := Decode(bytes.NewReader(func() []byte {
-		var b bytes.Buffer
-		_ = base.Encode(&b)
-		return b.Bytes()
-	}()))
+	baseSnap := snapshotBytes(f, base)
+	work, _, err := DecodeSnapshotBytes(baseSnap)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -289,7 +264,7 @@ func FuzzDecodeDelta(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	delta := encodeDeltaBytes(f, inc, "study.wwb", baseBuf.Bytes(), testProvenance)
+	delta := encodeDeltaBytes(f, inc, "study.wwb", baseSnap, testProvenance)
 
 	f.Add(delta)
 	f.Add(delta[:len(delta)/2])
@@ -315,7 +290,7 @@ func FuzzDecodeDelta(f *testing.F) {
 		// Accepted inputs carry a structurally valid increment; applying
 		// it to an unrelated base must either succeed or error — the
 		// validated merge is exercised for panics, not outcomes.
-		clone, _, err := DecodeSnapshotBytes(baseBuf.Bytes())
+		clone, _, err := DecodeSnapshotBytes(baseSnap)
 		if err != nil {
 			t.Fatal(err)
 		}

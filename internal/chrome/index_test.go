@@ -182,3 +182,15 @@ func TestIndexConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// BenchmarkDatasetIndexBuild is the one-time interning cost over the
+// shared test dataset: the price paid to make every later geography
+// analysis ID-based. It calls buildIndex directly, so every iteration
+// is a cold intern rather than a hit on the dataset's memoized index.
+func BenchmarkDatasetIndexBuild(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if ix := buildIndex(testDataset); ix.NumKeys() == 0 {
+			b.Fatal("empty key universe")
+		}
+	}
+}

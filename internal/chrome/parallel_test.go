@@ -17,12 +17,7 @@ func TestAssembleWorkersByteIdentical(t *testing.T) {
 	encode := func(workers int) []byte {
 		o := opts
 		o.Workers = workers
-		ds := Assemble(testWorld, telemetry.DefaultConfig(), o)
-		var buf bytes.Buffer
-		if err := ds.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return snapshotBytes(t, Assemble(testWorld, telemetry.DefaultConfig(), o))
 	}
 	seq := encode(1)
 	for _, workers := range []int{4, 8} {

@@ -3,8 +3,9 @@ package chrome
 // Binary dataset snapshots (.wwb). The snapshot persists everything a
 // serving process needs — the assembled dataset, its interned KeyIndex,
 // and every memoized per-cell view — so `wwbserve -data study.wwb`
-// answers its first query without re-assembling, re-parsing JSON, or
-// re-interning. The layout (DESIGN.md §7):
+// answers its first query without re-assembling or re-interning. It
+// is the only lossless dataset format; .wwbd deltas (delta.go) extend
+// it a month at a time. The layout (DESIGN.md §7):
 //
 //	magic[8]  version:u32
 //	six sections in fixed order: META DOMS LSTS COVR DIST INDX
@@ -13,21 +14,22 @@ package chrome
 //
 // All integers are little-endian; varints are unsigned/zig-zag LEB128
 // (encoding/binary Uvarint/Varint). Strings are uvarint length + UTF-8
-// bytes. Slices whose nil-ness is observable (it changes the JSON
-// re-encoding) carry a leading presence byte. Rank-list entries and
-// index arrays are fixed-width (u32/f64) rather than varint so a
-// decoder can locate every cell's byte span in O(1) and decode cells
-// in parallel. Checksums are CRC-32C (Castagnoli) over each section
+// bytes. Slices whose nil-ness is observable carry a leading presence
+// byte, so a decoded dataset re-encodes to the same bytes. Rank-list
+// entries and index arrays are fixed-width (u32/f64) rather than
+// varint so a decoder can locate every cell's byte span in O(1) and
+// decode cells in parallel. Checksums are CRC-32C (Castagnoli) over each section
 // payload.
 //
-// Decoding is defensive end to end: every count is validated against
-// the bytes actually remaining in its section before anything is
-// allocated, section payloads are read in bounded chunks so a corrupt
-// header declaring an absurd length cannot OOM the process, and the
-// decoded structure passes the same validateDataset pass as the JSON
-// path plus index-specific invariants — a corrupt or truncated file
-// yields a descriptive error, never a dataset that panics under
-// queries.
+// Decoding runs over the whole file held in memory and is defensive
+// end to end: every declared length — each section length against the
+// bytes left in the file, each element count against the bytes left in
+// its section — is checked against the real input size before anything
+// is sliced or allocated, so a corrupt header declaring an absurd
+// length cannot OOM the process. The decoded structure then passes
+// validateDataset plus index-specific invariants: a corrupt or
+// truncated file yields a descriptive error, never a dataset that
+// panics under queries.
 
 import (
 	"bufio"
@@ -46,11 +48,9 @@ import (
 // SnapshotVersion is the format version this build reads and writes.
 const SnapshotVersion = 1
 
-// Detected dataset formats, as reported by DecodeAny and
-// DecodeAnyPath.
+// Dataset artifact formats, as reported in SnapshotInfo.
 const (
 	FormatWWB  = "wwb"
-	FormatJSON = "json"
 	FormatWWBD = "wwbd"
 )
 
@@ -60,9 +60,6 @@ const (
 var snapshotMagic = [8]byte{0x89, 'W', 'W', 'B', '\r', '\n', 0x1a, '\n'}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// snapshotSections is the required section order.
-var snapshotSections = [...]string{"META", "DOMS", "LSTS", "COVR", "DIST", "INDX"}
 
 // Presence bytes for slices that distinguish nil from empty.
 const (
@@ -86,14 +83,13 @@ type SnapshotProvenance struct {
 
 // SnapshotInfo describes a decoded dataset artifact.
 type SnapshotInfo struct {
-	// Format is FormatWWB, FormatJSON, or FormatWWBD (a dataset
-	// resolved through a base+delta chain).
+	// Format is FormatWWB, or FormatWWBD for a dataset resolved
+	// through a base+delta chain.
 	Format string
-	// Version is the snapshot format version (0 for JSON).
+	// Version is the artifact's format version.
 	Version uint32
-	// Provenance is the embedded provenance (zero for JSON). For a
-	// resolved delta chain it is the final delta's producer
-	// provenance.
+	// Provenance is the embedded provenance. For a resolved delta
+	// chain it is the final delta's producer provenance.
 	Provenance SnapshotProvenance
 	// Chain counts delta links resolved to produce the dataset: 0 for
 	// a plain artifact, n for a base plus n stacked deltas.
@@ -524,92 +520,95 @@ func (c *snapCursor) f64Slice() ([]float64, error) {
 	return out, nil
 }
 
-// inputSize reports how many bytes remain in r when r can be measured
-// without consuming it (files, bytes.Reader), or -1 when it cannot.
-// A known size lets the decoder validate every declared section length
-// against the file before allocating, and read each payload with a
-// single exact-size allocation instead of chunked growth.
-func inputSize(r io.Reader) int64 {
-	s, ok := r.(io.Seeker)
-	if !ok {
-		return -1
-	}
-	cur, err := s.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return -1
-	}
-	end, err := s.Seek(0, io.SeekEnd)
-	if err != nil {
-		return -1
-	}
-	if _, err := s.Seek(cur, io.SeekStart); err != nil {
-		return -1
-	}
-	return end - cur
+// sectionWalker walks the fixed-order sections of an artifact held
+// fully in memory (a read or mmapped file) — snapshots and deltas
+// alike. Each section's tag is checked, its declared length against
+// the bytes actually left, and its payload against the CRC, before the
+// payload is sliced out without copying.
+type sectionWalker struct {
+	kind string // "snapshot" or "delta": prefixes every error
+	data []byte
+	off  int
 }
 
-// readSectionPayload reads the declared number of bytes in bounded
-// chunks: a corrupt header declaring an absurd length allocates at
-// most one chunk beyond the bytes actually present before hitting a
-// descriptive EOF error. (Inputs whose size can be measured never get
-// here — they take the zero-copy DecodeSnapshotBytes path, where
-// declared lengths are validated against the real size up front.)
-func readSectionPayload(r io.Reader, length uint64, tag string) ([]byte, error) {
-	const chunk = 1 << 20
-	buf := make([]byte, 0, min(length, uint64(chunk)))
-	for uint64(len(buf)) < length {
-		n := uint64(chunk)
-		if rem := length - uint64(len(buf)); rem < n {
-			n = rem
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, n)...)
-		read, err := io.ReadFull(r, buf[start:])
+// openArtifact checks the 12-byte file header — magic, then version —
+// and returns a walker positioned at the first section.
+func openArtifact(data []byte, kind, what string, magic [8]byte, version uint32) (*sectionWalker, error) {
+	if len(data) < 12 {
+		return nil, fmt.Errorf("chrome: %s: reading file header: file too short", kind)
+	}
+	if !bytes.Equal(data[:8], magic[:]) {
+		return nil, fmt.Errorf("chrome: %s: bad magic %x (not a %s)", kind, data[:8], what)
+	}
+	if v := binary.LittleEndian.Uint32(data[8:12]); v != version {
+		return nil, fmt.Errorf("chrome: %s: unsupported version %d (this build reads version %d)", kind, v, version)
+	}
+	return &sectionWalker{kind: kind, data: data, off: 12}, nil
+}
+
+// next returns the next section, which must carry tag.
+func (w *sectionWalker) next(tag string) (*snapCursor, error) {
+	left := len(w.data) - w.off
+	if left < 16 {
+		return nil, fmt.Errorf("chrome: %s: reading %s section header: file truncated", w.kind, tag)
+	}
+	hdr := w.data[w.off : w.off+16]
+	if got := string(hdr[:4]); got != tag {
+		return nil, fmt.Errorf("chrome: %s: unexpected section %q (want %s) — corrupt or reordered file", w.kind, got, tag)
+	}
+	length := binary.LittleEndian.Uint64(hdr[4:12])
+	if length > uint64(left-16) {
+		return nil, fmt.Errorf("chrome: %s: section %s truncated: declared %d bytes, file ends after %d",
+			w.kind, tag, length, left-16)
+	}
+	payload := w.data[w.off+16 : w.off+16+int(length)]
+	if want, got := binary.LittleEndian.Uint32(hdr[12:16]), crc32.Checksum(payload, castagnoli); got != want {
+		return nil, fmt.Errorf("chrome: %s: section %s checksum mismatch (file %08x, computed %08x) — corrupt file",
+			w.kind, tag, want, got)
+	}
+	w.off += 16 + int(length)
+	return &snapCursor{tag: tag, b: payload}, nil
+}
+
+// section pairs a section tag with the decoder for its payload.
+type section struct {
+	tag string
+	dec func(*snapCursor) error
+}
+
+// decode decodes the next sections in order, stopping at the first
+// error.
+func (w *sectionWalker) decode(secs ...section) error {
+	for _, s := range secs {
+		c, err := w.next(s.tag)
 		if err != nil {
-			return nil, fmt.Errorf("chrome: snapshot: section %s truncated: declared %d bytes, file ends after %d",
-				tag, length, start+read)
+			return err
 		}
-	}
-	return buf, nil
-}
-
-// checkSectionHeader validates a 16-byte section header and returns
-// the declared length and checksum.
-func checkSectionHeader(hdr []byte, wantTag string) (length uint64, crc uint32, err error) {
-	if got := string(hdr[:4]); got != wantTag {
-		return 0, 0, fmt.Errorf("chrome: snapshot: unexpected section %q (want %s) — corrupt or reordered file", got, wantTag)
-	}
-	return binary.LittleEndian.Uint64(hdr[4:12]), binary.LittleEndian.Uint32(hdr[12:16]), nil
-}
-
-// verifySectionCRC checksums a section payload against its header.
-func verifySectionCRC(payload []byte, wantCRC uint32, tag string) error {
-	if got := crc32.Checksum(payload, castagnoli); got != wantCRC {
-		return fmt.Errorf("chrome: snapshot: section %s checksum mismatch (file %08x, computed %08x) — corrupt file",
-			tag, wantCRC, got)
+		if err := w.decodeAll(c, s.dec); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// readSection reads and checksum-verifies the next section from a
-// stream whose total size is unknown. Sections have a fixed order.
-func readSection(r io.Reader, wantTag string) (*snapCursor, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("chrome: snapshot: reading %s section header: file truncated", wantTag)
+// decodeAll runs dec over a section, which it must consume whole. It
+// reads only w.kind, so it may run concurrently with w.next.
+func (w *sectionWalker) decodeAll(c *snapCursor, dec func(*snapCursor) error) error {
+	if err := dec(c); err != nil {
+		return err
 	}
-	length, wantCRC, err := checkSectionHeader(hdr[:], wantTag)
-	if err != nil {
-		return nil, err
+	if c.rem() != 0 {
+		return fmt.Errorf("chrome: %s: section %s has %d undecoded trailing bytes — corrupt file", w.kind, c.tag, c.rem())
 	}
-	payload, err := readSectionPayload(r, length, wantTag)
-	if err != nil {
-		return nil, err
+	return nil
+}
+
+// end checks that the last section ended the file.
+func (w *sectionWalker) end() error {
+	if w.off != len(w.data) {
+		return fmt.Errorf("chrome: %s: trailing data after final section", w.kind)
 	}
-	if err := verifySectionCRC(payload, wantCRC, wantTag); err != nil {
-		return nil, err
-	}
-	return &snapCursor{tag: wantTag, b: payload}, nil
+	return nil
 }
 
 // snapDecoded accumulates section contents until the Dataset can be
@@ -977,154 +976,36 @@ func validateIndex(lists map[string]RankList, keys []string, cells map[string]*c
 	return nil
 }
 
-// DecodeSnapshot reads a binary snapshot previously written by
-// EncodeSnapshot. The decoded structure passes the same validation as
-// the JSON path plus index-specific invariants; the dataset's interned
-// KeyIndex and per-cell views are restored without re-interning.
-//
-// Inputs whose size can be measured without consuming them (files,
-// bytes.Reader) are read once into memory and take the zero-copy
-// DecodeSnapshotBytes path; anything else is decoded section by
-// section with bounded-chunk reads.
-func DecodeSnapshot(r io.Reader) (*Dataset, *SnapshotInfo, error) {
-	if size := inputSize(r); size >= 0 {
-		data := make([]byte, size)
-		if _, err := io.ReadFull(r, data); err != nil {
-			return nil, nil, fmt.Errorf("chrome: snapshot: reading %d-byte input: %v", size, err)
-		}
-		return DecodeSnapshotBytes(data)
-	}
-	return decodeSnapshotStream(bufio.NewReaderSize(r, 1<<20))
-}
-
-// DecodeSnapshotBytes decodes a snapshot held fully in memory (a read
-// or mmapped file). Section payloads are sliced out of data without
-// copying; everything the returned Dataset references is freshly
-// allocated, so the caller may release (e.g. munmap) data as soon as
-// the call returns.
+// DecodeSnapshotBytes decodes a .wwb snapshot held fully in memory (a
+// read or mmapped file), restoring the dataset's interned KeyIndex and
+// per-cell views without re-interning. Section payloads are sliced out
+// of data without copying; everything the returned Dataset references
+// is freshly allocated, so the caller may release (e.g. munmap) data
+// as soon as the call returns. A .wwbd delta is refused with a
+// descriptive error: its base resolves relative to the file's
+// directory, so deltas decode through DecodeAnyPath.
 func DecodeSnapshotBytes(data []byte) (*Dataset, *SnapshotInfo, error) {
-	if len(data) < 12 {
-		return nil, nil, fmt.Errorf("chrome: snapshot: reading file header: file too short")
+	if IsDeltaSnapshot(data) {
+		return nil, nil, errDeltaNeedsPath
 	}
-	version, err := checkSnapshotHeader(data[:12])
+	w, err := openArtifact(data, "snapshot", ".wwb snapshot", snapshotMagic, SnapshotVersion)
 	if err != nil {
 		return nil, nil, err
 	}
-	off := 12
-	next := func(tag string) (*snapCursor, error) {
-		if len(data)-off < 16 {
-			return nil, fmt.Errorf("chrome: snapshot: reading %s section header: file truncated", tag)
-		}
-		length, wantCRC, err := checkSectionHeader(data[off:off+16], tag)
-		if err != nil {
-			return nil, err
-		}
-		if length > uint64(len(data)-off-16) {
-			return nil, fmt.Errorf("chrome: snapshot: section %s truncated: declared %d bytes, file ends after %d",
-				tag, length, len(data)-off-16)
-		}
-		payload := data[off+16 : off+16+int(length)]
-		if err := verifySectionCRC(payload, wantCRC, tag); err != nil {
-			return nil, err
-		}
-		off += 16 + int(length)
-		return &snapCursor{tag: tag, b: payload}, nil
-	}
-	atEOF := func() error {
-		if off != len(data) {
-			return fmt.Errorf("chrome: snapshot: trailing data after final section")
-		}
-		return nil
-	}
-	return decodeSections(next, atEOF, version)
-}
-
-// decodeSnapshotStream decodes from a reader of unknown size.
-func decodeSnapshotStream(br *bufio.Reader) (*Dataset, *SnapshotInfo, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, nil, fmt.Errorf("chrome: snapshot: reading file header: file too short")
-	}
-	version, err := checkSnapshotHeader(hdr[:])
-	if err != nil {
-		return nil, nil, err
-	}
-	next := func(tag string) (*snapCursor, error) { return readSection(br, tag) }
-	atEOF := func() error {
-		if _, err := br.ReadByte(); err != io.EOF {
-			return fmt.Errorf("chrome: snapshot: trailing data after final section")
-		}
-		return nil
-	}
-	return decodeSections(next, atEOF, version)
-}
-
-// checkSnapshotHeader validates the 12-byte file header (magic +
-// version) and returns the version.
-func checkSnapshotHeader(hdr []byte) (uint32, error) {
-	if !IsSnapshot(hdr[:8]) {
-		return 0, fmt.Errorf("chrome: snapshot: bad magic %x (not a .wwb snapshot)", hdr[:8])
-	}
-	version := binary.LittleEndian.Uint32(hdr[8:12])
-	if version != SnapshotVersion {
-		return 0, fmt.Errorf("chrome: snapshot: unsupported version %d (this build reads version %d)",
-			version, SnapshotVersion)
-	}
-	return version, nil
-}
-
-// decodeSections runs the fixed section sequence against a section
-// source, validates the result, and assembles the Dataset.
-func decodeSections(next func(tag string) (*snapCursor, error), atEOF func() error, version uint32) (*Dataset, *SnapshotInfo, error) {
 	sd := &snapDecoded{}
-	readAndDecode := func(tag string, dec func(*snapCursor) error) error {
-		cur, err := next(tag)
-		if err != nil {
-			return err
-		}
-		if err := dec(cur); err != nil {
-			return err
-		}
-		if cur.rem() != 0 {
-			return fmt.Errorf("chrome: snapshot: section %s has %d undecoded trailing bytes — corrupt file",
-				tag, cur.rem())
-		}
-		return nil
-	}
-	if err := readAndDecode("META", sd.decodeMeta); err != nil {
+	if err := w.decode(section{"META", sd.decodeMeta}, section{"DOMS", sd.decodeDoms}); err != nil {
 		return nil, nil, err
 	}
-	if err := readAndDecode("DOMS", sd.decodeDoms); err != nil {
-		return nil, nil, err
-	}
-	// LSTS is the largest section; decode it concurrently with reading
-	// and decoding the sections after it (only DOMS is an input to it).
-	// Both big sections additionally fan their cells out across CPUs.
-	lstsCur, err := next("LSTS")
+	// LSTS is the largest section; decode it concurrently with the
+	// sections after it (only DOMS is an input to it). Both big
+	// sections additionally fan their cells out across CPUs.
+	lstsCur, err := w.next("LSTS")
 	if err != nil {
 		return nil, nil, err
 	}
 	lstsErr := make(chan error, 1)
-	go func() {
-		if err := sd.decodeLists(lstsCur); err != nil {
-			lstsErr <- err
-			return
-		}
-		if lstsCur.rem() != 0 {
-			lstsErr <- fmt.Errorf("chrome: snapshot: section LSTS has %d undecoded trailing bytes — corrupt file", lstsCur.rem())
-			return
-		}
-		lstsErr <- nil
-	}()
-	var restErr error
-	for _, s := range []struct {
-		tag string
-		dec func(*snapCursor) error
-	}{{"COVR", sd.decodeCoverage}, {"DIST", sd.decodeDist}, {"INDX", sd.decodeIndex}} {
-		if restErr = readAndDecode(s.tag, s.dec); restErr != nil {
-			break
-		}
-	}
+	go func() { lstsErr <- w.decodeAll(lstsCur, sd.decodeLists) }()
+	restErr := w.decode(section{"COVR", sd.decodeCoverage}, section{"DIST", sd.decodeDist}, section{"INDX", sd.decodeIndex})
 	// Report errors in section order: LSTS before anything after it.
 	if err := <-lstsErr; err != nil {
 		return nil, nil, err
@@ -1132,21 +1013,11 @@ func decodeSections(next func(tag string) (*snapCursor, error), atEOF func() err
 	if restErr != nil {
 		return nil, nil, restErr
 	}
-	if err := atEOF(); err != nil {
+	if err := w.end(); err != nil {
 		return nil, nil, err
 	}
 
-	// The same structural validation the JSON path runs, then the
-	// index-specific invariants.
-	dj := &datasetJSON{
-		Opts:      sd.opts,
-		Countries: sd.countries,
-		Months:    sd.months,
-		Lists:     sd.lists,
-		Dist:      sd.dist,
-		Coverage:  sd.coverage,
-	}
-	if err := validateDataset(dj); err != nil {
+	if err := validateDataset(sd.months, sd.lists, sd.coverage, sd.dist); err != nil {
 		return nil, nil, fmt.Errorf("chrome: invalid dataset: %w", err)
 	}
 	if err := validateIndex(sd.lists, sd.keys, sd.cells); err != nil {
@@ -1165,62 +1036,5 @@ func decodeSections(next func(tag string) (*snapCursor, error), atEOF func() err
 	// search, which costs nothing to restore.
 	ix := &KeyIndex{ds: ds, keys: sd.keys, cells: sd.cells}
 	ds.index = ix // freshly built dataset: generation 0 == indexGen 0
-	return ds, &SnapshotInfo{Format: FormatWWB, Version: version, Provenance: sd.prov}, nil
-}
-
-// DecodeAny decodes a dataset in either supported format, detected by
-// the leading magic bytes: .wwb binary snapshots take the snapshot
-// path, everything else falls back to the JSON decoder. The returned
-// SnapshotInfo reports which path was taken (and, for snapshots, the
-// embedded provenance).
-func DecodeAny(r io.Reader) (*Dataset, *SnapshotInfo, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	prefix, err := br.Peek(len(snapshotMagic))
-	if err == nil && IsSnapshot(prefix) {
-		// br has only peeked, so no input has been consumed yet;
-		// DecodeSnapshot may still measure a seekable r through it.
-		return decodeSnapshotBuffered(br, r)
-	}
-	if err == nil && IsDeltaSnapshot(prefix) {
-		return nil, nil, errDeltaNeedsPath
-	}
-	ds, err := Decode(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ds, &SnapshotInfo{Format: FormatJSON}, nil
-}
-
-// DecodeAnyBytes is DecodeAny for an input held fully in memory (a
-// read or mmapped file); snapshots take the zero-copy path. As with
-// DecodeSnapshotBytes, the caller may release data once it returns.
-func DecodeAnyBytes(data []byte) (*Dataset, *SnapshotInfo, error) {
-	if IsSnapshot(data) {
-		return DecodeSnapshotBytes(data)
-	}
-	if IsDeltaSnapshot(data) {
-		return nil, nil, errDeltaNeedsPath
-	}
-	ds, err := Decode(bytes.NewReader(data))
-	if err != nil {
-		return nil, nil, err
-	}
-	return ds, &SnapshotInfo{Format: FormatJSON}, nil
-}
-
-// decodeSnapshotBuffered decodes a snapshot through an already-peeked
-// bufio.Reader: if the underlying reader's size is measurable the
-// whole input is slurped (through br, preserving its buffered prefix)
-// and decoded zero-copy, otherwise the chunked stream path runs.
-func decodeSnapshotBuffered(br *bufio.Reader, underlying io.Reader) (*Dataset, *SnapshotInfo, error) {
-	if size := inputSize(underlying); size >= 0 {
-		// br has already pulled some bytes off the underlying reader;
-		// the total input is what it buffered plus what remains.
-		data := make([]byte, size+int64(br.Buffered()))
-		if _, err := io.ReadFull(br, data); err != nil {
-			return nil, nil, fmt.Errorf("chrome: snapshot: reading %d-byte input: %v", len(data), err)
-		}
-		return DecodeSnapshotBytes(data)
-	}
-	return decodeSnapshotStream(br)
+	return ds, &SnapshotInfo{Format: FormatWWB, Version: SnapshotVersion, Provenance: sd.prov}, nil
 }

@@ -3,8 +3,8 @@ package chrome
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wwb/internal/telemetry"
@@ -12,11 +12,14 @@ import (
 
 var testProvenance = SnapshotProvenance{Tool: "wwbgen", WorldSeed: 42, Scale: "small"}
 
-// encodeTestSnapshot serialises the shared test dataset once per call.
-func encodeTestSnapshot(t testing.TB) []byte {
+// snapshotBytes encodes ds as a snapshot with a fixed provenance: the
+// byte-level fingerprint every equivalence test in this package
+// compares. It carries each value's raw float bits and the interned
+// index, so equal bytes mean equal datasets down to the last bit.
+func snapshotBytes(t testing.TB, ds *Dataset) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := testDataset.EncodeSnapshot(&buf, testProvenance); err != nil {
+	if err := ds.EncodeSnapshot(&buf, testProvenance); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -24,10 +27,10 @@ func encodeTestSnapshot(t testing.TB) []byte {
 
 // TestSnapshotRoundTrip is the acceptance bar: a dataset decoded from
 // a .wwb snapshot must be byte-identical to the in-memory one — same
-// JSON encoding, same interned index, same memoized per-cell views.
+// interned index, same memoized per-cell views, same re-encoding.
 func TestSnapshotRoundTrip(t *testing.T) {
-	snap := encodeTestSnapshot(t)
-	ds, info, err := DecodeSnapshot(bytes.NewReader(snap))
+	snap := snapshotBytes(t, testDataset)
+	ds, info, err := DecodeSnapshotBytes(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,18 +39,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if info.Provenance != testProvenance {
 		t.Errorf("provenance = %+v, want %+v", info.Provenance, testProvenance)
-	}
-
-	// The dataset itself: JSON re-encoding must match byte for byte.
-	var orig, decoded bytes.Buffer
-	if err := testDataset.Encode(&orig); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Encode(&decoded); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(orig.Bytes(), decoded.Bytes()) {
-		t.Error("JSON encoding of snapshot-decoded dataset differs from original")
 	}
 
 	// The restored index must match what buildIndex would compute from
@@ -65,11 +56,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Re-encoding the decoded dataset must reproduce the snapshot.
-	var again bytes.Buffer
-	if err := ds.EncodeSnapshot(&again, testProvenance); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snap, again.Bytes()) {
+	if !bytes.Equal(snap, snapshotBytes(t, ds)) {
 		t.Error("snapshot re-encoding differs from original snapshot")
 	}
 }
@@ -82,56 +69,36 @@ func TestSnapshotBytesIdenticalAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		o := opts
 		o.Workers = workers
-		ds := Assemble(testWorld, telemetry.DefaultConfig(), o)
-		var buf bytes.Buffer
-		if err := ds.EncodeSnapshot(&buf, testProvenance); err != nil {
-			t.Fatal(err)
-		}
-		snaps = append(snaps, buf.Bytes())
+		snaps = append(snaps, snapshotBytes(t, Assemble(testWorld, telemetry.DefaultConfig(), o)))
 	}
 	if !bytes.Equal(snaps[0], snaps[1]) {
 		t.Error("snapshots differ between Workers=1 and Workers=8")
 	}
-	ref := encodeTestSnapshot(t)
+	ref := snapshotBytes(t, testDataset)
 	if !bytes.Equal(snaps[0], ref) {
 		t.Error("worker-pinned snapshot differs from default-worker snapshot")
 	}
 }
 
-// TestDecodeAnyAutodetects: DecodeAny must route .wwb bytes to the
-// snapshot decoder and anything else to the JSON decoder, yielding
-// equivalent datasets either way.
+// TestDecodeAnyAutodetects: DecodeAnyPath must recognise a .wwb by
+// its magic and refuse anything else — a JSON document included —
+// with a descriptive error rather than misparse it.
 func TestDecodeAnyAutodetects(t *testing.T) {
-	snap := encodeTestSnapshot(t)
-	dsSnap, info, err := DecodeAny(bytes.NewReader(snap))
+	dir := t.TempDir()
+	ds, info, err := DecodeAnyPath(writeArtifact(t, dir, "study.wwb", snapshotBytes(t, testDataset)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Format != FormatWWB {
-		t.Errorf("snapshot detected as %q", info.Format)
+	if info.Format != FormatWWB || info.Chain != 0 || info.Provenance != testProvenance {
+		t.Errorf("snapshot info = %+v", info)
+	}
+	if ds.NumLists() != testDataset.NumLists() {
+		t.Errorf("decoded %d lists, want %d", ds.NumLists(), testDataset.NumLists())
 	}
 
-	var jbuf bytes.Buffer
-	if err := testDataset.Encode(&jbuf); err != nil {
-		t.Fatal(err)
-	}
-	dsJSON, info2, err := DecodeAny(bytes.NewReader(jbuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info2.Format != FormatJSON {
-		t.Errorf("json detected as %q", info2.Format)
-	}
-
-	var a, b bytes.Buffer
-	if err := dsSnap.Encode(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := dsJSON.Encode(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("DecodeAny(wwb) and DecodeAny(json) datasets differ")
+	_, _, err = DecodeAnyPath(writeArtifact(t, dir, "study.json", []byte(`{"lists":{}}`)))
+	if err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("JSON document: err = %v, want a bad-magic error", err)
 	}
 }
 
@@ -139,7 +106,7 @@ func TestDecodeAnyAutodetects(t *testing.T) {
 // byte offsets, including every boundary in the first bytes; each must
 // produce a descriptive error, never a panic or a partial dataset.
 func TestSnapshotRejectsTruncation(t *testing.T) {
-	snap := encodeTestSnapshot(t)
+	snap := snapshotBytes(t, testDataset)
 	offsets := []int{}
 	for i := 0; i < 64 && i < len(snap); i++ {
 		offsets = append(offsets, i)
@@ -150,12 +117,12 @@ func TestSnapshotRejectsTruncation(t *testing.T) {
 	}
 	offsets = append(offsets, len(snap)-1)
 	for _, off := range offsets {
-		if _, _, err := DecodeSnapshot(bytes.NewReader(snap[:off])); err == nil {
+		if _, _, err := DecodeSnapshotBytes(snap[:off]); err == nil {
 			t.Errorf("truncation at %d/%d accepted", off, len(snap))
 		}
 	}
 	// The untruncated file still decodes.
-	if _, _, err := DecodeSnapshot(bytes.NewReader(snap)); err != nil {
+	if _, _, err := DecodeSnapshotBytes(snap); err != nil {
 		t.Fatalf("full snapshot rejected: %v", err)
 	}
 }
@@ -164,7 +131,7 @@ func TestSnapshotRejectsTruncation(t *testing.T) {
 // header fields, checksum bytes, and payload bytes alike; every flip
 // must be rejected.
 func TestSnapshotRejectsCorruption(t *testing.T) {
-	snap := encodeTestSnapshot(t)
+	snap := snapshotBytes(t, testDataset)
 	offsets := []int{
 		0, 3, 7, // magic
 		8, 11, // version
@@ -179,72 +146,57 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	for _, off := range offsets {
 		mut := append([]byte(nil), snap...)
 		mut[off] ^= 0x40
-		if _, _, err := DecodeSnapshot(bytes.NewReader(mut)); err == nil {
+		if _, _, err := DecodeSnapshotBytes(mut); err == nil {
 			t.Errorf("bit flip at offset %d accepted", off)
 		}
 	}
 }
 
 func TestSnapshotRejectsWrongMagicAndVersion(t *testing.T) {
-	snap := encodeTestSnapshot(t)
+	snap := snapshotBytes(t, testDataset)
 
 	wrongMagic := append([]byte(nil), snap...)
 	wrongMagic[0] = 'X'
-	if _, _, err := DecodeSnapshot(bytes.NewReader(wrongMagic)); err == nil {
+	if _, _, err := DecodeSnapshotBytes(wrongMagic); err == nil {
 		t.Error("wrong magic accepted")
 	}
 
 	future := append([]byte(nil), snap...)
 	binary.LittleEndian.PutUint32(future[8:12], SnapshotVersion+1)
-	if _, _, err := DecodeSnapshot(bytes.NewReader(future)); err == nil {
+	if _, _, err := DecodeSnapshotBytes(future); err == nil {
 		t.Error("future version accepted")
-	}
-
-	// DecodeAny falls back to JSON on a non-magic prefix and reports a
-	// JSON error, not a snapshot one.
-	if _, _, err := DecodeAny(bytes.NewReader(wrongMagic)); err == nil {
-		t.Error("DecodeAny accepted corrupted magic as JSON")
 	}
 }
 
 // TestSnapshotRejectsTrailingData: bytes after the final section mean
 // the file was not produced by EncodeSnapshot.
 func TestSnapshotRejectsTrailingData(t *testing.T) {
-	snap := append(encodeTestSnapshot(t), 0xFF)
-	if _, _, err := DecodeSnapshot(bytes.NewReader(snap)); err == nil {
+	snap := append(snapshotBytes(t, testDataset), 0xFF)
+	if _, _, err := DecodeSnapshotBytes(snap); err == nil {
 		t.Error("trailing data accepted")
 	}
 }
 
 // TestSnapshotBoundedAllocation: a header declaring an absurd section
-// length must fail with a truncation error after reading the actual
-// bytes, not attempt a matching allocation.
+// length must be rejected against the real input size, not attempt a
+// matching allocation.
 func TestSnapshotBoundedAllocation(t *testing.T) {
-	snap := encodeTestSnapshot(t)
+	snap := snapshotBytes(t, testDataset)
 	mut := append([]byte(nil), snap...)
 	// First section header starts at 12: tag[4] at 12, length at 16.
 	binary.LittleEndian.PutUint64(mut[16:24], 1<<50)
-	// Seekable input: rejected against the measured file size before
-	// any allocation. Non-seekable input: rejected after chunked reads
-	// exhaust the bytes actually present.
-	if _, _, err := DecodeSnapshot(bytes.NewReader(mut)); err == nil {
-		t.Error("absurd section length accepted (seekable)")
-	}
-	if _, _, err := DecodeSnapshot(nonSeekable{bytes.NewReader(mut)}); err == nil {
-		t.Error("absurd section length accepted (non-seekable)")
+	_, _, err := DecodeSnapshotBytes(mut)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("absurd section length: err = %v, want a truncation error", err)
 	}
 }
 
-// nonSeekable hides bytes.Reader's Seek method so decoding takes the
-// unknown-input-size (chunked) path.
-type nonSeekable struct{ io.Reader }
-
-// FuzzDecodeSnapshot feeds arbitrary bytes through the snapshot path
-// (directly and via DecodeAny): they must be rejected with an error or
-// produce a dataset whose query surface is safe, and never panic or
-// allocate past the data actually present.
+// FuzzDecodeSnapshot feeds arbitrary bytes through the snapshot
+// decoder: they must be rejected with an error or produce a dataset
+// whose query surface is safe, and never panic or allocate past the
+// data actually present.
 func FuzzDecodeSnapshot(f *testing.F) {
-	snap := encodeTestSnapshot(f)
+	snap := snapshotBytes(f, testDataset)
 	f.Add(snap)
 	f.Add(snap[:len(snap)/2])
 	f.Add(snap[:12])
@@ -264,21 +216,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte(`{"lists":{}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ds, _, err := DecodeSnapshot(bytes.NewReader(data))
-		if err == nil {
-			exerciseDataset(ds)
-		}
-		// The chunked path for readers whose size cannot be measured
-		// must agree with the sized path on accept/reject.
-		ds2, _, err2 := DecodeSnapshot(nonSeekable{bytes.NewReader(data)})
-		if (err == nil) != (err2 == nil) {
-			t.Fatalf("sized path err=%v, chunked path err=%v", err, err2)
-		}
-		if err2 == nil {
-			exerciseDataset(ds2)
-		}
-		ds, _, err = DecodeAny(bytes.NewReader(data))
-		if err == nil {
+		if ds, _, err := DecodeSnapshotBytes(data); err == nil {
 			exerciseDataset(ds)
 		}
 	})

@@ -9,16 +9,11 @@ import (
 )
 
 // encodeWith assembles a dataset over w with the given knobs and
-// returns its canonical JSON encoding — the byte-level fingerprint
-// the equivalence tests compare.
+// returns its snapshot bytes — the byte-level fingerprint the
+// equivalence tests compare.
 func encodeWith(t *testing.T, w *world.World, opts Options) []byte {
 	t.Helper()
-	ds := Assemble(w, telemetry.DefaultConfig(), opts)
-	var buf bytes.Buffer
-	if err := ds.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return snapshotBytes(t, Assemble(w, telemetry.DefaultConfig(), opts))
 }
 
 // TestStreamingMatchesLegacyByteIdentical is the streaming pipeline's

@@ -7,8 +7,20 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"wwb/internal/chrome"
 	"wwb/internal/world"
 )
+
+// snapshotBytes encodes ds as a snapshot with a fixed provenance: the
+// byte-level fingerprint this package's determinism checks compare.
+func snapshotBytes(t *testing.T, ds *chrome.Dataset) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ds.EncodeSnapshot(&buf, chrome.SnapshotProvenance{Tool: "test"}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 // TestStudyWorkerCountInvariance pins the determinism contract of the
 // Workers knob end to end: a parallel study must produce a dataset
@@ -23,14 +35,7 @@ func TestStudyWorkerCountInvariance(t *testing.T) {
 	seq := build(1)
 	par := build(8)
 
-	var bseq, bpar bytes.Buffer
-	if err := seq.Dataset.Encode(&bseq); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.Dataset.Encode(&bpar); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bseq.Bytes(), bpar.Bytes()) {
+	if !bytes.Equal(snapshotBytes(t, seq.Dataset), snapshotBytes(t, par.Dataset)) {
 		t.Fatal("Workers=8 dataset encodes differently from Workers=1")
 	}
 

@@ -421,7 +421,7 @@ func (s *Supervisor) Swap(ctx context.Context, path string) (*SwapOutcome, error
 	// its own base is already checked by the chain resolution above;
 	// this check catches the remaining mistake — rolling a healthy
 	// fleet onto a perfectly valid snapshot of a different universe.
-	// JSON artifacts carry no provenance and are exempt.
+	// Artifacts without provenance (no producing tool) are exempt.
 	if prev := s.CurrentData(); prev != "" && prev != path && info.Provenance.Tool != "" {
 		if prevInfo, perr := ValidateSnapshot(prev); perr != nil {
 			log.Printf("provenance gate skipped: current artifact %s unreadable: %v", prev, perr)
