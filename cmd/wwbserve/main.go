@@ -122,7 +122,7 @@ func main() {
 	} else {
 		log.Printf("assembling %s study (seed %d)...", *scale, *seed)
 		if cfg.Chaos.Enabled() {
-			log.Printf("chaos enabled: seed %d rate %.2f", cfg.Chaos.Seed, *chaosRate)
+			log.Printf("chaos enabled: seed %d rate %.2f", cfg.Chaos.Seed, cfg.Chaos.Rate)
 		}
 		study, err := core.NewCtx(ctx, cfg)
 		if err != nil {

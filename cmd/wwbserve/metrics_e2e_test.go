@@ -67,12 +67,12 @@ func metricValue(text, prefix string) float64 {
 // TestMetricsEndToEndChaos drives a chaos-seeded study through the
 // full serving stack and asserts /metrics reflects what happened:
 // requests served per route, limiter sheds, and the categorisation
-// client's retries, degradations, and breaker transitions.
+// client's retries and degradations.
 func TestMetricsEndToEndChaos(t *testing.T) {
 	cfg := core.SmallConfig().FebOnly()
 	cfg.Workers = 2
 	// Full-rate chaos: attempts succeed only via Slow faults, so most
-	// lookups exhaust their budget, degrade, and trip the breaker.
+	// lookups exhaust their budget and degrade.
 	cfg.Chaos = chaos.Flaky(7, 1.0)
 	study := core.New(cfg)
 
@@ -97,9 +97,6 @@ func TestMetricsEndToEndChaos(t *testing.T) {
 	if st := study.Client.Stats(); st.Degraded == 0 {
 		t.Fatalf("chaos run produced no degradations (stats %+v); the e2e assertions below would be vacuous", st)
 	}
-	if snap := study.Client.Breaker().Snapshot(); snap.Opens == 0 {
-		t.Fatalf("breaker never opened under full-rate chaos: %+v", snap)
-	}
 
 	after := scrape(t, srv.URL)
 
@@ -107,7 +104,7 @@ func TestMetricsEndToEndChaos(t *testing.T) {
 	for _, family := range []string{
 		"http_requests_total", "http_request_duration_seconds", "http_in_flight",
 		"http_sheds_total", "catapi_attempts_total", "catapi_retries_total",
-		"catapi_degraded_total", "catapi_breaker_transitions_total",
+		"catapi_degraded_total",
 		"parallel_tasks_started_total", "wwb_stage_seconds_total",
 	} {
 		if !strings.Contains(after, "# TYPE "+family+" ") {
@@ -125,12 +122,11 @@ func TestMetricsEndToEndChaos(t *testing.T) {
 		t.Errorf("latency histogram count for /v1/list = %v, want >= 1", v)
 	}
 
-	// The chaos traffic must be visible: degradations, retries, and at
-	// least one breaker-open transition beyond the pre-request scrape.
+	// The chaos traffic must be visible: degradations and retries
+	// beyond the pre-request scrape.
 	for _, series := range []string{
 		"catapi_degraded_total",
 		"catapi_retries_total",
-		`catapi_breaker_transitions_total{to="open"}`,
 	} {
 		b, a := metricValue(before, series), metricValue(after, series)
 		if a <= 0 || a <= b {

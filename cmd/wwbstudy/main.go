@@ -83,7 +83,7 @@ func main() {
 
 	log.Printf("running %s study (seed %d)...", *scale, *seed)
 	if cfg.Chaos.Enabled() {
-		log.Printf("chaos enabled: seed %d rate %.2f", cfg.Chaos.Seed, *chaosRate)
+		log.Printf("chaos enabled: seed %d rate %.2f", cfg.Chaos.Seed, cfg.Chaos.Rate)
 	}
 	study := core.New(cfg)
 	runner := experiments.Runner{Study: study}

@@ -23,17 +23,7 @@ var (
 	mTransportPanics = metrics.Default.Counter(
 		"catapi_transport_panics_total",
 		"Transport panics recovered into retryable errors.")
-	mShedLookups = metrics.Default.Counter(
-		"catapi_shed_lookups_total",
-		"Lookups that ran with sleeps suppressed because the breaker was open.")
 	mSleepSeconds = metrics.Default.FloatCounter(
 		"catapi_sleep_seconds_total",
-		"Logical backoff sleep scheduled across retries (jittered; includes sleeps the open breaker suppressed).")
-	mBreakerTransitions = metrics.Default.CounterVec(
-		"catapi_breaker_transitions_total",
-		"Circuit breaker state transitions by destination state.",
-		"to")
-	mBreakerState = metrics.Default.Gauge(
-		"catapi_breaker_state",
-		"Most recent breaker state in this process: 0 closed, 1 open, 2 half-open.")
+		"Logical backoff sleep scheduled across retries (jittered).")
 )

@@ -13,46 +13,32 @@ import (
 	"wwb/internal/world"
 )
 
-// RetryPolicy bounds the resilient client's persistence. All the
-// knobs that decide *outcomes* (attempts, sleep budget) are logical,
-// not wall-clock, so a lookup's result is a pure function of the
-// chaos seed and the domain; the wall-clock knobs (per-attempt
-// timeout, caller context) are safety nets for genuinely hung
-// transports.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of transport calls per lookup.
-	MaxAttempts int
-	// BaseBackoff seeds the exponential backoff: before attempt k+1
-	// the client plans base*2^(k-1), capped at MaxBackoff, and sleeps
-	// a full-jitter fraction of it.
-	BaseBackoff time.Duration
-	// MaxBackoff caps a single planned backoff.
-	MaxBackoff time.Duration
-	// SleepBudget caps the cumulative *planned* backoff across a
+// The retry policy mirrors the paper's workflow pragmatics: a few
+// quick retries with small backoffs (the simulated API answers in
+// microseconds), a tight total budget, and a generous per-attempt
+// timeout as a hang guard. The values that decide *outcomes*
+// (attempts, sleep budget) are logical, not wall-clock, so a lookup's
+// result is a pure function of the chaos seed and the domain; the
+// wall-clock values (per-attempt timeout, caller context) are safety
+// nets for genuinely hung transports.
+const (
+	// maxAttempts is the total number of transport calls per lookup.
+	maxAttempts = 4
+	// baseBackoff seeds the exponential backoff: before attempt k+1
+	// the client plans baseBackoff*2^(k-1), capped at maxBackoff, and
+	// sleeps a full-jitter fraction of it.
+	baseBackoff = time.Millisecond
+	maxBackoff  = 20 * time.Millisecond
+	// sleepBudget caps the cumulative *planned* backoff across a
 	// lookup's retries; when the next planned backoff would exceed it,
 	// the lookup degrades instead of retrying. Planned (pre-jitter)
 	// durations are used so the budget cut-off is deterministic.
-	SleepBudget time.Duration
-	// AttemptTimeout bounds one transport call's wall-clock time.
-	AttemptTimeout time.Duration
-	// JitterSeed keys the deterministic full-jitter stream.
-	JitterSeed uint64
-}
-
-// DefaultRetryPolicy mirrors the paper's workflow pragmatics: a few
-// quick retries with small backoffs (the simulated API answers in
-// microseconds), a tight total budget, and a generous per-attempt
-// timeout as a hang guard.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts:    4,
-		BaseBackoff:    time.Millisecond,
-		MaxBackoff:     20 * time.Millisecond,
-		SleepBudget:    50 * time.Millisecond,
-		AttemptTimeout: time.Second,
-		JitterSeed:     1,
-	}
-}
+	sleepBudget = 50 * time.Millisecond
+	// attemptTimeout bounds one transport call's wall-clock time.
+	attemptTimeout = time.Second
+	// jitterSeed keys the deterministic full-jitter stream.
+	jitterSeed = 1
+)
 
 // ClientStats counts the resilient client's traffic. All fields are
 // monotonic; read them with Stats.
@@ -70,9 +56,6 @@ type ClientStats struct {
 	// PanicsRecovered counts transport panics converted to retryable
 	// errors.
 	PanicsRecovered int64
-	// Shed counts lookups that ran with sleeps suppressed because the
-	// circuit breaker was open.
-	Shed int64
 }
 
 // errAttemptPanic wraps a recovered transport panic so it can flow
@@ -94,19 +77,20 @@ type lookupEntry struct {
 
 // Client is the resilient categorisation client: bounded retries with
 // exponential backoff and deterministic full jitter, per-attempt and
-// total budgets, a determinism-safe circuit breaker, and graceful
-// degradation to taxonomy.Uncategorized when the budget is exhausted.
+// total budgets, and graceful degradation to taxonomy.Uncategorized
+// when the budget is exhausted.
 //
-// Outcomes are memoized per domain with single-flight, which both
-// matches the real API's repeated-queries-agree behaviour and pins
-// the per-domain attempt numbering the FlakyTransport's fault
-// schedule is keyed by: for a given chaos seed, a domain's label is
-// the same in every run, at every worker count, in any lookup order.
+// Outcomes are memoized per domain with single-flight, which matches
+// the real API's repeated-queries-agree behaviour. Each lookup numbers
+// its attempts from 1 and passes the number to the transport, which
+// keys the FlakyTransport's fault schedule: for a given chaos seed, a
+// domain's label is the same in every run, at every worker count, in
+// any lookup order.
 type Client struct {
 	transport Transport
-	policy    RetryPolicy
-	breaker   *Breaker
 	jitter    *world.RNG
+	// sleep waits out a backoff; in-package tests shrink it.
+	sleep func(context.Context, time.Duration) error
 
 	memo sync.Map // domain -> *lookupEntry
 
@@ -115,41 +99,12 @@ type Client struct {
 	retries  atomic.Int64
 	degraded atomic.Int64
 	panics   atomic.Int64
-	shed     atomic.Int64
 }
 
-// NewClient builds a resilient client. Zero-value policy fields fall
-// back to DefaultRetryPolicy; a nil breaker gets the default config.
-func NewClient(transport Transport, policy RetryPolicy, breaker *Breaker) *Client {
-	def := DefaultRetryPolicy()
-	if policy.MaxAttempts <= 0 {
-		policy.MaxAttempts = def.MaxAttempts
-	}
-	if policy.BaseBackoff <= 0 {
-		policy.BaseBackoff = def.BaseBackoff
-	}
-	if policy.MaxBackoff <= 0 {
-		policy.MaxBackoff = def.MaxBackoff
-	}
-	if policy.SleepBudget <= 0 {
-		policy.SleepBudget = def.SleepBudget
-	}
-	if policy.AttemptTimeout <= 0 {
-		policy.AttemptTimeout = def.AttemptTimeout
-	}
-	if breaker == nil {
-		breaker = NewBreaker(BreakerConfig{})
-	}
-	return &Client{
-		transport: transport,
-		policy:    policy,
-		breaker:   breaker,
-		jitter:    world.NewRNG(policy.JitterSeed),
-	}
+// NewClient builds a resilient client over transport.
+func NewClient(transport Transport) *Client {
+	return &Client{transport: transport, jitter: world.NewRNG(jitterSeed), sleep: chaos.Sleep}
 }
-
-// Breaker exposes the client's circuit breaker for metrics and tests.
-func (c *Client) Breaker() *Breaker { return c.breaker }
 
 // Stats returns a snapshot of the client's counters.
 func (c *Client) Stats() ClientStats {
@@ -159,7 +114,6 @@ func (c *Client) Stats() ClientStats {
 		Retries:         c.retries.Load(),
 		Degraded:        c.degraded.Load(),
 		PanicsRecovered: c.panics.Load(),
-		Shed:            c.shed.Load(),
 	}
 }
 
@@ -210,38 +164,29 @@ func (c *Client) resolve(ctx context.Context, domain string) (taxonomy.Category,
 	}
 	c.lookups.Add(1)
 	mLookups.Inc()
-	shed := c.breaker.allow()
-	if shed {
-		c.shed.Add(1)
-		mShedLookups.Inc()
-		// Gate time, not answers: suppress the transport's injected
-		// delays; backoff sleeps are skipped below for the same reason.
-		ctx = chaos.WithoutDelays(ctx)
-	}
 
 	var planned time.Duration // cumulative planned backoff
 	for attempt := 1; ; attempt++ {
-		cat, err := c.attemptOnce(ctx, domain)
+		cat, err := c.attemptOnce(ctx, domain, attempt)
 		if err == nil {
-			c.breaker.record(true)
 			return cat, nil
 		}
 		if ctx.Err() != nil {
 			// Don't let a dying context masquerade as a transport
-			// verdict; the breaker learns nothing from it either.
+			// verdict.
 			return taxonomy.Uncategorized, ctx.Err()
 		}
-		if !retryable(err) || attempt >= c.policy.MaxAttempts {
+		if !retryable(err) || attempt >= maxAttempts {
 			break
 		}
 		// Plan the next backoff deterministically; degrade rather than
 		// retry once the budget is spent.
-		next := c.plannedBackoff(attempt)
+		next := plannedBackoff(attempt)
 		var rl *chaos.RateLimitError
 		if errors.As(err, &rl) && rl.RetryAfter > next {
 			next = rl.RetryAfter
 		}
-		if planned+next > c.policy.SleepBudget {
+		if planned+next > sleepBudget {
 			break
 		}
 		planned += next
@@ -249,42 +194,35 @@ func (c *Client) resolve(ctx context.Context, domain string) (taxonomy.Category,
 		mRetries.Inc()
 		// Full jitter: sleep uniform [0, next), drawn from a stream
 		// keyed by (jitter seed, domain, attempt) so the duration — and
-		// with it the SleepBudget arithmetic above, which uses the
+		// with it the sleep budget arithmetic above, which uses the
 		// pre-jitter plan — never depends on scheduling.
 		d := time.Duration(c.jitter.Fork(fmt.Sprintf("backoff|%s|%d", domain, attempt)).Float64() * float64(next))
 		mSleepSeconds.Add(d.Seconds())
-		if err := chaos.Sleep(ctx, d); err != nil {
+		if err := c.sleep(ctx, d); err != nil {
 			return taxonomy.Uncategorized, err
 		}
 	}
 	c.degraded.Add(1)
 	mDegraded.Inc()
-	c.breaker.record(false)
 	return taxonomy.Uncategorized, nil
 }
 
 // plannedBackoff is the deterministic pre-jitter backoff before
-// attempt k+1 (1-based k): base*2^(k-1) capped at MaxBackoff.
-func (c *Client) plannedBackoff(k int) time.Duration {
-	d := c.policy.BaseBackoff
-	for i := 1; i < k; i++ {
+// attempt k+1 (1-based k): baseBackoff*2^(k-1) capped at maxBackoff.
+func plannedBackoff(k int) time.Duration {
+	d := baseBackoff
+	for i := 1; i < k && d < maxBackoff; i++ {
 		d *= 2
-		if d >= c.policy.MaxBackoff {
-			return c.policy.MaxBackoff
-		}
 	}
-	if d > c.policy.MaxBackoff {
-		return c.policy.MaxBackoff
-	}
-	return d
+	return min(d, maxBackoff)
 }
 
 // attemptOnce runs a single transport call under the per-attempt
 // timeout, converting panics into retryable errors.
-func (c *Client) attemptOnce(ctx context.Context, domain string) (cat taxonomy.Category, err error) {
+func (c *Client) attemptOnce(ctx context.Context, domain string, attempt int) (cat taxonomy.Category, err error) {
 	c.attempts.Add(1)
 	mAttempts.Inc()
-	actx, cancel := context.WithTimeout(ctx, c.policy.AttemptTimeout)
+	actx, cancel := context.WithTimeout(ctx, attemptTimeout)
 	defer cancel()
 	defer func() {
 		if r := recover(); r != nil {
@@ -293,7 +231,7 @@ func (c *Client) attemptOnce(ctx context.Context, domain string) (cat taxonomy.C
 			cat, err = taxonomy.Unknown, &errAttemptPanic{val: r}
 		}
 	}()
-	return c.transport.Lookup(actx, domain)
+	return c.transport.Lookup(actx, domain, attempt)
 }
 
 // LookupFunc adapts the client to the plain func(domain) Category

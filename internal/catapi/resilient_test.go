@@ -32,7 +32,7 @@ func newScripted(failures int, err error) *scriptedTransport {
 	}
 }
 
-func (t *scriptedTransport) Lookup(_ context.Context, domain string) (taxonomy.Category, error) {
+func (t *scriptedTransport) Lookup(_ context.Context, domain string, _ int) (taxonomy.Category, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.calls[domain]++
@@ -48,21 +48,17 @@ func (t *scriptedTransport) callCount(domain string) int {
 	return t.calls[domain]
 }
 
-// fastPolicy keeps test sleeps microscopic.
-func fastPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts:    4,
-		BaseBackoff:    10 * time.Microsecond,
-		MaxBackoff:     80 * time.Microsecond,
-		SleepBudget:    time.Millisecond,
-		AttemptTimeout: time.Second,
-		JitterSeed:     1,
-	}
+// fastClient is NewClient with every backoff sleep shrunk a
+// hundredfold; the retry arithmetic is unchanged.
+func fastClient(tr Transport) *Client {
+	c := NewClient(tr)
+	c.sleep = func(ctx context.Context, d time.Duration) error { return chaos.Sleep(ctx, d/100) }
+	return c
 }
 
 func TestClientRetriesTransientThenSucceeds(t *testing.T) {
 	tr := newScripted(2, chaos.ErrTransient)
-	c := NewClient(tr, fastPolicy(), nil)
+	c := fastClient(tr)
 	cat, err := c.Category(context.Background(), "a.com")
 	if err != nil || cat != taxonomy.Gaming {
 		t.Fatalf("Category = %v, %v", cat, err)
@@ -78,7 +74,7 @@ func TestClientRetriesTransientThenSucceeds(t *testing.T) {
 
 func TestClientDegradesWhenBudgetExhausted(t *testing.T) {
 	tr := newScripted(-1, chaos.ErrTransient)
-	c := NewClient(tr, fastPolicy(), nil)
+	c := fastClient(tr)
 	cat, err := c.Category(context.Background(), "down.com")
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +92,7 @@ func TestClientDegradesWhenBudgetExhausted(t *testing.T) {
 
 func TestClientMemoizesPerDomain(t *testing.T) {
 	tr := newScripted(0, nil)
-	c := NewClient(tr, fastPolicy(), nil)
+	c := fastClient(tr)
 	for i := 0; i < 5; i++ {
 		if cat, _ := c.Category(context.Background(), "memo.com"); cat != taxonomy.Gaming {
 			t.Fatalf("lookup %d: %v", i, cat)
@@ -110,7 +106,7 @@ func TestClientMemoizesPerDomain(t *testing.T) {
 func TestClientDoesNotRetryUnknownErrors(t *testing.T) {
 	fatal := errors.New("schema mismatch")
 	tr := newScripted(-1, fatal)
-	c := NewClient(tr, fastPolicy(), nil)
+	c := fastClient(tr)
 	cat, err := c.Category(context.Background(), "weird.com")
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +122,7 @@ func TestClientDoesNotRetryUnknownErrors(t *testing.T) {
 func TestClientHonoursRateLimitRetryAfter(t *testing.T) {
 	// A Retry-After larger than the sleep budget must stop retries.
 	tr := newScripted(-1, &chaos.RateLimitError{RetryAfter: time.Hour})
-	c := NewClient(tr, fastPolicy(), nil)
+	c := fastClient(tr)
 	start := time.Now()
 	cat, err := c.Category(context.Background(), "limited.com")
 	if err != nil {
@@ -149,7 +145,7 @@ type panicTransport struct {
 	answer    taxonomy.Category
 }
 
-func (t *panicTransport) Lookup(_ context.Context, _ string) (taxonomy.Category, error) {
+func (t *panicTransport) Lookup(_ context.Context, _ string, _ int) (taxonomy.Category, error) {
 	if t.remaining.Add(-1) >= 0 {
 		panic("stage blew up")
 	}
@@ -159,7 +155,7 @@ func (t *panicTransport) Lookup(_ context.Context, _ string) (taxonomy.Category,
 func TestClientRecoversTransportPanics(t *testing.T) {
 	tr := &panicTransport{answer: taxonomy.Music}
 	tr.remaining.Store(2)
-	c := NewClient(tr, fastPolicy(), nil)
+	c := fastClient(tr)
 	cat, err := c.Category(context.Background(), "panicky.com")
 	if err != nil || cat != taxonomy.Music {
 		t.Fatalf("Category = %v, %v", cat, err)
@@ -171,7 +167,7 @@ func TestClientRecoversTransportPanics(t *testing.T) {
 
 func TestClientContextCancellationNotMemoized(t *testing.T) {
 	tr := newScripted(0, nil)
-	c := NewClient(tr, fastPolicy(), nil)
+	c := fastClient(tr)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := c.Category(ctx, "late.com"); !errors.Is(err, context.Canceled) {
@@ -185,41 +181,50 @@ func TestClientContextCancellationNotMemoized(t *testing.T) {
 	}
 }
 
-func TestBreakerOpensShedsAndRecloses(t *testing.T) {
-	tr := newScripted(-1, chaos.ErrTransient)
-	br := NewBreaker(BreakerConfig{FailureThreshold: 3, Cooldown: 2})
-	c := NewClient(tr, fastPolicy(), br)
-	// Three distinct degraded domains open the circuit.
-	for i, d := range []string{"a.dn", "b.dn", "c.dn"} {
-		if cat, _ := c.Category(context.Background(), d); cat != taxonomy.Uncategorized {
-			t.Fatalf("lookup %d: %v", i, cat)
-		}
-	}
-	if s := br.Snapshot(); s.State != BreakerOpen || s.Opens != 1 {
-		t.Fatalf("after threshold: %+v", s)
-	}
-	// While open, lookups shed sleeps but still resolve and degrade.
-	if cat, _ := c.Category(context.Background(), "d.dn"); cat != taxonomy.Uncategorized {
-		t.Fatal("shed lookup did not degrade")
-	}
-	if st := c.Stats(); st.Shed == 0 {
-		t.Errorf("no lookups shed while open: %+v", st)
-	}
-	// Transport recovers; after the cooldown a probe closes the
-	// circuit again.
-	tr.mu.Lock()
-	tr.failures = 0
-	tr.mu.Unlock()
-	var last BreakerSnapshot
-	for i := 0; i < 10; i++ {
-		c.Category(context.Background(), "probe"+string(rune('0'+i))+".dn")
-		last = br.Snapshot()
-		if last.State == BreakerClosed {
+// cancelAfter cancels the current caller context once the wrapped
+// transport has answered, so the first attempt of a lookup is its last.
+type cancelAfter struct {
+	next   Transport
+	cancel context.CancelFunc
+}
+
+func (t *cancelAfter) Lookup(ctx context.Context, domain string, attempt int) (taxonomy.Category, error) {
+	defer t.cancel()
+	return t.next.Lookup(ctx, domain, attempt)
+}
+
+// TestCancelledLookupKeepsFaultSchedule: a lookup cancelled mid-retry
+// must not shift the domain's fault schedule — resolving it again with
+// a live context gives the label a fresh client gives.
+func TestCancelledLookupKeepsFaultSchedule(t *testing.T) {
+	w := world.Generate(world.SmallConfig())
+	svc := NewService(w, DefaultServiceConfig())
+	ccfg := chaos.Flaky(99, 0.6)
+	fresh := fastClient(NewFlakyTransport(NewServiceTransport(svc), ccfg))
+	tr := &cancelAfter{next: NewFlakyTransport(NewServiceTransport(svc), ccfg)}
+	c := fastClient(tr)
+	cancelled := 0
+	for i, s := range w.Sites() {
+		if i == 200 {
 			break
 		}
+		d := s.Domain()
+		ctx, cancel := context.WithCancel(context.Background())
+		tr.cancel = cancel
+		if _, err := c.Category(ctx, d); err != nil {
+			cancelled++
+		}
+		tr.cancel = func() {}
+		got, err := c.Category(context.Background(), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := fresh.Category(context.Background(), d); got != want {
+			t.Errorf("%s: %v after a cancelled lookup, a fresh client gives %v", d, got, want)
+		}
 	}
-	if last.State != BreakerClosed || last.Probes == 0 {
-		t.Errorf("breaker never reclosed: %+v", last)
+	if cancelled == 0 {
+		t.Fatal("no lookup was cancelled mid-retry; the test exercises nothing")
 	}
 }
 
@@ -236,8 +241,8 @@ func TestFlakyClientDeterministicAcrossRunsAndOrder(t *testing.T) {
 	ccfg := chaos.Flaky(99, 0.6)
 
 	run := func(order []string) map[string]taxonomy.Category {
-		tr := NewFlakyTransport(NewServiceTransport(svc), chaos.New(ccfg))
-		c := NewClient(tr, fastPolicy(), nil)
+		tr := NewFlakyTransport(NewServiceTransport(svc), ccfg)
+		c := fastClient(tr)
 		out := map[string]taxonomy.Category{}
 		for _, d := range order {
 			cat, err := c.Category(context.Background(), d)
@@ -278,7 +283,7 @@ func TestFlakyClientDeterministicAcrossRunsAndOrder(t *testing.T) {
 func TestFlakyClientOffMatchesServiceExactly(t *testing.T) {
 	w := world.Generate(world.SmallConfig())
 	svc := NewService(w, DefaultServiceConfig())
-	c := NewClient(NewServiceTransport(svc), RetryPolicy{}, nil)
+	c := NewClient(NewServiceTransport(svc))
 	for i, s := range w.Sites() {
 		if i == 200 {
 			break
@@ -310,8 +315,8 @@ func TestFlakyClientConcurrentLookupsDeterministic(t *testing.T) {
 	ccfg := chaos.Flaky(5, 0.5)
 
 	run := func() map[string]taxonomy.Category {
-		tr := NewFlakyTransport(NewServiceTransport(svc), chaos.New(ccfg))
-		c := NewClient(tr, fastPolicy(), nil)
+		tr := NewFlakyTransport(NewServiceTransport(svc), ccfg)
+		c := fastClient(tr)
 		out := make([]taxonomy.Category, len(domains))
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {

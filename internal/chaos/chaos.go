@@ -1,16 +1,15 @@
-// Package chaos is a seed-keyed deterministic fault injector. It
+// Package chaos is a seed-keyed deterministic fault schedule. It
 // models the transport failures the paper's categorisation workflow
 // had to survive (Section 3.2: the upstream API was unreliable) and,
-// more generally, the flaky-vantage-point reality of web measurement:
-// transient errors, rate-limit responses, added latency, and optional
-// stage panics.
+// more generally, the flaky-vantage-point reality of web measurement.
 //
-// Every decision is a pure function of (seed, operation key, attempt
-// number): the injector never keeps mutable state, so concurrent
-// callers see the same fault schedule regardless of scheduling, and a
-// whole study degrades identically for a given chaos seed. A nil
-// *Injector is valid and injects nothing, which keeps the fault-free
-// fast path free of branches at call sites.
+// One Schedule serves every fault family: a family is a table of
+// shares of the chaos rate, and the fault drawn for one attempt of one
+// operation is a pure function of (seed, operation key, attempt
+// number). The schedule keeps no mutable state, so concurrent callers
+// see the same faults regardless of scheduling, and a whole study or
+// fleet degrades identically for a given chaos seed. A nil *Schedule
+// is valid and draws no fault.
 package chaos
 
 import (
@@ -22,41 +21,19 @@ import (
 	"wwb/internal/world"
 )
 
-// Config sets the per-attempt fault probabilities. The rates are
-// evaluated in priority order (panic, error, rate limit, latency) from
-// a single uniform draw, so their sum must stay <= 1 to behave as
-// written; Enabled reports whether any fault can fire.
+// Config is the whole chaos configuration: the seed that keys the
+// schedule and the total per-attempt fault probability, which each
+// fault family splits by its share table. The zero value is off.
 type Config struct {
-	// Seed keys the fault schedule. Two injectors with the same seed
-	// and config produce identical faults for identical (op, attempt)
-	// pairs.
 	Seed uint64
-	// ErrorRate is the probability of a transient transport error.
-	ErrorRate float64
-	// RateLimitRate is the probability of a rate-limit response
-	// carrying a Retry-After hint.
-	RateLimitRate float64
-	// SlowRate is the probability of added latency; the delay is drawn
-	// deterministically in [SlowLatency/2, 3*SlowLatency/2).
-	SlowRate float64
-	// SlowLatency is the median injected delay.
-	SlowLatency time.Duration
-	// PanicRate is the probability of a stage panic (off unless set;
-	// resilient callers are expected to recover it).
-	PanicRate float64
-	// RetryAfter is the hint attached to rate-limit faults.
-	RetryAfter time.Duration
+	Rate float64
 }
 
 // Enabled reports whether the config can inject any fault at all.
-func (c Config) Enabled() bool {
-	return c.ErrorRate > 0 || c.RateLimitRate > 0 || c.SlowRate > 0 || c.PanicRate > 0
-}
+func (c Config) Enabled() bool { return c.Rate > 0 }
 
-// Flaky is the standard one-knob chaos profile used by the -chaos-rate
-// command-line flags: rate is the total per-attempt fault probability,
-// split 60 % transient errors, 20 % rate limits, 15 % latency, and 5 %
-// panics, with sub-millisecond delays so studies stay fast under test.
+// Flaky is the config behind the -chaos-seed and -chaos-rate flags,
+// with the rate clamped to [0, 1].
 func Flaky(seed uint64, rate float64) Config {
 	if rate < 0 {
 		rate = 0
@@ -64,58 +41,58 @@ func Flaky(seed uint64, rate float64) Config {
 	if rate > 1 {
 		rate = 1
 	}
-	return Config{
-		Seed:          seed,
-		ErrorRate:     0.60 * rate,
-		RateLimitRate: 0.20 * rate,
-		SlowRate:      0.15 * rate,
-		PanicRate:     0.05 * rate,
-		SlowLatency:   200 * time.Microsecond,
-		RetryAfter:    100 * time.Microsecond,
-	}
+	return Config{Seed: seed, Rate: rate}
 }
 
-// Kind identifies a fault category.
-type Kind int
+// FlakyTransport is Flaky under the name the HTTP-side callers
+// (wwbbench among them) construct a NewTransport config with.
+func FlakyTransport(seed uint64, rate float64) Config { return Flaky(seed, rate) }
 
-const (
-	// None means the call proceeds normally.
-	None Kind = iota
-	// Transient is a retryable transport error.
-	Transient
-	// RateLimited is a 429-style response with a Retry-After hint.
-	RateLimited
-	// Slow adds latency before the call succeeds.
-	Slow
-	// Panic aborts the stage with a panic.
-	Panic
-)
-
-// String names the fault kind.
-func (k Kind) String() string {
-	switch k {
-	case None:
-		return "none"
-	case Transient:
-		return "transient"
-	case RateLimited:
-		return "rate-limited"
-	case Slow:
-		return "slow"
-	case Panic:
-		return "panic"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
+// Schedule draws faults from one share table.
+type Schedule struct {
+	root *world.RNG
+	// cut[i] is the running sum of share×rate through fault i+1: one
+	// uniform draw below cut[i] (and above cut[i-1]) selects it.
+	cut []float64
 }
 
-// Fault is one injected decision.
-type Fault struct {
-	Kind Kind
-	// Delay is the injected latency for Slow faults.
-	Delay time.Duration
-	// RetryAfter is the backoff hint for RateLimited faults.
-	RetryAfter time.Duration
+// NewSchedule keys a schedule by root and splits rate across shares,
+// in order; it returns nil when rate injects nothing.
+func NewSchedule(root uint64, rate float64, shares ...float64) *Schedule {
+	if !(rate > 0) {
+		return nil
+	}
+	s := &Schedule{root: world.NewRNG(root)}
+	sum := 0.0
+	for _, share := range shares {
+		sum += share * rate
+		s.cut = append(s.cut, sum)
+	}
+	return s
+}
+
+// Decide returns the fault for one attempt of one operation: the
+// 1-based index of its row in the share table, or 0 for none, and the
+// RNG the draw came from for any further draws the fault's effect
+// makes. The result depends only on (root, op, attempt), never on call
+// order. Attempts are 1-based.
+func (s *Schedule) Decide(op string, attempt int) (int, *world.RNG) {
+	if s == nil {
+		return 0, nil
+	}
+	rng := s.root.Fork(fmt.Sprintf("%s|#%d", op, attempt))
+	u := rng.Float64()
+	for i, c := range s.cut {
+		if u < c {
+			return i + 1, rng
+		}
+	}
+	return 0, rng
+}
+
+// SlowDelay draws a latency spike in [median/2, 3·median/2).
+func SlowDelay(rng *world.RNG, median time.Duration) time.Duration {
+	return time.Duration((0.5 + rng.Float64()) * float64(median))
 }
 
 // ErrTransient is the injected retryable transport error.
@@ -131,71 +108,10 @@ func (e *RateLimitError) Error() string {
 	return fmt.Sprintf("chaos: injected rate limit (retry after %s)", e.RetryAfter)
 }
 
-// Injector draws deterministic faults. The zero of *Injector (nil)
-// injects nothing.
-type Injector struct {
-	cfg  Config
-	root *world.RNG
-}
-
-// New builds an injector; it returns nil when the config cannot inject
-// anything, so callers can wire it unconditionally.
-func New(cfg Config) *Injector {
-	if !cfg.Enabled() {
-		return nil
-	}
-	return &Injector{cfg: cfg, root: world.NewRNG(cfg.Seed)}
-}
-
-// Decide returns the fault for one attempt of one operation. The
-// result depends only on (seed, op, attempt) — never on call order —
-// so concurrent pipelines degrade identically run over run. Attempts
-// are 1-based.
-func (in *Injector) Decide(op string, attempt int) Fault {
-	if in == nil {
-		return Fault{}
-	}
-	rng := in.root.Fork(fmt.Sprintf("%s|#%d", op, attempt))
-	u := rng.Float64()
-	c := in.cfg
-	switch {
-	case u < c.PanicRate:
-		return Fault{Kind: Panic}
-	case u < c.PanicRate+c.ErrorRate:
-		return Fault{Kind: Transient}
-	case u < c.PanicRate+c.ErrorRate+c.RateLimitRate:
-		return Fault{Kind: RateLimited, RetryAfter: c.RetryAfter}
-	case u < c.PanicRate+c.ErrorRate+c.RateLimitRate+c.SlowRate:
-		// Half to one-and-a-half times the median, deterministically.
-		d := time.Duration((0.5 + rng.Float64()) * float64(c.SlowLatency))
-		return Fault{Kind: Slow, Delay: d}
-	default:
-		return Fault{}
-	}
-}
-
-// delaysKey marks contexts whose injected delays are suppressed.
-type delaysKey struct{}
-
-// WithoutDelays returns a context under which fault injectors skip
-// Slow sleeps (the fault schedule and every outcome are unchanged —
-// only the waiting is shed). The resilient client uses it while its
-// circuit breaker is open: determinism requires the breaker to gate
-// time, never answers.
-func WithoutDelays(ctx context.Context) context.Context {
-	return context.WithValue(ctx, delaysKey{}, true)
-}
-
-// DelaysSuppressed reports whether WithoutDelays marked the context.
-func DelaysSuppressed(ctx context.Context) bool {
-	v, _ := ctx.Value(delaysKey{}).(bool)
-	return v
-}
-
-// Sleep waits for d or until the context is done, honouring
-// DelaysSuppressed; it returns the context error on cancellation.
+// Sleep waits for d or until the context is done; it returns the
+// context error on cancellation.
 func Sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 || DelaysSuppressed(ctx) {
+	if d <= 0 {
 		return ctx.Err()
 	}
 	t := time.NewTimer(d)

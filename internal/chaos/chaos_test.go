@@ -4,46 +4,48 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"wwb/internal/world"
 )
 
 func TestDecideDeterministicPerSeed(t *testing.T) {
-	cfg := Flaky(7, 0.5)
-	a := New(cfg)
-	b := New(cfg)
+	a := NewSchedule(7, 0.5, httpShares...)
+	b := NewSchedule(7, 0.5, httpShares...)
 	for attempt := 1; attempt <= 16; attempt++ {
-		fa := a.Decide("catapi|example.com", attempt)
-		fb := b.Decide("catapi|example.com", attempt)
-		if fa != fb {
-			t.Fatalf("attempt %d: %+v != %+v", attempt, fa, fb)
+		fa, ra := a.Decide("catapi|example.com", attempt)
+		fb, rb := b.Decide("catapi|example.com", attempt)
+		if fa != fb || ra.Float64() != rb.Float64() {
+			t.Fatalf("attempt %d: fault %d != %d or effect streams differ", attempt, fa, fb)
 		}
 	}
 }
 
 func TestDecideIndependentOfCallOrder(t *testing.T) {
-	cfg := Flaky(7, 0.5)
-	a := New(cfg)
-	b := New(cfg)
+	a := NewSchedule(7, 0.5, httpShares...)
+	b := NewSchedule(7, 0.5, httpShares...)
 	// a draws ops in one order, b in the reverse; per-op faults agree.
 	ops := []string{"x", "y", "z", "w"}
-	got := map[string]Fault{}
+	got := map[string]int{}
 	for _, op := range ops {
-		got[op] = a.Decide(op, 1)
+		got[op], _ = a.Decide(op, 1)
 	}
 	for i := len(ops) - 1; i >= 0; i-- {
-		if f := b.Decide(ops[i], 1); f != got[ops[i]] {
+		if f, _ := b.Decide(ops[i], 1); f != got[ops[i]] {
 			t.Fatalf("op %s: order-dependent fault", ops[i])
 		}
 	}
 }
 
 func TestDecideSeedsDiffer(t *testing.T) {
-	a := New(Flaky(1, 0.5))
-	b := New(Flaky(2, 0.5))
+	a := NewSchedule(1, 0.5, httpShares...)
+	b := NewSchedule(2, 0.5, httpShares...)
 	same := 0
 	const n = 200
 	for i := 0; i < n; i++ {
 		op := "op" + string(rune('a'+i%26)) + string(rune('0'+i%10))
-		if a.Decide(op, i%5+1).Kind == b.Decide(op, i%5+1).Kind {
+		fa, _ := a.Decide(op, i%5+1)
+		fb, _ := b.Decide(op, i%5+1)
+		if fa == fb {
 			same++
 		}
 	}
@@ -52,64 +54,61 @@ func TestDecideSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestRatesRoughlyHonoured: each fault fires at about its share of the
+// rate, and no draw falls outside the table.
 func TestRatesRoughlyHonoured(t *testing.T) {
-	in := New(Config{Seed: 3, ErrorRate: 0.5})
-	faults := 0
-	const n = 2000
+	s := NewSchedule(3, 0.5, 0.6, 0.4)
+	var counts [3]int
+	const n = 4000
 	for i := 0; i < n; i++ {
-		f := in.Decide("bulk|"+string(rune('a'+i%26))+string(rune('a'+(i/26)%26))+string(rune('a'+(i/676)%26))+string(rune('0'+i%10)), 1)
-		switch f.Kind {
-		case Transient:
-			faults++
-		case None:
-		default:
-			t.Fatalf("unexpected kind %v with only ErrorRate set", f.Kind)
+		f, _ := s.Decide("bulk|"+string(rune('a'+i%26))+string(rune('a'+(i/26)%26))+string(rune('a'+(i/676)%26))+string(rune('0'+i%10)), 1)
+		if f < 0 || f > 2 {
+			t.Fatalf("fault %d outside a two-row table", f)
 		}
+		counts[f]++
 	}
-	frac := float64(faults) / n
-	if frac < 0.4 || frac > 0.6 {
-		t.Errorf("transient fraction = %.3f, want ~0.5", frac)
+	for f, want := range []float64{0.5, 0.3, 0.2} {
+		if frac := float64(counts[f]) / n; frac < want-0.05 || frac > want+0.05 {
+			t.Errorf("fault %d fraction = %.3f, want ~%.1f", f, frac, want)
+		}
 	}
 }
 
 func TestNilAndDisabledInjectNothing(t *testing.T) {
-	var nilInj *Injector
-	if f := nilInj.Decide("x", 1); f.Kind != None {
-		t.Errorf("nil injector fault = %v", f.Kind)
+	var nilSched *Schedule
+	if f, _ := nilSched.Decide("x", 1); f != 0 {
+		t.Errorf("nil schedule fault = %d", f)
 	}
-	if in := New(Config{Seed: 9}); in != nil {
-		t.Error("New with zero rates should return nil")
+	if s := NewSchedule(9, 0, httpShares...); s != nil {
+		t.Error("NewSchedule with rate 0 should return nil")
 	}
-	if (Config{}).Enabled() {
-		t.Error("zero config reports enabled")
+	if (Config{Seed: 9}).Enabled() {
+		t.Error("zero-rate config reports enabled")
 	}
 }
 
 func TestSlowFaultsCarryBoundedDelay(t *testing.T) {
-	in := New(Config{Seed: 11, SlowRate: 1, SlowLatency: time.Millisecond})
+	root := world.NewRNG(11)
 	for i := 0; i < 50; i++ {
-		f := in.Decide("slow", i+1)
-		if f.Kind != Slow {
-			t.Fatalf("attempt %d: kind %v", i+1, f.Kind)
-		}
-		if f.Delay < time.Millisecond/2 || f.Delay > 3*time.Millisecond/2 {
-			t.Fatalf("delay %s out of [0.5ms, 1.5ms]", f.Delay)
+		d := SlowDelay(root.Fork(string(rune('a'+i))), time.Millisecond)
+		if d < time.Millisecond/2 || d > 3*time.Millisecond/2 {
+			t.Fatalf("delay %s out of [0.5ms, 1.5ms]", d)
 		}
 	}
 }
 
-func TestSleepHonoursSuppressionAndCancel(t *testing.T) {
-	start := time.Now()
-	if err := Sleep(WithoutDelays(context.Background()), time.Second); err != nil {
-		t.Fatalf("suppressed sleep: %v", err)
-	}
-	if time.Since(start) > 100*time.Millisecond {
-		t.Error("suppressed sleep actually slept")
+func TestSleepHonoursCancel(t *testing.T) {
+	if err := Sleep(context.Background(), time.Millisecond); err != nil {
+		t.Fatalf("sleep: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	start := time.Now()
 	if err := Sleep(ctx, time.Second); err != context.Canceled {
 		t.Errorf("cancelled sleep err = %v", err)
+	}
+	if time.Since(start) > 100*time.Millisecond {
+		t.Error("cancelled sleep waited out its duration")
 	}
 }
 
@@ -118,7 +117,11 @@ func TestFlakyClampsRate(t *testing.T) {
 		t.Error("negative rate enabled chaos")
 	}
 	c := Flaky(1, 5)
-	if c.PanicRate+c.ErrorRate+c.RateLimitRate+c.SlowRate > 1.0001 {
-		t.Errorf("clamped rates sum to %v", c.PanicRate+c.ErrorRate+c.RateLimitRate+c.SlowRate)
+	if c.Rate != 1 {
+		t.Fatalf("rate 5 clamped to %v, want 1", c.Rate)
+	}
+	s := NewSchedule(c.Seed, c.Rate, httpShares...)
+	if last := s.cut[len(s.cut)-1]; last > 1.0001 {
+		t.Errorf("clamped rates sum to %v", last)
 	}
 }

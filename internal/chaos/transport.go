@@ -21,101 +21,31 @@ var ErrInjected = fmt.Errorf("chaos: injected transport fault")
 // faulty transport (injected 5xx). Real backends never set it.
 const InjectedHeader = "X-Chaos-Injected"
 
-// TransportConfig sets the per-attempt fault probabilities of the
-// faulty RoundTripper. Rates are evaluated in priority order (refuse,
-// 5xx, truncate, garble, slow) from one uniform draw, so their sum
-// must stay <= 1.
-type TransportConfig struct {
-	// Seed keys the fault schedule: same seed, same (op, attempt)
-	// pairs, same faults.
-	Seed uint64
-	// RefuseRate is the probability the connection is refused before
-	// the backend is contacted (a dead or unreachable replica).
-	RefuseRate float64
-	// Err5xxRate is the probability of a synthetic 502 response
-	// fabricated without contacting the backend (a broken middlebox).
-	Err5xxRate float64
-	// TruncateRate is the probability the response body is cut short
-	// mid-stream (the read errors with an unexpected EOF).
-	TruncateRate float64
-	// GarbleRate is the probability response body bytes are flipped
-	// in place — same length, corrupt content. Only end-to-end
-	// integrity checking (X-Wwb-Checksum) can catch this one.
-	GarbleRate float64
-	// SlowRate is the probability of an injected latency spike; the
-	// delay is drawn deterministically in [SlowLatency/2, 3/2·SlowLatency).
-	SlowRate float64
-	// SlowLatency is the median injected delay.
-	SlowLatency time.Duration
-}
-
-// Enabled reports whether the config can inject any fault.
-func (c TransportConfig) Enabled() bool {
-	return c.RefuseRate > 0 || c.Err5xxRate > 0 || c.TruncateRate > 0 ||
-		c.GarbleRate > 0 || c.SlowRate > 0
-}
-
-// FlakyTransport is the one-knob transport chaos profile behind the
-// -chaos-rate flags of wwbrouter, wwbload, and wwbfleet: rate is the
-// total per-attempt fault probability, split 30% connection refusals,
-// 20% injected 5xx, 15% truncated bodies, 15% garbled bodies, and 20%
-// latency spikes, with millisecond-scale delays so chaos runs stay
-// fast under test.
-func FlakyTransport(seed uint64, rate float64) TransportConfig {
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	return TransportConfig{
-		Seed:         seed,
-		RefuseRate:   0.30 * rate,
-		Err5xxRate:   0.20 * rate,
-		TruncateRate: 0.15 * rate,
-		GarbleRate:   0.15 * rate,
-		SlowRate:     0.20 * rate,
-		SlowLatency:  2 * time.Millisecond,
-	}
-}
-
-// TransportFault identifies one transport fault category.
-type TransportFault int
-
+// The HTTP fault family, in draw order, and each fault's share of the
+// chaos rate.
 const (
-	// TNone lets the request through untouched.
-	TNone TransportFault = iota
-	// TRefuse fails the request with a connection-refused error.
-	TRefuse
-	// TErr5xx fabricates a 502 response without contacting the backend.
-	TErr5xx
-	// TTruncate cuts the response body short mid-read.
-	TTruncate
-	// TGarble flips response body bytes in place.
-	TGarble
-	// TSlow delays the request before letting it through.
-	TSlow
+	// faultRefuse fails the request with a connection-refused error
+	// before the backend is contacted (a dead or unreachable replica).
+	faultRefuse = 1 + iota
+	// fault5xx fabricates a 502 response without contacting the
+	// backend (a broken middlebox).
+	fault5xx
+	// faultTruncate cuts the response body short mid-stream (the read
+	// errors with an unexpected EOF).
+	faultTruncate
+	// faultGarble flips response body bytes in place — same length,
+	// corrupt content. Only end-to-end integrity checking
+	// (X-Wwb-Checksum) can catch this one.
+	faultGarble
+	// faultSlow delays the request before letting it through.
+	faultSlow
 )
 
-// String names the transport fault.
-func (f TransportFault) String() string {
-	switch f {
-	case TNone:
-		return "none"
-	case TRefuse:
-		return "refuse"
-	case TErr5xx:
-		return "err5xx"
-	case TTruncate:
-		return "truncate"
-	case TGarble:
-		return "garble"
-	case TSlow:
-		return "slow"
-	default:
-		return fmt.Sprintf("transportFault(%d)", int(f))
-	}
-}
+var httpShares = []float64{0.30, 0.20, 0.15, 0.15, 0.20}
+
+// slowLatency is the median injected delay: millisecond-scale, so
+// chaos runs stay fast under test.
+const slowLatency = 2 * time.Millisecond
 
 // Transport is a faulty http.RoundTripper: it wraps a real transport
 // and injects refusals, synthetic 5xx, truncated/garbled bodies, and
@@ -124,18 +54,17 @@ func (f TransportFault) String() string {
 // counter is the only mutable state, so for any deterministic request
 // sequence the whole fleet degrades identically run over run.
 type Transport struct {
-	cfg   TransportConfig
 	inner http.RoundTripper
-	root  *world.RNG
+	sched *Schedule
 
 	mu       sync.Mutex
 	attempts map[string]int
 }
 
 // NewTransport wraps inner (nil means http.DefaultTransport) with the
-// configured fault schedule. A config that cannot inject anything
-// returns inner unchanged, so callers can wire it unconditionally.
-func NewTransport(cfg TransportConfig, inner http.RoundTripper) http.RoundTripper {
+// HTTP fault schedule. A config that cannot inject anything returns
+// inner unchanged, so callers can wire it unconditionally.
+func NewTransport(cfg Config, inner http.RoundTripper) http.RoundTripper {
 	if inner == nil {
 		inner = http.DefaultTransport
 	}
@@ -143,9 +72,8 @@ func NewTransport(cfg TransportConfig, inner http.RoundTripper) http.RoundTrippe
 		return inner
 	}
 	return &Transport{
-		cfg:      cfg,
 		inner:    inner,
-		root:     world.NewRNG(cfg.Seed ^ 0x7472616e73706f72), // "transpor"
+		sched:    NewSchedule(cfg.Seed^0x7472616e73706f72, cfg.Rate, httpShares...), // "transpor"
 		attempts: make(map[string]int),
 	}
 }
@@ -165,64 +93,47 @@ func (t *Transport) nextAttempt(op string) int {
 	return t.attempts[op]
 }
 
-// Decide returns the fault for one (op, attempt) pair — exported so
-// tests can assert schedules without performing HTTP calls. Attempts
-// are 1-based.
-func (t *Transport) Decide(op string, attempt int) TransportFault {
-	rng := t.root.Fork(fmt.Sprintf("%s|#%d", op, attempt))
-	u := rng.Float64()
-	c := t.cfg
-	switch {
-	case u < c.RefuseRate:
-		return TRefuse
-	case u < c.RefuseRate+c.Err5xxRate:
-		return TErr5xx
-	case u < c.RefuseRate+c.Err5xxRate+c.TruncateRate:
-		return TTruncate
-	case u < c.RefuseRate+c.Err5xxRate+c.TruncateRate+c.GarbleRate:
-		return TGarble
-	case u < c.RefuseRate+c.Err5xxRate+c.TruncateRate+c.GarbleRate+c.SlowRate:
-		return TSlow
-	default:
-		return TNone
-	}
-}
-
 // RoundTrip implements http.RoundTripper with fault injection.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	op := opKey(req)
 	attempt := t.nextAttempt(op)
-	rng := t.root.Fork(fmt.Sprintf("%s|#%d|body", op, attempt))
-	switch t.Decide(op, attempt) {
-	case TRefuse:
+	fault, rng := t.decide(op, attempt)
+	return t.apply(req, fault, rng)
+}
+
+// decide draws the fault for one attempt of op, and the RNG its
+// effect draws from.
+func (t *Transport) decide(op string, attempt int) (int, *world.RNG) {
+	fault, _ := t.sched.Decide(op, attempt)
+	return fault, t.sched.root.Fork(fmt.Sprintf("%s|#%d|body", op, attempt))
+}
+
+// apply performs one request under fault, drawing the fault's
+// effect (delay, cut point, flipped bytes) from rng.
+func (t *Transport) apply(req *http.Request, fault int, rng *world.RNG) (*http.Response, error) {
+	switch fault {
+	case faultRefuse:
 		return nil, fmt.Errorf("dial %s: connection refused: %w", req.URL.Host, ErrInjected)
-	case TErr5xx:
+	case fault5xx:
 		return synthetic5xx(req), nil
-	case TTruncate:
-		resp, err := t.inner.RoundTrip(req)
-		if err != nil {
+	case faultSlow:
+		if err := Sleep(req.Context(), SlowDelay(rng, slowLatency)); err != nil {
 			return nil, err
 		}
+	}
+	resp, err := t.inner.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	switch fault {
+	case faultTruncate:
 		resp.Body = &truncatingBody{inner: resp.Body, remain: truncateAt(rng, resp.ContentLength)}
-		return resp, nil
-	case TGarble:
-		resp, err := t.inner.RoundTrip(req)
-		if err != nil {
-			return nil, err
-		}
+	case faultGarble:
 		if err := garbleBody(rng, resp); err != nil {
 			return nil, err
 		}
-		return resp, nil
-	case TSlow:
-		d := time.Duration((0.5 + rng.Float64()) * float64(t.cfg.SlowLatency))
-		if err := Sleep(req.Context(), d); err != nil {
-			return nil, err
-		}
-		return t.inner.RoundTrip(req)
-	default:
-		return t.inner.RoundTrip(req)
 	}
+	return resp, nil
 }
 
 // synthetic5xx fabricates the injected 502: a JSON envelope so even
@@ -274,10 +185,6 @@ func (b *truncatingBody) Read(p []byte) (int, error) {
 	}
 	n, err := b.inner.Read(p)
 	b.remain -= int64(n)
-	if err == io.EOF {
-		// The real body ended before the cut point: nothing to truncate.
-		return n, err
-	}
 	return n, err
 }
 

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wwb/internal/world"
 )
 
 // TestTransportDeterministicSchedule: the fault drawn for an
@@ -25,13 +27,17 @@ func TestTransportDeterministicSchedule(t *testing.T) {
 	}
 	diffs := 0
 	other := NewTransport(FlakyTransport(8, 0.5), http.DefaultTransport).(*Transport)
+	fault := func(t *Transport, op string, attempt int) int {
+		f, _ := t.decide(op, attempt)
+		return f
+	}
 	for _, op := range ops {
 		for attempt := 1; attempt <= 50; attempt++ {
-			fa, fb := a.Decide(op, attempt), b.Decide(op, attempt)
+			fa, fb := fault(a, op, attempt), fault(b, op, attempt)
 			if fa != fb {
-				t.Fatalf("%s#%d: schedule disagrees across identical transports: %v vs %v", op, attempt, fa, fb)
+				t.Fatalf("%s#%d: schedule disagrees across identical transports: %d vs %d", op, attempt, fa, fb)
 			}
-			if fa != other.Decide(op, attempt) {
+			if fa != fault(other, op, attempt) {
 				diffs++
 			}
 		}
@@ -43,7 +49,7 @@ func TestTransportDeterministicSchedule(t *testing.T) {
 	// shard, different schedule somewhere in 50 attempts.
 	hostDiffs := 0
 	for attempt := 1; attempt <= 50; attempt++ {
-		if a.Decide(ops[0], attempt) != a.Decide(ops[1], attempt) {
+		if fault(a, ops[0], attempt) != fault(a, ops[1], attempt) {
 			hostDiffs++
 		}
 	}
@@ -59,10 +65,13 @@ func TestTransportRateZeroPassesThrough(t *testing.T) {
 	if got := NewTransport(FlakyTransport(1, 0), inner); got != inner {
 		t.Fatalf("rate 0 wrapped the transport: %T", got)
 	}
+	if got := NewTransport(FlakyTransport(0, 0), nil); got != http.DefaultTransport {
+		t.Fatalf("rate 0 over a nil transport: %T, want http.DefaultTransport", got)
+	}
 }
 
-// TestTransportFaultKinds drives each fault kind end to end against a
-// live backend and checks the caller-visible failure mode.
+// TestTransportFaultKinds applies each fault to a live backend request
+// and checks the caller-visible failure mode.
 func TestTransportFaultKinds(t *testing.T) {
 	const payload = "0123456789abcdef0123456789abcdef"
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -71,14 +80,12 @@ func TestTransportFaultKinds(t *testing.T) {
 	}))
 	defer backend.Close()
 
-	// A high single-fault config per kind makes the first attempt
-	// deterministic enough to find each fault quickly.
 	kinds := []struct {
-		name string
-		cfg  TransportConfig
-		fn   func(t *testing.T, resp *http.Response, body []byte, readErr, rtErr error)
+		name  string
+		fault int
+		fn    func(t *testing.T, resp *http.Response, body []byte, readErr, rtErr error)
 	}{
-		{"refuse", TransportConfig{Seed: 1, RefuseRate: 1}, func(t *testing.T, resp *http.Response, _ []byte, _, rtErr error) {
+		{"refuse", faultRefuse, func(t *testing.T, resp *http.Response, _ []byte, _, rtErr error) {
 			if rtErr == nil {
 				t.Fatal("refusal did not error")
 			}
@@ -86,7 +93,7 @@ func TestTransportFaultKinds(t *testing.T) {
 				t.Fatalf("refusal error %v does not wrap ErrInjected", rtErr)
 			}
 		}},
-		{"err5xx", TransportConfig{Seed: 1, Err5xxRate: 1}, func(t *testing.T, resp *http.Response, body []byte, readErr, rtErr error) {
+		{"err5xx", fault5xx, func(t *testing.T, resp *http.Response, body []byte, readErr, rtErr error) {
 			if rtErr != nil || resp.StatusCode != http.StatusBadGateway {
 				t.Fatalf("synthetic 5xx: resp %v err %v", resp, rtErr)
 			}
@@ -97,7 +104,7 @@ func TestTransportFaultKinds(t *testing.T) {
 				t.Fatalf("synthetic body %q is not the chaos envelope", body)
 			}
 		}},
-		{"truncate", TransportConfig{Seed: 1, TruncateRate: 1}, func(t *testing.T, resp *http.Response, body []byte, readErr, rtErr error) {
+		{"truncate", faultTruncate, func(t *testing.T, resp *http.Response, body []byte, readErr, rtErr error) {
 			if rtErr != nil {
 				t.Fatalf("truncate failed the round trip itself: %v", rtErr)
 			}
@@ -108,7 +115,7 @@ func TestTransportFaultKinds(t *testing.T) {
 				t.Fatalf("truncation error %v should wrap ErrInjected and ErrUnexpectedEOF", readErr)
 			}
 		}},
-		{"garble", TransportConfig{Seed: 1, GarbleRate: 1}, func(t *testing.T, resp *http.Response, body []byte, readErr, rtErr error) {
+		{"garble", faultGarble, func(t *testing.T, resp *http.Response, body []byte, readErr, rtErr error) {
 			if rtErr != nil || readErr != nil {
 				t.Fatalf("garble must look like a clean response: rt %v read %v", rtErr, readErr)
 			}
@@ -119,16 +126,24 @@ func TestTransportFaultKinds(t *testing.T) {
 				t.Fatal("garble left the body intact")
 			}
 		}},
-		{"slow", TransportConfig{Seed: 1, SlowRate: 1, SlowLatency: 5 * time.Millisecond}, func(t *testing.T, resp *http.Response, body []byte, readErr, rtErr error) {
+		{"slow", faultSlow, func(t *testing.T, resp *http.Response, body []byte, readErr, rtErr error) {
 			if rtErr != nil || readErr != nil || string(body) != payload {
 				t.Fatalf("slow must succeed with the real body: rt %v read %v body %q", rtErr, readErr, body)
 			}
 		}},
 	}
+	tr := &Transport{inner: http.DefaultTransport}
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {
-			client := &http.Client{Transport: NewTransport(k.cfg, http.DefaultTransport)}
-			resp, rtErr := client.Get(backend.URL + "/payload")
+			req, err := http.NewRequest(http.MethodGet, backend.URL+"/payload", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			resp, rtErr := tr.apply(req, k.fault, world.NewRNG(1).Fork(k.name))
+			if k.fault == faultSlow && time.Since(start) < slowLatency/2 {
+				t.Errorf("slow fault returned after %s, under half the median delay", time.Since(start))
+			}
 			var body []byte
 			var readErr error
 			if rtErr == nil {

@@ -96,11 +96,6 @@ type SnapshotInfo struct {
 	Chain int
 }
 
-// IsSnapshot reports whether a file prefix carries the .wwb magic.
-func IsSnapshot(prefix []byte) bool {
-	return len(prefix) >= len(snapshotMagic) && bytes.Equal(prefix[:len(snapshotMagic)], snapshotMagic[:])
-}
-
 // ---------------------------------------------------------------------------
 // Encoding
 

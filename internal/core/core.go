@@ -41,12 +41,6 @@ type Config struct {
 	// machinery. With faults on, degraded domains surface as
 	// taxonomy.Uncategorized, deterministically per chaos seed.
 	Chaos chaos.Config
-	// Retry tunes the resilient categorisation client; zero-value
-	// fields fall back to catapi.DefaultRetryPolicy.
-	Retry catapi.RetryPolicy
-	// Breaker tunes the client's circuit breaker; zero-value fields
-	// fall back to catapi.DefaultBreakerConfig.
-	Breaker catapi.BreakerConfig
 }
 
 // DefaultConfig is the full-size calibrated study.
@@ -84,7 +78,7 @@ type Study struct {
 	Validation  *catapi.Validation
 	Categorizer *catapi.Categorizer
 	// Client is the resilient categorisation client behind the
-	// Categorizer: retries, backoff, circuit breaker, degradation.
+	// Categorizer: retries, backoff, degradation.
 	// Its Stats expose how much chaos the study absorbed.
 	Client *catapi.Client
 
@@ -141,10 +135,10 @@ func NewCtx(ctx context.Context, cfg Config) (*Study, error) {
 	// the client is a transparent memoized pass-through, so labels are
 	// byte-identical to the direct service path.
 	transport := catapi.NewServiceTransport(svc)
-	if inj := chaos.New(cfg.Chaos); inj != nil {
-		transport = catapi.NewFlakyTransport(transport, inj)
+	if cfg.Chaos.Enabled() {
+		transport = catapi.NewFlakyTransport(transport, cfg.Chaos)
 	}
-	client := catapi.NewClient(transport, cfg.Retry, catapi.NewBreaker(cfg.Breaker))
+	client := catapi.NewClient(transport)
 
 	return &Study{
 		Cfg:         cfg,
