@@ -1,9 +1,10 @@
 package wwb
 
 // End-to-end assembly benchmarks for the parallel pipeline: the same
-// small universe assembled at different worker counts. Output is
-// byte-identical across all of them (see internal/chrome's
-// TestAssembleWorkersByteIdentical); only the wall clock moves.
+// small universe assembled under different GOMAXPROCS, which sizes
+// every worker pool. Output is byte-identical across all of them (see
+// internal/chrome's TestAssembleWorkersByteIdentical); only the wall
+// clock moves.
 //
 //	go test -bench=BenchmarkAssembleSmall -benchtime=3x
 
@@ -32,10 +33,10 @@ func smallWorld() *world.World {
 	return assembleWorld
 }
 
-func benchAssembleSmall(b *testing.B, workers int) {
+func benchAssembleSmall(b *testing.B, procs int) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	w := smallWorld()
 	opts := chrome.DefaultOptions()
-	opts.Workers = workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = chrome.Assemble(w, telemetry.DefaultConfig(), opts)
@@ -46,9 +47,7 @@ func BenchmarkAssembleSmallWorkers1(b *testing.B) { benchAssembleSmall(b, 1) }
 func BenchmarkAssembleSmallWorkers2(b *testing.B) { benchAssembleSmall(b, 2) }
 func BenchmarkAssembleSmallWorkers4(b *testing.B) { benchAssembleSmall(b, 4) }
 
-func BenchmarkAssembleSmallWorkersMax(b *testing.B) {
-	benchAssembleSmall(b, runtime.GOMAXPROCS(0))
-}
+func BenchmarkAssembleSmallWorkersMax(b *testing.B) { benchAssembleSmall(b, 0) }
 
 // BenchmarkFullStudySmall measures the whole pipeline — world
 // generation, parallel assembly, categorisation workflow — the cost a
@@ -59,12 +58,11 @@ func BenchmarkFullStudySmall(b *testing.B) {
 	}
 }
 
-// BenchmarkFullStudySmallSequential is the Workers=1 baseline for
+// BenchmarkFullStudySmallSequential is the GOMAXPROCS=1 baseline for
 // BenchmarkFullStudySmall.
 func BenchmarkFullStudySmallSequential(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for i := 0; i < b.N; i++ {
-		cfg := core.SmallConfig()
-		cfg.Workers = 1
-		_ = core.New(cfg)
+		_ = core.New(core.SmallConfig())
 	}
 }

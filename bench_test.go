@@ -185,7 +185,7 @@ func BenchmarkFig7EndemicityDistribution(b *testing.B) {
 	printExperiment(b, "fig7")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = analysis.AnalyzeEndemicity(s.Dataset, s.Categorize, world.Windows, world.PageLoads, s.Month, 0)
+		_ = analysis.AnalyzeEndemicity(s.Dataset, s.Categorize, world.Windows, world.PageLoads, s.Month)
 	}
 }
 
@@ -204,7 +204,7 @@ func BenchmarkFig8GlobalNationalCategories(b *testing.B) {
 	printExperiment(b, "fig8")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = analysis.AnalyzeEndemicity(s.Dataset, s.Categorize, world.Android, world.PageLoads, s.Month, 0)
+		_ = analysis.AnalyzeEndemicity(s.Dataset, s.Categorize, world.Android, world.PageLoads, s.Month)
 	}
 }
 
@@ -233,7 +233,7 @@ func BenchmarkFig10CountrySimilarityRBO(b *testing.B) {
 	printExperiment(b, "fig10")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = analysis.AnalyzeCountrySimilarity(s.Dataset, world.Windows, world.PageLoads, s.Month, 10000, 0)
+		_ = analysis.AnalyzeCountrySimilarity(s.Dataset, world.Windows, world.PageLoads, s.Month, 10000)
 	}
 }
 
@@ -242,7 +242,7 @@ func BenchmarkFig18SimilarityWindowsTime(b *testing.B) {
 	printExperiment(b, "fig18")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = analysis.AnalyzeCountrySimilarity(s.Dataset, world.Windows, world.TimeOnPage, s.Month, 10000, 0)
+		_ = analysis.AnalyzeCountrySimilarity(s.Dataset, world.Windows, world.TimeOnPage, s.Month, 10000)
 	}
 }
 
@@ -251,7 +251,7 @@ func BenchmarkFig19SimilarityAndroidLoads(b *testing.B) {
 	printExperiment(b, "fig19")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = analysis.AnalyzeCountrySimilarity(s.Dataset, world.Android, world.PageLoads, s.Month, 10000, 0)
+		_ = analysis.AnalyzeCountrySimilarity(s.Dataset, world.Android, world.PageLoads, s.Month, 10000)
 	}
 }
 
@@ -260,7 +260,7 @@ func BenchmarkFig20SimilarityAndroidTime(b *testing.B) {
 	printExperiment(b, "fig20")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = analysis.AnalyzeCountrySimilarity(s.Dataset, world.Android, world.TimeOnPage, s.Month, 10000, 0)
+		_ = analysis.AnalyzeCountrySimilarity(s.Dataset, world.Android, world.TimeOnPage, s.Month, 10000)
 	}
 }
 
@@ -280,7 +280,7 @@ func BenchmarkFig12PairwiseIntersectionCDF(b *testing.B) {
 	buckets := []int{10, 100, 1000, 10000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = analysis.AnalyzePairwiseIntersections(s.Dataset, world.Windows, world.PageLoads, s.Month, buckets, 0)
+		_ = analysis.AnalyzePairwiseIntersections(s.Dataset, world.Windows, world.PageLoads, s.Month, buckets)
 	}
 }
 

@@ -49,7 +49,6 @@ func main() {
 		format    = flag.String("format", "wwb", "output format: wwb (lossless binary snapshot with interned index, near-instant load) or csv (rank lists only)")
 		threshold = flag.Int64("privacy-threshold", 50, "minimum unique clients per site per month")
 		topN      = flag.Int("topn", 10000, "rank list depth")
-		workers   = flag.Int("workers", 0, "assembly worker goroutines (0 = one per CPU, 1 = sequential; output is identical)")
 		appendM   = flag.String("append", "", "append mode: month to roll the -base snapshot forward by, e.g. 2022-03")
 		basePath  = flag.String("base", "", "append mode: existing snapshot (.wwb, or .wwbd chain) to append onto")
 		rollDist  = flag.Bool("roll-dist", false, "append mode: make the appended month the new distribution month (curves recomputed)")
@@ -57,7 +56,7 @@ func main() {
 	flag.Parse()
 
 	if *appendM != "" || *basePath != "" {
-		runAppend(*appendM, *basePath, *rollDist, *format, *out, *workers)
+		runAppend(*appendM, *basePath, *rollDist, *format, *out)
 		return
 	}
 
@@ -79,7 +78,6 @@ func main() {
 	opts := chrome.DefaultOptions()
 	opts.PrivacyThreshold = *threshold
 	opts.TopN = *topN
-	opts.Workers = *workers
 	switch *months {
 	case "all":
 	case "feb":
@@ -132,7 +130,7 @@ func main() {
 // against a world regenerated from the base snapshot's embedded
 // provenance, and persist the result — as a .wwbd delta bound to the
 // base (default) or as a full merged snapshot (-format wwb).
-func runAppend(monthName, basePath string, rollDist bool, format, out string, workers int) {
+func runAppend(monthName, basePath string, rollDist bool, format, out string) {
 	if monthName == "" || basePath == "" {
 		log.Fatal("append mode needs both -append MONTH and -base PATH")
 	}
@@ -179,7 +177,7 @@ func runAppend(monthName, basePath string, rollDist bool, format, out string, wo
 	log.Printf("appending %s to %s (%d months covered, roll-dist %v)...",
 		month, basePath, len(ds.Months), rollDist)
 	inc, err := chrome.AppendMonthCtx(context.Background(), ds, w, telemetry.DefaultConfig(),
-		chrome.AppendOptions{Month: month, RollDist: rollDist, Workers: workers})
+		chrome.AppendOptions{Month: month, RollDist: rollDist})
 	if err != nil {
 		log.Fatalf("append failed: %v", err)
 	}

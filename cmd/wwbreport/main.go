@@ -30,7 +30,6 @@ func main() {
 		seed    = flag.Uint64("seed", 42, "world generation seed")
 		out     = flag.String("o", "report.html", "output path (- for stdout)")
 		febOnly = flag.Bool("feb-only", false, "assemble February only (disables sec4.5 and ext-summer detail)")
-		workers = flag.Int("workers", 0, "worker goroutines for assembly and analyses (0 = one per CPU, 1 = sequential; output is identical)")
 	)
 	flag.Parse()
 
@@ -41,7 +40,6 @@ func main() {
 	}
 	cfg.World = wcfg
 	cfg.World.Seed = *seed
-	cfg.Workers = *workers
 	if *febOnly {
 		cfg = cfg.FebOnly()
 	}

@@ -44,7 +44,6 @@ func main() {
 		reqTimeout  = flag.Duration("request-timeout", time.Minute, "per-request context deadline (0 = none)")
 		subTimeout  = flag.Duration("shard-timeout", 30*time.Second, "per-sub-request timeout against a shard replica")
 		cooldown    = flag.Duration("health-cooldown", 2*time.Second, "how long a replica stays routed-around after a transport failure")
-		workers     = flag.Int("workers", 0, "fan-out goroutines (0 = one per CPU)")
 		retryBudget = flag.Int("retry-budget", 3, "sub-request retries allowed per client request across all replicas (fan-outs scale it by shard count)")
 		hedgeMax    = flag.Duration("hedge-max", 500*time.Millisecond, "upper clamp on the p99-derived hedge delay for fan-out legs (<0 disables hedging)")
 		chaosSeed   = flag.Uint64("chaos-seed", 0, "fault-injection seed for the shard transport (only with -chaos-rate > 0)")
@@ -83,7 +82,6 @@ func main() {
 			Transport: chaos.NewTransport(tcfg, nil),
 		},
 		HealthCooldown: *cooldown,
-		Workers:        *workers,
 		RetryBudget:    *retryBudget,
 		HedgeMax:       *hedgeMax,
 	})

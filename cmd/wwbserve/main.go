@@ -66,7 +66,6 @@ func main() {
 		scale       = flag.String("scale", "small", "universe scale: small, default, large, or huge")
 		seed        = flag.Uint64("seed", 42, "world generation seed")
 		febOnly     = flag.Bool("feb-only", true, "assemble February only (faster startup)")
-		workers     = flag.Int("workers", 0, "worker goroutines for assembly and analyses (0 = one per CPU, 1 = sequential; output is identical)")
 		maxInFlight = flag.Int("max-inflight", 64, "max concurrently served requests before shedding with 503 (0 = unlimited)")
 		reqTimeout  = flag.Duration("request-timeout", time.Minute, "per-request context deadline (0 = none)")
 		chaosSeed   = flag.Uint64("chaos-seed", 0, "fault-injection seed for the categorisation transport (only with -chaos-rate > 0)")
@@ -82,7 +81,6 @@ func main() {
 	}
 	cfg.World = wcfg
 	cfg.World.Seed = *seed
-	cfg.Workers = *workers
 	cfg.Chaos = chaos.Flaky(*chaosSeed, *chaosRate)
 	if *febOnly {
 		cfg = cfg.FebOnly()

@@ -5,6 +5,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -69,8 +70,8 @@ func metricValue(text, prefix string) float64 {
 // requests served per route, limiter sheds, and the categorisation
 // client's retries and degradations.
 func TestMetricsEndToEndChaos(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cfg := core.SmallConfig().FebOnly()
-	cfg.Workers = 2
 	// Full-rate chaos: attempts succeed only via Slow faults, so most
 	// lookups exhaust their budget and degrade.
 	cfg.Chaos = chaos.Flaky(7, 1.0)

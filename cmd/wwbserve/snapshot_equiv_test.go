@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"wwb/internal/chrome"
@@ -66,16 +67,18 @@ func fetch(t *testing.T, base, path string) (int, []byte) {
 // TestSnapshotServedResponsesByteIdentical is the serving-path half of
 // the snapshot acceptance bar: every /v1/* response served from a
 // decoded .wwb snapshot must equal the in-memory dataset byte for
-// byte. The in-memory side is assembled with Workers=8 while the
-// snapshotted side was assembled with Workers=1, so the test also
+// byte. The in-memory side is assembled under GOMAXPROCS=8 while the
+// snapshotted side was assembled under GOMAXPROCS=1, so the test also
 // pins worker-count independence end to end.
 func TestSnapshotServedResponsesByteIdentical(t *testing.T) {
 	w := testStudyForDataset.World
 	opts := testStudyForDataset.Dataset.Opts
-	opts.Workers = 1
-	ds1 := chrome.Assemble(w, telemetry.DefaultConfig(), opts)
-	opts.Workers = 8
-	ds8 := chrome.Assemble(w, telemetry.DefaultConfig(), opts)
+	assemble := func(procs int) *chrome.Dataset {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return chrome.Assemble(w, telemetry.DefaultConfig(), opts)
+	}
+	ds1 := assemble(1)
+	ds8 := assemble(8)
 
 	snap, info := loadSnapshotFile(t, ds1)
 	if info.Format != chrome.FormatWWB {

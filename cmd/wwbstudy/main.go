@@ -43,7 +43,6 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
 		febOnly    = flag.Bool("feb-only", false, "assemble February only (faster; disables sec4.5)")
 		robustness = flag.Int("robustness", 0, "instead of experiments, sweep N seeds and print headline stats")
-		workers    = flag.Int("workers", 0, "worker goroutines for assembly and analyses (0 = one per CPU, 1 = sequential; output is identical)")
 		chaosSeed  = flag.Uint64("chaos-seed", 0, "fault-injection seed for the categorisation transport (only with -chaos-rate > 0)")
 		chaosRate  = flag.Float64("chaos-rate", 0, "fault-injection rate in [0,1] for the categorisation transport; 0 disables chaos")
 	)
@@ -64,7 +63,6 @@ func main() {
 	}
 	cfg.World = wcfg
 	cfg.World.Seed = *seed
-	cfg.Workers = *workers
 	cfg.Chaos = chaos.Flaky(*chaosSeed, *chaosRate)
 	if *febOnly {
 		cfg = cfg.FebOnly()

@@ -297,7 +297,7 @@ func TestCategoryDriftDecember(t *testing.T) {
 }
 
 func TestCountrySimilarityMatrix(t *testing.T) {
-	sm := AnalyzeCountrySimilarity(testDataset, world.Windows, world.PageLoads, feb, 10000, 0)
+	sm := AnalyzeCountrySimilarity(testDataset, world.Windows, world.PageLoads, feb, 10000)
 	n := len(sm.Countries)
 	if n != 45 {
 		t.Fatalf("countries = %d", n)
@@ -331,7 +331,7 @@ func TestCountrySimilarityMatrix(t *testing.T) {
 }
 
 func TestCountryClusters(t *testing.T) {
-	sm := AnalyzeCountrySimilarity(testDataset, world.Windows, world.PageLoads, feb, 10000, 0)
+	sm := AnalyzeCountrySimilarity(testDataset, world.Windows, world.PageLoads, feb, 10000)
 	res := AnalyzeCountryClusters(sm)
 	if len(res.Clusters) < 2 {
 		t.Fatalf("clusters = %d, want several", len(res.Clusters))
@@ -382,7 +382,7 @@ func TestCountryClusters(t *testing.T) {
 }
 
 func TestEndemicityAnalysis(t *testing.T) {
-	res := AnalyzeEndemicity(testDataset, trueCat, world.Windows, world.PageLoads, feb, 0)
+	res := AnalyzeEndemicity(testDataset, trueCat, world.Windows, world.PageLoads, feb)
 	if len(res.Curves) < 1000 {
 		t.Fatalf("curves = %d, want thousands", len(res.Curves))
 	}
@@ -420,7 +420,7 @@ func TestEndemicityAnalysis(t *testing.T) {
 }
 
 func TestGlobalShareByBucketDeclines(t *testing.T) {
-	res := AnalyzeEndemicity(testDataset, trueCat, world.Windows, world.PageLoads, feb, 0)
+	res := AnalyzeEndemicity(testDataset, trueCat, world.Windows, world.PageLoads, feb)
 	buckets := AnalyzeGlobalShareByBucket(testDataset, res, world.Windows, world.PageLoads, feb)
 	if len(buckets) != len(RankBuckets) {
 		t.Fatalf("buckets = %d", len(buckets))
@@ -440,7 +440,7 @@ func TestGlobalShareByBucketDeclines(t *testing.T) {
 }
 
 func TestPairwiseIntersections(t *testing.T) {
-	curves := AnalyzePairwiseIntersections(testDataset, world.Windows, world.PageLoads, feb, []int{10, 1000}, 0)
+	curves := AnalyzePairwiseIntersections(testDataset, world.Windows, world.PageLoads, feb, []int{10, 1000})
 	if len(curves) != 2 {
 		t.Fatalf("curves = %d", len(curves))
 	}

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"context"
 	"sort"
 	"sync"
 
@@ -28,39 +27,25 @@ type SimilarityMatrix struct {
 // one platform and metric, with rank weights drawn from the platform's
 // page-loads distribution curve (Section 5.3.1 replaces RBO's
 // geometric weights with the measured traffic distribution). The
-// country pairs are scored on workers goroutines (0 = one per CPU,
-// 1 = sequential); every pair lands in fixed matrix slots, so the
-// result is identical for any worker count.
+// country pairs are scored on GOMAXPROCS goroutines; every pair lands
+// in fixed matrix slots, so the result is identical for any
+// GOMAXPROCS.
 //
 // The kernel runs on the dataset's interned key IDs: each country's
 // merged top-N key list comes precomputed from the index, and the
 // ~n²/2 weighted-RBO calls reuse per-worker epoch-stamped scratch
 // buffers instead of hashing strings into two fresh maps per pair.
 // Results are bit-identical to the historical string-keyed path.
-func AnalyzeCountrySimilarity(ds *chrome.Dataset, p world.Platform, m world.Metric, month world.Month, n, workers int) SimilarityMatrix {
-	sm, err := AnalyzeCountrySimilarityCtx(context.Background(), ds, p, m, month, n, workers)
-	if err != nil {
-		panic("analysis: similarity with background context failed: " + err.Error())
-	}
-	return sm
-}
-
-// AnalyzeCountrySimilarityCtx is the cancellable entry point: workers
-// stop picking up matrix rows once ctx is done and the context error
-// is returned with a zero matrix.
-func AnalyzeCountrySimilarityCtx(ctx context.Context, ds *chrome.Dataset, p world.Platform, m world.Metric, month world.Month, n, workers int) (SimilarityMatrix, error) {
+func AnalyzeCountrySimilarity(ds *chrome.Dataset, p world.Platform, m world.Metric, month world.Month, n int) SimilarityMatrix {
 	curve := ds.Dist(p, world.PageLoads)
 	codes := append([]string{}, ds.Countries...)
 	sort.Strings(codes)
 	ix := ds.Index()
 
 	// Cross-country comparisons merge ccTLD variants first.
-	keys, err := parallel.MapCtx(ctx, workers, len(codes), func(_ context.Context, i int) ([]chrome.KeyID, error) {
-		return ix.MergedIDsTopN(codes[i], p, m, month, n), nil
+	keys := parallel.Map(len(codes), func(i int) []chrome.KeyID {
+		return ix.MergedIDsTopN(codes[i], p, m, month, n)
 	})
-	if err != nil {
-		return SimilarityMatrix{}, err
-	}
 	sim := make([][]float64, len(codes))
 	for i := range sim {
 		sim[i] = make([]float64, len(codes))
@@ -70,7 +55,7 @@ func AnalyzeCountrySimilarityCtx(ctx context.Context, ds *chrome.Dataset, p worl
 	scratch := sync.Pool{New: func() any { return rbo.NewScratch(ix.NumKeys()) }}
 	// Row i fills sim[i][j] and sim[j][i] for j > i only, so rows
 	// write disjoint cells and can run concurrently.
-	err = parallel.ForEachCtx(ctx, workers, len(codes), func(_ context.Context, i int) error {
+	parallel.ForEach(len(codes), func(i int) {
 		scr := scratch.Get().(*rbo.Scratch)
 		defer scratch.Put(scr)
 		for j := i + 1; j < len(codes); j++ {
@@ -78,12 +63,8 @@ func AnalyzeCountrySimilarityCtx(ctx context.Context, ds *chrome.Dataset, p worl
 			sim[i][j] = v
 			sim[j][i] = v
 		}
-		return nil
 	})
-	if err != nil {
-		return SimilarityMatrix{}, err
-	}
-	return SimilarityMatrix{Countries: codes, Sim: sim}, nil
+	return SimilarityMatrix{Countries: codes, Sim: sim}
 }
 
 // CountryCluster is one cluster of browsing-similar countries.
@@ -156,21 +137,10 @@ const EntryBar = 1000
 
 // AnalyzeEndemicity runs the popularity-curve pipeline for one
 // platform and metric. The per-country rank maps and the per-site
-// popularity curves are built on workers goroutines (0 = one per CPU,
-// 1 = sequential); both fan-outs write index-addressed slots, so the
-// result is identical for any worker count.
-func AnalyzeEndemicity(ds *chrome.Dataset, categorize dist.Categorize, p world.Platform, m world.Metric, month world.Month, workers int) EndemicityResult {
-	res, err := AnalyzeEndemicityCtx(context.Background(), ds, categorize, p, m, month, workers)
-	if err != nil {
-		panic("analysis: endemicity with background context failed: " + err.Error())
-	}
-	return res
-}
-
-// AnalyzeEndemicityCtx is the cancellable entry point: both fan-outs
-// (per-country rank maps, per-site curves) stop once ctx is done and
-// the context error is returned with a zero result.
-func AnalyzeEndemicityCtx(ctx context.Context, ds *chrome.Dataset, categorize dist.Categorize, p world.Platform, m world.Metric, month world.Month, workers int) (EndemicityResult, error) {
+// popularity curves are built on GOMAXPROCS goroutines; both fan-outs
+// write index-addressed slots, so the result is identical for any
+// GOMAXPROCS.
+func AnalyzeEndemicity(ds *chrome.Dataset, categorize dist.Categorize, p world.Platform, m world.Metric, month world.Month) EndemicityResult {
 	codes := append([]string{}, ds.Countries...)
 	sort.Strings(codes)
 	ix := ds.Index()
@@ -179,17 +149,14 @@ func AnalyzeEndemicityCtx(ctx context.Context, ds *chrome.Dataset, categorize di
 	// Merged-key rank per country, as dense rank-by-KeyID arrays
 	// (0 = absent). The index already holds each cell's deduped keys
 	// with first occurrences, so no string is parsed or hashed here.
-	perCountry, err := parallel.MapCtx(ctx, workers, len(codes), func(_ context.Context, i int) ([]int32, error) {
+	perCountry := parallel.Map(len(codes), func(i int) []int32 {
 		ranks := make([]int32, nk)
 		ids, firstPos := ix.KeyRankIDs(codes[i], p, m, month)
 		for k, id := range ids {
 			ranks[id] = firstPos[k] + 1
 		}
-		return ranks, nil
+		return ranks
 	})
-	if err != nil {
-		return EndemicityResult{}, err
-	}
 
 	// Sites qualifying via the entry bar, and a representative domain
 	// for categorisation (the best-ranked domain observed). Only a
@@ -229,7 +196,7 @@ func AnalyzeEndemicityCtx(ctx context.Context, ds *chrome.Dataset, categorize di
 	// Curves are independent per site; shapes are classified in the
 	// same fan-out. The shared tallies are folded sequentially below.
 	res.Curves = make([]endemicity.Curve, len(keyIDs))
-	shapes, err := parallel.MapCtx(ctx, workers, len(keyIDs), func(_ context.Context, k int) (endemicity.Shape, error) {
+	shapes := parallel.Map(len(keyIDs), func(k int) endemicity.Shape {
 		id := keyIDs[k]
 		ranks := map[string]int{}
 		for i, c := range codes {
@@ -238,11 +205,8 @@ func AnalyzeEndemicityCtx(ctx context.Context, ds *chrome.Dataset, categorize di
 			}
 		}
 		res.Curves[k] = endemicity.BuildCurve(ix.Key(id), ranks, codes)
-		return endemicity.ClassifyShape(res.Curves[k]), nil
+		return endemicity.ClassifyShape(res.Curves[k])
 	})
-	if err != nil {
-		return EndemicityResult{}, err
-	}
 	soloCount := 0
 	for k, curve := range res.Curves {
 		res.ShapeCounts[shapes[k]]++
@@ -272,7 +236,7 @@ func AnalyzeEndemicityCtx(ctx context.Context, ds *chrome.Dataset, categorize di
 	if len(res.Curves) > 0 {
 		res.GlobalShare = float64(globals) / float64(len(res.Curves))
 	}
-	return res, nil
+	return res
 }
 
 // GlobalShareByBucket computes Figure 9: for each rank bucket, the
@@ -350,31 +314,17 @@ type PairwiseIntersectionCurve struct {
 }
 
 // AnalyzePairwiseIntersections computes Figure 12 for the given rank
-// buckets. Country-pair rows are scored on workers goroutines (0 =
-// one per CPU, 1 = sequential) and concatenated in row order, so the
-// per-pair value sequence — and hence the float sums behind Mean —
-// matches the sequential double loop exactly.
-func AnalyzePairwiseIntersections(ds *chrome.Dataset, p world.Platform, m world.Metric, month world.Month, buckets []int, workers int) []PairwiseIntersectionCurve {
-	out, err := AnalyzePairwiseIntersectionsCtx(context.Background(), ds, p, m, month, buckets, workers)
-	if err != nil {
-		panic("analysis: pairwise intersections with background context failed: " + err.Error())
-	}
-	return out
-}
-
-// AnalyzePairwiseIntersectionsCtx is the cancellable entry point:
-// workers stop picking up country-pair rows once ctx is done and the
-// context error is returned with a nil slice.
-func AnalyzePairwiseIntersectionsCtx(ctx context.Context, ds *chrome.Dataset, p world.Platform, m world.Metric, month world.Month, buckets []int, workers int) ([]PairwiseIntersectionCurve, error) {
+// buckets. Country-pair rows are scored on GOMAXPROCS goroutines and
+// concatenated in row order, so the per-pair value sequence — and
+// hence the float sums behind Mean — matches the sequential double
+// loop exactly.
+func AnalyzePairwiseIntersections(ds *chrome.Dataset, p world.Platform, m world.Metric, month world.Month, buckets []int) []PairwiseIntersectionCurve {
 	codes := append([]string{}, ds.Countries...)
 	sort.Strings(codes)
 	ix := ds.Index()
-	lists, err := parallel.MapCtx(ctx, workers, len(codes), func(_ context.Context, i int) ([]chrome.KeyID, error) {
-		return ix.MergedIDs(codes[i], p, m, month), nil
+	lists := parallel.Map(len(codes), func(i int) []chrome.KeyID {
+		return ix.MergedIDs(codes[i], p, m, month)
 	})
-	if err != nil {
-		return nil, err
-	}
 	// Per-worker epoch-stamped scratch pairs for the intersection
 	// kernel; one pair serves every comparison a worker performs.
 	type interScratch struct{ a, b *keyset.Set }
@@ -383,7 +333,7 @@ func AnalyzePairwiseIntersectionsCtx(ctx context.Context, ds *chrome.Dataset, p 
 	}}
 	var out []PairwiseIntersectionCurve
 	for _, bucket := range buckets {
-		rows, err := parallel.MapCtx(ctx, workers, len(codes), func(_ context.Context, i int) ([]float64, error) {
+		rows := parallel.Map(len(codes), func(i int) []float64 {
 			scr := scratch.Get().(*interScratch)
 			defer scratch.Put(scr)
 			a := lists[i]
@@ -398,11 +348,8 @@ func AnalyzePairwiseIntersectionsCtx(ctx context.Context, ds *chrome.Dataset, p 
 				}
 				row = append(row, stats.PercentIntersectionIDs(a, b, scr.a, scr.b))
 			}
-			return row, nil
+			return row
 		})
-		if err != nil {
-			return nil, err
-		}
 		var vals []float64
 		for _, row := range rows {
 			vals = append(vals, row...)
@@ -413,5 +360,5 @@ func AnalyzePairwiseIntersectionsCtx(ctx context.Context, ds *chrome.Dataset, p 
 			Mean:       stats.Mean(vals),
 		})
 	}
-	return out, nil
+	return out
 }

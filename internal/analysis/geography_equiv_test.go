@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -19,14 +20,14 @@ import (
 // This file pins the ID-based geography kernels to the historical
 // string-keyed implementations: the reference functions below are the
 // pre-interner code verbatim, and the tests demand reflect.DeepEqual —
-// bit-identical floats, identical ordering — at worker counts 1 and 8.
+// bit-identical floats, identical ordering — at GOMAXPROCS 1 and 8.
 
 // refCountrySimilarity is the pre-interner AnalyzeCountrySimilarity.
-func refCountrySimilarity(ds *chrome.Dataset, p world.Platform, m world.Metric, month world.Month, n, workers int) SimilarityMatrix {
+func refCountrySimilarity(ds *chrome.Dataset, p world.Platform, m world.Metric, month world.Month, n int) SimilarityMatrix {
 	curve := ds.Dist(p, world.PageLoads)
 	codes := append([]string{}, ds.Countries...)
 	sort.Strings(codes)
-	keys := parallel.Map(workers, len(codes), func(i int) []string {
+	keys := parallel.Map(len(codes), func(i int) []string {
 		return ranklist.MergedKeys(ds.List(codes[i], p, m, month).TopN(n))
 	})
 	sim := make([][]float64, len(codes))
@@ -35,7 +36,7 @@ func refCountrySimilarity(ds *chrome.Dataset, p world.Platform, m world.Metric, 
 		sim[i][i] = 1
 	}
 	weight := curve.WeightAt
-	parallel.ForEach(workers, len(codes), func(i int) {
+	parallel.ForEach(len(codes), func(i int) {
 		for j := i + 1; j < len(codes); j++ {
 			v := rbo.Weighted(keys[i], keys[j], weight)
 			sim[i][j] = v
@@ -46,10 +47,10 @@ func refCountrySimilarity(ds *chrome.Dataset, p world.Platform, m world.Metric, 
 }
 
 // refEndemicity is the pre-interner AnalyzeEndemicity.
-func refEndemicity(ds *chrome.Dataset, categorize dist.Categorize, p world.Platform, m world.Metric, month world.Month, workers int) EndemicityResult {
+func refEndemicity(ds *chrome.Dataset, categorize dist.Categorize, p world.Platform, m world.Metric, month world.Month) EndemicityResult {
 	codes := append([]string{}, ds.Countries...)
 	sort.Strings(codes)
-	perCountry := parallel.Map(workers, len(codes), func(i int) map[string]int {
+	perCountry := parallel.Map(len(codes), func(i int) map[string]int {
 		return ranklist.KeyRanks(ds.List(codes[i], p, m, month))
 	})
 	qualifies := map[string]bool{}
@@ -77,7 +78,7 @@ func refEndemicity(ds *chrome.Dataset, categorize dist.Categorize, p world.Platf
 		CategoryLabelCounts: map[taxonomy.Category]map[endemicity.Label]int{},
 	}
 	res.Curves = make([]endemicity.Curve, len(keys))
-	shapes := parallel.Map(workers, len(keys), func(k int) endemicity.Shape {
+	shapes := parallel.Map(len(keys), func(k int) endemicity.Shape {
 		ranks := map[string]int{}
 		for i, c := range codes {
 			if r, ok := perCountry[i][keys[k]]; ok {
@@ -159,15 +160,15 @@ func refGlobalShareByBucket(ds *chrome.Dataset, res EndemicityResult, p world.Pl
 
 // refPairwiseIntersections is the pre-interner
 // AnalyzePairwiseIntersections.
-func refPairwiseIntersections(ds *chrome.Dataset, p world.Platform, m world.Metric, month world.Month, buckets []int, workers int) []PairwiseIntersectionCurve {
+func refPairwiseIntersections(ds *chrome.Dataset, p world.Platform, m world.Metric, month world.Month, buckets []int) []PairwiseIntersectionCurve {
 	codes := append([]string{}, ds.Countries...)
 	sort.Strings(codes)
-	lists := parallel.Map(workers, len(codes), func(i int) []string {
+	lists := parallel.Map(len(codes), func(i int) []string {
 		return ranklist.MergedKeys(ds.List(codes[i], p, m, month))
 	})
 	var out []PairwiseIntersectionCurve
 	for _, bucket := range buckets {
-		rows := parallel.Map(workers, len(codes), func(i int) []float64 {
+		rows := parallel.Map(len(codes), func(i int) []float64 {
 			a := lists[i]
 			if len(a) > bucket {
 				a = a[:bucket]
@@ -195,36 +196,59 @@ func refPairwiseIntersections(ds *chrome.Dataset, p world.Platform, m world.Metr
 	return out
 }
 
-var equivWorkers = []int{1, 8}
+var equivProcs = []int{1, 8}
+
+// withProcs runs fn with GOMAXPROCS set to procs, which sizes every
+// analysis pool, and restores the previous setting afterwards. No test
+// calls t.Parallel, so the process-wide change is safe.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
 
 func TestCountrySimilarityIDPathEquivalent(t *testing.T) {
-	want := refCountrySimilarity(testDataset, world.Windows, world.PageLoads, feb, 10000, 1)
-	for _, w := range equivWorkers {
-		got := AnalyzeCountrySimilarity(testDataset, world.Windows, world.PageLoads, feb, 10000, w)
+	var want, wantShallow, gotShallow SimilarityMatrix
+	withProcs(1, func() {
+		want = refCountrySimilarity(testDataset, world.Windows, world.PageLoads, feb, 10000)
+		// A truncated depth exercises the TopN prefix logic.
+		wantShallow = refCountrySimilarity(testDataset, world.Android, world.TimeOnPage, feb, 137)
+		gotShallow = AnalyzeCountrySimilarity(testDataset, world.Android, world.TimeOnPage, feb, 137)
+	})
+	for _, procs := range equivProcs {
+		var got SimilarityMatrix
+		withProcs(procs, func() {
+			got = AnalyzeCountrySimilarity(testDataset, world.Windows, world.PageLoads, feb, 10000)
+		})
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: ID-path similarity matrix differs from string path", w)
+			t.Errorf("GOMAXPROCS=%d: ID-path similarity matrix differs from string path", procs)
 		}
 	}
-	// A truncated depth exercises the TopN prefix logic.
-	wantShallow := refCountrySimilarity(testDataset, world.Android, world.TimeOnPage, feb, 137, 1)
-	gotShallow := AnalyzeCountrySimilarity(testDataset, world.Android, world.TimeOnPage, feb, 137, 1)
 	if !reflect.DeepEqual(gotShallow, wantShallow) {
 		t.Error("ID-path similarity differs from string path at depth 137")
 	}
 }
 
 func TestEndemicityIDPathEquivalent(t *testing.T) {
-	want := refEndemicity(testDataset, trueCat, world.Windows, world.PageLoads, feb, 1)
-	for _, w := range equivWorkers {
-		got := AnalyzeEndemicity(testDataset, trueCat, world.Windows, world.PageLoads, feb, w)
+	var want EndemicityResult
+	withProcs(1, func() {
+		want = refEndemicity(testDataset, trueCat, world.Windows, world.PageLoads, feb)
+	})
+	for _, procs := range equivProcs {
+		var got EndemicityResult
+		withProcs(procs, func() {
+			got = AnalyzeEndemicity(testDataset, trueCat, world.Windows, world.PageLoads, feb)
+		})
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: ID-path endemicity differs from string path", w)
+			t.Errorf("GOMAXPROCS=%d: ID-path endemicity differs from string path", procs)
 		}
 	}
 }
 
 func TestGlobalShareByBucketIDPathEquivalent(t *testing.T) {
-	res := AnalyzeEndemicity(testDataset, trueCat, world.Windows, world.PageLoads, feb, 1)
+	var res EndemicityResult
+	withProcs(1, func() {
+		res = AnalyzeEndemicity(testDataset, trueCat, world.Windows, world.PageLoads, feb)
+	})
 	want := refGlobalShareByBucket(testDataset, res, world.Windows, world.PageLoads, feb)
 	got := AnalyzeGlobalShareByBucket(testDataset, res, world.Windows, world.PageLoads, feb)
 	if !reflect.DeepEqual(got, want) {
@@ -234,11 +258,17 @@ func TestGlobalShareByBucketIDPathEquivalent(t *testing.T) {
 
 func TestPairwiseIntersectionsIDPathEquivalent(t *testing.T) {
 	buckets := []int{10, 137, 1000, 10000}
-	want := refPairwiseIntersections(testDataset, world.Windows, world.PageLoads, feb, buckets, 1)
-	for _, w := range equivWorkers {
-		got := AnalyzePairwiseIntersections(testDataset, world.Windows, world.PageLoads, feb, buckets, w)
+	var want []PairwiseIntersectionCurve
+	withProcs(1, func() {
+		want = refPairwiseIntersections(testDataset, world.Windows, world.PageLoads, feb, buckets)
+	})
+	for _, procs := range equivProcs {
+		var got []PairwiseIntersectionCurve
+		withProcs(procs, func() {
+			got = AnalyzePairwiseIntersections(testDataset, world.Windows, world.PageLoads, feb, buckets)
+		})
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: ID-path pairwise intersections differ from string path", w)
+			t.Errorf("GOMAXPROCS=%d: ID-path pairwise intersections differ from string path", procs)
 		}
 	}
 }

@@ -2,11 +2,11 @@ package chaos
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"wwb/internal/world"
@@ -50,15 +50,31 @@ const slowLatency = 2 * time.Millisecond
 // Transport is a faulty http.RoundTripper: it wraps a real transport
 // and injects refusals, synthetic 5xx, truncated/garbled bodies, and
 // latency spikes. The fault for one call is a pure function of
-// (seed, host, method+path, attempt): the per-operation attempt
-// counter is the only mutable state, so for any deterministic request
-// sequence the whole fleet degrades identically run over run.
+// (seed, host, method+path, attempt), where the attempt number rides
+// on the request context (WithAttempt). The transport keeps no state,
+// so a request draws the same fault however often its URI was sent
+// before, and the whole fleet degrades identically run over run.
 type Transport struct {
 	inner http.RoundTripper
 	sched *Schedule
+}
 
-	mu       sync.Mutex
-	attempts map[string]int
+type attemptKey struct{}
+
+// WithAttempt stamps ctx with the 1-based attempt number the fault
+// transport schedules a request under. A caller that sends the same
+// request again — a hedge, a refetch — stamps the retry with the next
+// number so it draws a fresh fault; an unstamped request is attempt 1.
+func WithAttempt(ctx context.Context, attempt int) context.Context {
+	return context.WithValue(ctx, attemptKey{}, attempt)
+}
+
+// attemptOf returns the attempt number stamped on ctx, or 1.
+func attemptOf(ctx context.Context) int {
+	if n, ok := ctx.Value(attemptKey{}).(int); ok && n > 1 {
+		return n
+	}
+	return 1
 }
 
 // NewTransport wraps inner (nil means http.DefaultTransport) with the
@@ -72,9 +88,8 @@ func NewTransport(cfg Config, inner http.RoundTripper) http.RoundTripper {
 		return inner
 	}
 	return &Transport{
-		inner:    inner,
-		sched:    NewSchedule(cfg.Seed^0x7472616e73706f72, cfg.Rate, httpShares...), // "transpor"
-		attempts: make(map[string]int),
+		inner: inner,
+		sched: NewSchedule(cfg.Seed^0x7472616e73706f72, cfg.Rate, httpShares...), // "transpor"
 	}
 }
 
@@ -85,19 +100,10 @@ func opKey(req *http.Request) string {
 	return req.URL.Host + " " + req.Method + " " + req.URL.RequestURI()
 }
 
-// nextAttempt returns the 1-based attempt number for op.
-func (t *Transport) nextAttempt(op string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.attempts[op]++
-	return t.attempts[op]
-}
-
 // RoundTrip implements http.RoundTripper with fault injection.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	op := opKey(req)
-	attempt := t.nextAttempt(op)
-	fault, rng := t.decide(op, attempt)
+	fault, rng := t.decide(op, attemptOf(req.Context()))
 	return t.apply(req, fault, rng)
 }
 

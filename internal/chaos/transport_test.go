@@ -1,7 +1,9 @@
 package chaos
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -152,5 +154,65 @@ func TestTransportFaultKinds(t *testing.T) {
 			}
 			k.fn(t, resp, body, readErr, rtErr)
 		})
+	}
+}
+
+// TestTransportFaultIndependentOfHistory: a request's fault depends
+// only on the request and its stamped attempt number — never on how
+// often the transport has sent that URI before. The same request draws
+// the same fault on a fresh transport and on one that has already sent
+// it many times, and a request stamped WithAttempt(k) draws exactly the
+// schedule's fault for attempt k.
+func TestTransportFaultIndependentOfHistory(t *testing.T) {
+	const payload = "0123456789abcdef0123456789abcdef"
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, payload)
+	}))
+	defer backend.Close()
+
+	cfg := FlakyTransport(3, 0.5)
+	// outcome sends one request and names what the caller saw; slow
+	// and unfaulted requests both look like a clean "ok".
+	outcome := func(rt http.RoundTripper, uri string, attempt int) string {
+		req, err := http.NewRequestWithContext(WithAttempt(context.Background(), attempt), http.MethodGet, backend.URL+uri, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := rt.RoundTrip(req)
+		if err != nil {
+			return "refuse"
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		switch {
+		case resp.Header.Get(InjectedHeader) == "1":
+			return "err5xx"
+		case err != nil:
+			return "truncate"
+		case string(body) != payload:
+			return "garble"
+		}
+		return "ok"
+	}
+	expected := map[int]string{0: "ok", faultRefuse: "refuse", fault5xx: "err5xx",
+		faultTruncate: "truncate", faultGarble: "garble", faultSlow: "ok"}
+
+	warm := NewTransport(cfg, nil).(*Transport)
+	for i := 0; i < 30; i++ {
+		uri := fmt.Sprintf("/v1/list?country=US&n=%d", i)
+		fresh := outcome(NewTransport(cfg, nil), uri, 1)
+		for j := 0; j < 10; j++ {
+			outcome(warm, uri, 1)
+		}
+		if got := outcome(warm, uri, 1); got != fresh {
+			t.Fatalf("%s: %s after 10 prior sends, %s on a fresh transport", uri, got, fresh)
+		}
+		op := strings.TrimPrefix(backend.URL, "http://") + " GET " + uri
+		for attempt := 1; attempt <= 3; attempt++ {
+			f, _ := warm.decide(op, attempt)
+			if got := outcome(warm, uri, attempt); got != expected[f] {
+				t.Fatalf("%s attempt %d: %s, schedule says %s", uri, attempt, got, expected[f])
+			}
+		}
 	}
 }

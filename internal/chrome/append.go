@@ -39,9 +39,6 @@ type AppendOptions struct {
 	// forward — carrying them forward would silently serve the old
 	// month's curves under the new month's name.
 	RollDist bool
-	// Workers bounds the sampling goroutines, like Options.Workers.
-	// Zero inherits the dataset's assembly-time setting.
-	Workers int
 }
 
 // Increment is the materialised delta of one month append: everything
@@ -90,11 +87,10 @@ func AppendMonth(d *Dataset, w *world.World, tcfg telemetry.Config, aopts Append
 // threshold, and list depth, so the appended cells are exactly the
 // cells a full rebuild would produce.
 //
-// The append always runs the streaming pipeline regardless of
-// Options.LegacyAssembly, and it mutates the dataset in place:
-// in-flight readers of the same Dataset would race with the merge, so
-// serving processes must instead decode a base+delta chain into a
-// fresh Dataset and hot-swap (see internal/fleet).
+// The append runs the streaming pipeline, and it mutates the dataset
+// in place: in-flight readers of the same Dataset would race with the
+// merge, so serving processes must instead decode a base+delta chain
+// into a fresh Dataset and hot-swap (see internal/fleet).
 func AppendMonthCtx(ctx context.Context, d *Dataset, w *world.World, tcfg telemetry.Config, aopts AppendOptions) (*Increment, error) {
 	stopHeapWatch := watchHeapPeak()
 	defer stopHeapWatch()
@@ -122,9 +118,6 @@ func AppendMonthCtx(ctx context.Context, d *Dataset, w *world.World, tcfg teleme
 	newOpts.Months = append(append([]world.Month{}, d.Months...), aopts.Month)
 	if aopts.RollDist {
 		newOpts.DistMonth = aopts.Month
-	}
-	if aopts.Workers != 0 {
-		newOpts.Workers = aopts.Workers
 	}
 
 	// The appended month's jobs in canonical order: countries as the

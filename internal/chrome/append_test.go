@@ -3,6 +3,7 @@ package chrome
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
 	"wwb/internal/psl"
@@ -13,7 +14,7 @@ import (
 // The append-vs-full-rebuild equivalence suite. The acceptance bar
 // for the roll-forward is byte identity: a dataset grown by
 // AppendMonthCtx must encode to exactly the bytes of a full rebuild
-// whose Options cover the extended window, at every worker count.
+// whose Options cover the extended window, at every GOMAXPROCS.
 
 func appendBaseOpts() Options {
 	return Options{
@@ -44,19 +45,24 @@ func TestAppendMatchesFullRebuild(t *testing.T) {
 	oracleOpts.Months = []world.Month{world.Jan2022, world.Feb2022, world.Mar2022}
 	oracle := snapshotBytes(t, Assemble(testWorld, tcfg, oracleOpts))
 
-	for _, workers := range []int{1, 8} {
+	for _, procs := range []int{1, 8} {
 		ds := cloneDataset(t, base)
-		inc, err := AppendMonthCtx(context.Background(), ds, testWorld, tcfg, AppendOptions{
-			Month: world.Mar2022, Workers: workers,
-		})
+		var (
+			inc *Increment
+			err error
+		)
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			inc, err = AppendMonthCtx(context.Background(), ds, testWorld, tcfg, AppendOptions{Month: world.Mar2022})
+		}()
 		if err != nil {
-			t.Fatalf("workers=%d: append: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: append: %v", procs, err)
 		}
 		if inc.Month != world.Mar2022 || inc.RollDist || inc.Dist != nil {
-			t.Fatalf("workers=%d: increment = %+v, want plain Mar2022 append", workers, inc)
+			t.Fatalf("GOMAXPROCS=%d: increment = %+v, want plain Mar2022 append", procs, inc)
 		}
 		if got := snapshotBytes(t, ds); !bytes.Equal(got, oracle) {
-			t.Errorf("workers=%d: appended dataset differs from full rebuild (%d vs %d bytes)", workers, len(got), len(oracle))
+			t.Errorf("GOMAXPROCS=%d: appended dataset differs from full rebuild (%d vs %d bytes)", procs, len(got), len(oracle))
 		}
 	}
 }

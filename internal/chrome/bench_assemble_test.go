@@ -1,6 +1,7 @@
 package chrome
 
 import (
+	"runtime"
 	"testing"
 
 	"wwb/internal/telemetry"
@@ -14,21 +15,20 @@ import (
 //
 //	go test ./internal/chrome -run=NONE -bench=Assemble -benchmem
 
-func benchAssemble(b *testing.B, legacy bool, workers int) {
+func benchAssemble(b *testing.B, assemble assembler, procs int) {
 	b.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	opts := DefaultOptions()
 	opts.Months = []world.Month{world.Feb2022}
-	opts.LegacyAssembly = legacy
-	opts.Workers = workers
 	tcfg := telemetry.DefaultConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ds := Assemble(testWorld, tcfg, opts); len(ds.Countries) == 0 {
+		if ds := assemble(testWorld, tcfg, opts); len(ds.Countries) == 0 {
 			b.Fatal("empty dataset")
 		}
 	}
 }
 
-func BenchmarkAssembleStreamSmall(b *testing.B) { benchAssemble(b, false, 1) }
-func BenchmarkAssembleLegacySmall(b *testing.B) { benchAssemble(b, true, 1) }
+func BenchmarkAssembleStreamSmall(b *testing.B) { benchAssemble(b, Assemble, 1) }
+func BenchmarkAssembleLegacySmall(b *testing.B) { benchAssemble(b, assembleLegacy, 1) }

@@ -10,13 +10,8 @@ package chrome
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 
-	"wwb/internal/metrics"
-	"wwb/internal/parallel"
-	"wwb/internal/psl"
 	"wwb/internal/telemetry"
 	"wwb/internal/world"
 )
@@ -81,19 +76,6 @@ type Options struct {
 	// extended, since the distribution curves cannot be built without
 	// that month's telemetry.
 	Months []world.Month
-	// Workers bounds the goroutines sampling cells concurrently:
-	// 0 (the default) means one per CPU, 1 is the sequential path.
-	// Output is byte-identical for every value. Not written to
-	// snapshots — it describes the machine, not the data.
-	Workers int
-	// LegacyAssembly selects the materialise-and-sort reference
-	// pipeline (every cell builds a full []SiteStats and sorts it)
-	// instead of the streaming bounded-memory path. Both produce
-	// byte-identical datasets; the legacy path exists as the oracle
-	// the equivalence tests compare against and costs O(sites) memory
-	// per in-flight cell. Machine knob, not data: not written to
-	// snapshots.
-	LegacyAssembly bool
 }
 
 // DefaultOptions mirrors the paper's setup.
@@ -189,27 +171,12 @@ type cellJob struct {
 	month    world.Month
 }
 
-// distSample is one site's contribution to the global distribution
-// accumulators, with the merged site key precomputed in the worker.
-type distSample struct {
-	key           string
-	loads, timeMS float64
-}
-
-// cellResult is everything one cell contributes to the dataset.
-type cellResult struct {
-	byLoads, byTime   RankList
-	covLoads, covTime float64
-	hasLoads, hasTime bool
-	dist              []distSample // nil unless the cell's month is DistMonth
-}
-
 // Assemble samples telemetry for every cell and builds the dataset.
-// Cells are sampled on opts.Workers goroutines (each cell forks an
+// Cells are sampled on GOMAXPROCS goroutines (each cell forks an
 // independent RNG stream keyed by its identity, so sampling order is
 // irrelevant) and merged in canonical cell order on the calling
-// goroutine; the assembled dataset is byte-identical for every worker
-// count.
+// goroutine; the assembled dataset is byte-identical for every
+// GOMAXPROCS.
 func Assemble(w *world.World, tcfg telemetry.Config, opts Options) *Dataset {
 	// Background contexts never cancel, so the error path is unreachable.
 	ds, err := AssembleCtx(context.Background(), w, tcfg, opts)
@@ -222,28 +189,23 @@ func Assemble(w *world.World, tcfg telemetry.Config, opts Options) *Dataset {
 // AssembleCtx is the cancellable Assemble: workers stop pulling cells
 // as soon as ctx is done and the call returns the context's error with
 // a nil dataset. A nil error guarantees a complete dataset identical
-// to Assemble's for every worker count.
+// to Assemble's for every GOMAXPROCS.
 //
-// Two pipelines implement it, selected by opts.LegacyAssembly and
-// byte-identical to each other: the default streaming path (cells
-// stream site stats through bounded top-N selectors and dense
+// Cells stream site stats through bounded top-N selectors and dense
 // interned distribution accumulators, O(TopN + workers) memory above
-// the output dataset) and the legacy materialise-and-sort reference
-// path. See stream.go for the streaming pipeline and the memory
-// model.
+// the output dataset; see stream.go for the pipeline and the memory
+// model. The materialise-and-sort reference pipeline it must match
+// byte for byte lives with the equivalence tests (oracle_test.go).
 func AssembleCtx(ctx context.Context, w *world.World, tcfg telemetry.Config, opts Options) (*Dataset, error) {
 	stopHeapWatch := watchHeapPeak()
 	defer stopHeapWatch()
-	if opts.LegacyAssembly {
-		return assembleLegacyCtx(ctx, w, tcfg, opts)
-	}
 	return assembleStreamCtx(ctx, w, tcfg, opts)
 }
 
 // newDataset builds the dataset shell and the canonical cell-job
-// order shared by both assembly pipelines. The job order is the
-// documented merge order: countries as generated, platforms in
-// canonical order, months in assembly order.
+// order shared by the assembly pipeline and its reference oracle. The
+// job order is the documented merge order: countries as generated,
+// platforms in canonical order, months in assembly order.
 func newDataset(w *world.World, opts Options) (*Dataset, []cellJob) {
 	months := assembledMonths(opts)
 	ds := &Dataset{
@@ -269,133 +231,10 @@ func cellRNG(root *world.RNG, j cellJob) *world.RNG {
 	return root.Fork("cell|" + j.country + "|" + j.platform.String() + "|" + j.month.String())
 }
 
-// assembleLegacyCtx is the materialise-and-sort reference pipeline.
-func assembleLegacyCtx(ctx context.Context, w *world.World, tcfg telemetry.Config, opts Options) (*Dataset, error) {
-	assembleStart := time.Now()
-	ds, jobs := newDataset(w, opts)
-	root := world.NewRNG(opts.Seed)
-
-	// Fan out: sample, threshold, and rank each cell independently.
-	// Fork does not mutate the parent stream, so sharing root across
-	// workers is race-free. Cancellation is checked between cells —
-	// cells are the pipeline's unit of promptness.
-	sampleStart := time.Now()
-	results, err := parallel.MapCtx(ctx, opts.Workers, len(jobs), func(_ context.Context, i int) (cellResult, error) {
-		j := jobs[i]
-		stats := telemetry.SampleCell(cellRNG(root, j), w, tcfg, telemetry.Cell{
-			Country: j.country, Platform: j.platform, Month: j.month,
-		})
-		return buildCell(opts, j, stats), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	metrics.ObserveStage("chrome.sample", time.Since(sampleStart))
-
-	mergeStart := time.Now()
-	// Fan in, in canonical cell order — the documented summation
-	// order for the distribution accumulators (each site key receives
-	// one contribution per cell, added in job order). The streaming
-	// path follows the same order over dense interned accumulators,
-	// which is what keeps the two pipelines byte-identical.
-	globLoads := map[world.Platform]map[string]float64{
-		world.Windows: {}, world.Android: {},
-	}
-	globTime := map[world.Platform]map[string]float64{
-		world.Windows: {}, world.Android: {},
-	}
-	for i, res := range results {
-		j := jobs[i]
-		for _, s := range res.dist {
-			globLoads[j.platform][s.key] += s.loads
-			globTime[j.platform][s.key] += s.timeMS
-		}
-		ds.lists[listKey(j.country, j.platform, world.PageLoads, j.month)] = res.byLoads
-		ds.lists[listKey(j.country, j.platform, world.TimeOnPage, j.month)] = res.byTime
-		if res.hasLoads {
-			ds.coverage[listKey(j.country, j.platform, world.PageLoads, j.month)] = res.covLoads
-		}
-		if res.hasTime {
-			ds.coverage[listKey(j.country, j.platform, world.TimeOnPage, j.month)] = res.covTime
-		}
-	}
-
-	for _, p := range world.Platforms {
-		ds.dist[distKey(p, world.PageLoads)] = NewDistCurve(values(globLoads[p]))
-		ds.dist[distKey(p, world.TimeOnPage)] = NewDistCurve(values(globTime[p]))
-	}
-	metrics.ObserveStage("chrome.merge", time.Since(mergeStart))
-	metrics.ObserveStage("chrome.assemble", time.Since(assembleStart))
-	return ds, nil
-}
-
-// buildCell thresholds and ranks one cell's stats for both metrics.
-// stats arrives unranked (candidate order): each output list is
-// sorted exactly once here, by its own metric.
-func buildCell(opts Options, j cellJob, stats []telemetry.SiteStats) cellResult {
-	var totLoads, totTime float64
-	kept := make([]telemetry.SiteStats, 0, len(stats))
-	for _, s := range stats {
-		totLoads += float64(s.Loads)
-		totTime += float64(s.TimeMS)
-		if s.Clients >= opts.PrivacyThreshold {
-			kept = append(kept, s)
-		}
-	}
-
-	byLoads := make(RankList, 0, len(kept))
-	byTime := make(RankList, 0, len(kept))
-	for _, s := range kept {
-		byLoads = append(byLoads, Entry{Domain: s.Domain, Value: float64(s.Loads)})
-		byTime = append(byTime, Entry{Domain: s.Domain, Value: float64(s.TimeMS)})
-	}
-	sortList(byLoads)
-	sortList(byTime)
-
-	res := cellResult{
-		byLoads: byLoads.TopN(opts.TopN),
-		byTime:  byTime.TopN(opts.TopN),
-	}
-	if totLoads > 0 {
-		res.covLoads, res.hasLoads = sumValues(res.byLoads)/totLoads, true
-	}
-	if totTime > 0 {
-		res.covTime, res.hasTime = sumValues(res.byTime)/totTime, true
-	}
-	if j.month == opts.DistMonth {
-		res.dist = make([]distSample, len(stats))
-		for i, s := range stats {
-			res.dist[i] = distSample{
-				key:    psl.Default.SiteKey(s.Domain),
-				loads:  float64(s.Loads),
-				timeMS: float64(s.TimeMS),
-			}
-		}
-	}
-	return res
-}
-
-func sortList(l RankList) {
-	sort.Slice(l, func(i, j int) bool {
-		if l[i].Value != l[j].Value {
-			return l[i].Value > l[j].Value
-		}
-		return l[i].Domain < l[j].Domain
-	})
-}
-
 func sumValues(l RankList) float64 {
 	var s float64
 	for _, e := range l {
 		s += e.Value
 	}
 	return s
-}
-
-func values(m map[string]float64) []float64 {
-	out := make([]float64, 0, len(m))
-	for _, v := range m {
-		out = append(out, v)
-	}
-	return out
 }

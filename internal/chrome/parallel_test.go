@@ -2,6 +2,7 @@ package chrome
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"wwb/internal/telemetry"
@@ -9,21 +10,21 @@ import (
 )
 
 // TestAssembleWorkersByteIdentical is the determinism guarantee behind
-// the Workers knob: a parallel assembly must encode to exactly the
-// bytes the sequential path produces, including the floating-point
-// distribution accumulators whose summation order must not drift.
+// sizing the assembly pool from GOMAXPROCS: a parallel assembly must
+// encode to exactly the bytes the sequential path produces, including
+// the floating-point distribution accumulators whose summation order
+// must not drift.
 func TestAssembleWorkersByteIdentical(t *testing.T) {
 	opts := testDataset.Opts
-	encode := func(workers int) []byte {
-		o := opts
-		o.Workers = workers
-		return snapshotBytes(t, Assemble(testWorld, telemetry.DefaultConfig(), o))
+	encode := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return snapshotBytes(t, Assemble(testWorld, telemetry.DefaultConfig(), opts))
 	}
 	seq := encode(1)
-	for _, workers := range []int{4, 8} {
-		if par := encode(workers); !bytes.Equal(seq, par) {
-			t.Fatalf("Workers=%d assembly encodes differently from sequential (%d vs %d bytes)",
-				workers, len(par), len(seq))
+	for _, procs := range []int{4, 8} {
+		if par := encode(procs); !bytes.Equal(seq, par) {
+			t.Fatalf("GOMAXPROCS=%d assembly encodes differently from sequential (%d vs %d bytes)",
+				procs, len(par), len(seq))
 		}
 	}
 }

@@ -773,7 +773,7 @@ func (sd *snapDecoded) decodeLists(c *snapCursor) error {
 		off += n
 	}
 	errs := make([]error, len(spans))
-	parallel.ForEach(0, len(spans), func(i int) {
+	parallel.ForEach(len(spans), func(i int) {
 		sp := &spans[i]
 		list := sp.list
 		for j := range list {
@@ -917,7 +917,7 @@ func (sd *snapDecoded) decodeIndex(c *snapCursor) error {
 		spans[i].cell = &cellBlock[i]
 		off += n
 	}
-	parallel.ForEach(0, len(spans), func(i int) {
+	parallel.ForEach(len(spans), func(i int) {
 		sp := &spans[i]
 		n := len(sp.raw) / 8
 		cell := sp.cell

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -62,17 +63,18 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotBytesIdenticalAcrossWorkers: assembly is byte-identical
-// for any worker count, and so must be the snapshot serialisation.
+// for any GOMAXPROCS, and so must be the snapshot serialisation.
 func TestSnapshotBytesIdenticalAcrossWorkers(t *testing.T) {
 	opts := testDataset.Opts
 	var snaps [][]byte
-	for _, workers := range []int{1, 8} {
-		o := opts
-		o.Workers = workers
-		snaps = append(snaps, snapshotBytes(t, Assemble(testWorld, telemetry.DefaultConfig(), o)))
+	for _, procs := range []int{1, 8} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			snaps = append(snaps, snapshotBytes(t, Assemble(testWorld, telemetry.DefaultConfig(), opts)))
+		}()
 	}
 	if !bytes.Equal(snaps[0], snaps[1]) {
-		t.Error("snapshots differ between Workers=1 and Workers=8")
+		t.Error("snapshots differ between GOMAXPROCS=1 and GOMAXPROCS=8")
 	}
 	ref := snapshotBytes(t, testDataset)
 	if !bytes.Equal(snaps[0], ref) {

@@ -15,11 +15,12 @@ import (
 	"wwb/internal/world"
 )
 
-// The streaming assembly pipeline. The legacy path materialises a
-// full []SiteStats per cell, sorts it twice, and buffers every cell's
-// result before merging — O(sites) per cell and O(total results) at
-// the fan-in, which caps the universe scale a machine can assemble.
-// This path holds, per in-flight cell, only:
+// The streaming assembly pipeline. The reference pipeline the tests
+// hold it to (oracle_test.go) materialises a full []SiteStats per
+// cell, sorts it twice, and buffers every cell's result before
+// merging — O(sites) per cell and O(total results) at the fan-in,
+// which caps the universe scale a machine can assemble. This path
+// holds, per in-flight cell, only:
 //
 //   - two bounded top-N selectors (O(TopN) each, pooled),
 //   - exact cell totals (O(1), accumulated inline by SampleCellVisit),
@@ -27,12 +28,12 @@ import (
 //     (key-index, loads, time) contributions — O(candidates of one
 //     country), freed back to the pool as soon as the cell merges.
 //
-// Results flow through parallel.StreamCtx, so at most 2×workers cell
-// results exist at once and the fan-in consumes them in canonical job
-// order on one goroutine. The global distribution accumulators are
+// Results flow through parallel.StreamCtx, so at most 2×GOMAXPROCS
+// cell results exist at once and the fan-in consumes them in canonical
+// job order on one goroutine. The global distribution accumulators are
 // dense float64 vectors indexed by interned u32 site keys; each site
 // key receives exactly one contribution per cell, applied in job
-// order — the same documented summation order as the legacy map
+// order — the same documented summation order as the reference map
 // merge, which (contributions being integer-valued floats well below
 // 2^53) makes the two pipelines byte-identical, not merely close.
 
@@ -299,7 +300,7 @@ func runStreamCells(ctx context.Context, w *world.World, tcfg telemetry.Config, 
 		res.dist = dist
 		// Coverage from the streamed exact totals: the numerator is
 		// summed over the ranked list in rank order, matching the
-		// legacy reference arithmetic operation for operation.
+		// reference pipeline's arithmetic operation for operation.
 		if tot.Loads > 0 {
 			res.covLoads, res.hasLoads = sumValues(res.byLoads)/float64(tot.Loads), true
 		}
@@ -332,7 +333,7 @@ func runStreamCells(ctx context.Context, w *world.World, tcfg telemetry.Config, 
 		return nil
 	}
 
-	if err := parallel.StreamCtx(ctx, opts.Workers, len(jobs), produce, consume); err != nil {
+	if err := parallel.StreamCtx(ctx, len(jobs), produce, consume); err != nil {
 		return nil, nil, err
 	}
 	metrics.ObserveStage("chrome.stream.select", selectNanos.duration())

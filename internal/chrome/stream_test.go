@@ -2,43 +2,46 @@ package chrome
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"wwb/internal/telemetry"
 	"wwb/internal/world"
 )
 
-// encodeWith assembles a dataset over w with the given knobs and
-// returns its snapshot bytes — the byte-level fingerprint the
-// equivalence tests compare.
-func encodeWith(t *testing.T, w *world.World, opts Options) []byte {
+// assembler is either assembly pipeline: Assemble (streaming) or the
+// assembleLegacy reference oracle.
+type assembler func(*world.World, telemetry.Config, Options) *Dataset
+
+// encodeWith assembles a dataset over w with the given pipeline under
+// GOMAXPROCS=procs and returns its snapshot bytes — the byte-level
+// fingerprint the equivalence tests compare.
+func encodeWith(t *testing.T, procs int, assemble assembler, w *world.World, opts Options) []byte {
 	t.Helper()
-	return snapshotBytes(t, Assemble(w, telemetry.DefaultConfig(), opts))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return snapshotBytes(t, assemble(w, telemetry.DefaultConfig(), opts))
 }
 
 // TestStreamingMatchesLegacyByteIdentical is the streaming pipeline's
-// correctness bar: for every worker count, the bounded-memory path
-// must encode to exactly the bytes of the materialise-and-sort
-// reference path — rank lists, coverage fractions, and the float
-// distribution curves included.
+// correctness bar: for every GOMAXPROCS, the bounded-memory path must
+// encode to exactly the bytes of the materialise-and-sort reference
+// path — rank lists, coverage fractions, and the float distribution
+// curves included.
 func TestStreamingMatchesLegacyByteIdentical(t *testing.T) {
 	opts := testDataset.Opts
 	variants := []struct {
-		name    string
-		legacy  bool
-		workers int
+		name     string
+		assemble assembler
+		procs    int
 	}{
-		{"legacy/w1", true, 1},
-		{"legacy/w8", true, 8},
-		{"stream/w1", false, 1},
-		{"stream/w8", false, 8},
+		{"legacy/w1", assembleLegacy, 1},
+		{"legacy/w8", assembleLegacy, 8},
+		{"stream/w1", Assemble, 1},
+		{"stream/w8", Assemble, 8},
 	}
 	var want []byte
 	for _, v := range variants {
-		o := opts
-		o.LegacyAssembly = v.legacy
-		o.Workers = v.workers
-		got := encodeWith(t, testWorld, o)
+		got := encodeWith(t, v.procs, v.assemble, testWorld, opts)
 		if want == nil {
 			want = got
 			continue
@@ -52,8 +55,8 @@ func TestStreamingMatchesLegacyByteIdentical(t *testing.T) {
 
 // TestStreamingGoldenDefaultScale repeats the byte-identical check on
 // the default-scale universe (all study months, DistMonth included) at
-// Workers 1 vs 8 — the golden check ISSUE 7 asks for. The assembly is
-// the expensive part of the suite, so it is skipped under -short.
+// GOMAXPROCS 1 vs 8, and against the reference pipeline. The assembly
+// is the expensive part of the suite, so it is skipped under -short.
 func TestStreamingGoldenDefaultScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default-scale assembly is slow; run without -short")
@@ -62,19 +65,11 @@ func TestStreamingGoldenDefaultScale(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Months = []world.Month{world.Feb2022}
 
-	o1 := opts
-	o1.Workers = 1
-	seq := encodeWith(t, w, o1)
-
-	o8 := opts
-	o8.Workers = 8
-	if par := encodeWith(t, w, o8); !bytes.Equal(seq, par) {
-		t.Fatalf("default scale: Workers=8 streaming assembly differs from sequential (%d vs %d bytes)", len(par), len(seq))
+	seq := encodeWith(t, 1, Assemble, w, opts)
+	if par := encodeWith(t, 8, Assemble, w, opts); !bytes.Equal(seq, par) {
+		t.Fatalf("default scale: GOMAXPROCS=8 streaming assembly differs from sequential (%d vs %d bytes)", len(par), len(seq))
 	}
-
-	ol := opts
-	ol.LegacyAssembly = true
-	if leg := encodeWith(t, w, ol); !bytes.Equal(seq, leg) {
+	if leg := encodeWith(t, 0, assembleLegacy, w, opts); !bytes.Equal(seq, leg) {
 		t.Fatalf("default scale: legacy assembly differs from streaming (%d vs %d bytes)", len(leg), len(seq))
 	}
 }
@@ -86,11 +81,8 @@ func TestStreamingTruncatesLikeTopN(t *testing.T) {
 	opts := testDataset.Opts
 	opts.TopN = 25
 
-	os := opts
-	ol := opts
-	ol.LegacyAssembly = true
-	stream := Assemble(testWorld, telemetry.DefaultConfig(), os)
-	legacy := Assemble(testWorld, telemetry.DefaultConfig(), ol)
+	stream := Assemble(testWorld, telemetry.DefaultConfig(), opts)
+	legacy := assembleLegacy(testWorld, telemetry.DefaultConfig(), opts)
 
 	for _, c := range stream.Countries {
 		for _, p := range world.Platforms {
@@ -119,9 +111,8 @@ func TestStreamingTruncatesLikeTopN(t *testing.T) {
 // TestAssemblePeakHeapGaugeSet: the observability contract — after an
 // assembly the peak-heap gauge holds a plausible (non-zero) reading.
 func TestAssemblePeakHeapGaugeSet(t *testing.T) {
-	opts := testDataset.Opts
-	opts.Workers = 2
-	_ = Assemble(testWorld, telemetry.DefaultConfig(), opts)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	_ = Assemble(testWorld, telemetry.DefaultConfig(), testDataset.Opts)
 	if got := AssemblePeakHeapBytes(); got <= 0 {
 		t.Fatalf("peak heap gauge = %d, want > 0", got)
 	}

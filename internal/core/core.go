@@ -31,10 +31,6 @@ type Config struct {
 	// SamplesPerCategory is the validation sample size (the paper
 	// manually checks ten random sites per category).
 	SamplesPerCategory int
-	// Workers bounds the goroutines used by dataset assembly and the
-	// parallel analyses: 0 (the default) means one per CPU, 1 forces
-	// the sequential path. Results are identical for every value.
-	Workers int
 	// Chaos injects deterministic transport faults into the
 	// categorisation path (see internal/chaos). The zero value is off:
 	// study output is then byte-identical to a build without the fault
@@ -104,9 +100,6 @@ func New(cfg Config) *Study {
 // error and no study. A nil error guarantees a study identical to
 // New's.
 func NewCtx(ctx context.Context, cfg Config) (*Study, error) {
-	if cfg.Chrome.Workers == 0 {
-		cfg.Chrome.Workers = cfg.Workers
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -233,9 +226,6 @@ func memo[T any](s *Study, key string, compute func() T) T {
 // on next request against the mutated dataset. Like the underlying
 // append, this must not race with concurrent readers of the study.
 func (s *Study) AppendMonth(ctx context.Context, aopts chrome.AppendOptions) (*chrome.Increment, error) {
-	if aopts.Workers == 0 {
-		aopts.Workers = s.Cfg.Workers
-	}
 	inc, err := chrome.AppendMonthCtx(ctx, s.Dataset, s.World, s.Cfg.Telemetry, aopts)
 	if err != nil {
 		return nil, err
@@ -325,7 +315,7 @@ func (s *Study) CategoryDrift(p world.Platform, m world.Metric, n int) map[world
 func (s *Study) CountrySimilarity(p world.Platform, m world.Metric) analysis.SimilarityMatrix {
 	key := "sim|" + p.String() + m.String()
 	return memo(s, key, func() analysis.SimilarityMatrix {
-		return analysis.AnalyzeCountrySimilarity(s.Dataset, p, m, s.Month, s.Cfg.Chrome.TopN, s.Cfg.Workers)
+		return analysis.AnalyzeCountrySimilarity(s.Dataset, p, m, s.Month, s.Cfg.Chrome.TopN)
 	})
 }
 
@@ -341,7 +331,7 @@ func (s *Study) CountryClusters(p world.Platform, m world.Metric) analysis.Clust
 func (s *Study) Endemicity(p world.Platform, m world.Metric) analysis.EndemicityResult {
 	key := "endem|" + p.String() + m.String()
 	return memo(s, key, func() analysis.EndemicityResult {
-		return analysis.AnalyzeEndemicity(s.Dataset, s.Categorize, p, m, s.Month, s.Cfg.Workers)
+		return analysis.AnalyzeEndemicity(s.Dataset, s.Categorize, p, m, s.Month)
 	})
 }
 
@@ -355,5 +345,5 @@ func (s *Study) GlobalShareByBucket(p world.Platform, m world.Metric) []analysis
 
 // PairwiseIntersections runs Figure 12.
 func (s *Study) PairwiseIntersections(p world.Platform, m world.Metric, buckets []int) []analysis.PairwiseIntersectionCurve {
-	return analysis.AnalyzePairwiseIntersections(s.Dataset, p, m, s.Month, buckets, s.Cfg.Workers)
+	return analysis.AnalyzePairwiseIntersections(s.Dataset, p, m, s.Month, buckets)
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"wwb/internal/analysis"
 	"wwb/internal/chrome"
 	"wwb/internal/world"
 )
@@ -22,34 +24,39 @@ func snapshotBytes(t *testing.T, ds *chrome.Dataset) []byte {
 	return buf.Bytes()
 }
 
-// TestStudyWorkerCountInvariance pins the determinism contract of the
-// Workers knob end to end: a parallel study must produce a dataset
-// that encodes to the same bytes as the sequential one, and identical
-// analysis results on top of it.
+// TestStudyWorkerCountInvariance pins the determinism contract of
+// sizing every pool from GOMAXPROCS end to end: a parallel study must
+// produce a dataset that encodes to the same bytes as the sequential
+// one, and identical analysis results on top of it.
 func TestStudyWorkerCountInvariance(t *testing.T) {
-	build := func(workers int) *Study {
-		cfg := SmallConfig().FebOnly()
-		cfg.Workers = workers
-		return New(cfg)
+	type result struct {
+		snap          []byte
+		concentration analysis.Concentration
+		similarity    analysis.SimilarityMatrix
 	}
-	seq := build(1)
-	par := build(8)
+	// Each study is built and analysed under its own GOMAXPROCS: the
+	// analyses size their pools when they run, not when the study was
+	// built.
+	run := func(procs int) result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s := New(SmallConfig().FebOnly())
+		return result{
+			snap:          snapshotBytes(t, s.Dataset),
+			concentration: s.Concentration(world.Windows, world.PageLoads),
+			similarity:    s.CountrySimilarity(world.Windows, world.PageLoads),
+		}
+	}
+	seq := run(1)
+	par := run(8)
 
-	if !bytes.Equal(snapshotBytes(t, seq.Dataset), snapshotBytes(t, par.Dataset)) {
-		t.Fatal("Workers=8 dataset encodes differently from Workers=1")
+	if !bytes.Equal(seq.snap, par.snap) {
+		t.Fatal("GOMAXPROCS=8 dataset encodes differently from GOMAXPROCS=1")
 	}
-
-	if !reflect.DeepEqual(
-		seq.Concentration(world.Windows, world.PageLoads),
-		par.Concentration(world.Windows, world.PageLoads),
-	) {
-		t.Error("Concentration differs across worker counts")
+	if !reflect.DeepEqual(seq.concentration, par.concentration) {
+		t.Error("Concentration differs across GOMAXPROCS")
 	}
-	if !reflect.DeepEqual(
-		seq.CountrySimilarity(world.Windows, world.PageLoads),
-		par.CountrySimilarity(world.Windows, world.PageLoads),
-	) {
-		t.Error("CountrySimilarity differs across worker counts")
+	if !reflect.DeepEqual(seq.similarity, par.similarity) {
+		t.Error("CountrySimilarity differs across GOMAXPROCS")
 	}
 }
 

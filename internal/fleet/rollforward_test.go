@@ -17,6 +17,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -47,16 +48,19 @@ func writeSnapshotProv(t *testing.T, dir, name string, ds *chrome.Dataset, prov 
 // bound to it and returns (basePath, deltaPath, appended dataset).
 // The appended dataset comes from re-decoding the base artifact, so
 // the chain is exactly what a fleet operator would produce with
-// `wwbgen -append 2022-03 -base base.wwb -roll-dist`.
-func buildDeltaArtifacts(t *testing.T, dir string, workers int) (string, string, *chrome.Dataset) {
+// `wwbgen -append 2022-03 -base base.wwb -roll-dist`. The append runs
+// under GOMAXPROCS=procs (0 keeps the current setting).
+func buildDeltaArtifacts(t *testing.T, dir string, procs int) (string, string, *chrome.Dataset) {
 	t.Helper()
 	basePath := writeSnapshotProv(t, dir, "base.wwb", fleetDS, rollProv)
 	ds, info, err := chrome.DecodeAnyPath(basePath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prev := runtime.GOMAXPROCS(procs)
 	inc, err := chrome.AppendMonthCtx(context.Background(), ds, fleetWorld, telemetry.DefaultConfig(),
-		chrome.AppendOptions{Month: world.Mar2022, RollDist: true, Workers: workers})
+		chrome.AppendOptions{Month: world.Mar2022, RollDist: true})
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +101,8 @@ func rolledOracle() *chrome.Dataset {
 // require every route of the full /v1 matrix — the appended month
 // included — to answer with the exact bytes of a single unsharded
 // server over a full rebuild of the extended window. The delta is
-// also required to be byte-identical whether the append ran with 1
-// or 8 workers.
+// also required to be byte-identical whether the append ran under
+// GOMAXPROCS 1 or 8.
 func TestFleetDeltaSwapByteEquivalence(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(prevWriter())
@@ -116,7 +120,7 @@ func TestFleetDeltaSwapByteEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(delta1, delta8) {
-		t.Fatal("delta bytes differ between Workers=1 and Workers=8")
+		t.Fatal("delta bytes differ between GOMAXPROCS=1 and GOMAXPROCS=8")
 	}
 
 	oracleDS := rolledOracle()

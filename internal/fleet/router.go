@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wwb/internal/chaos"
 	"wwb/internal/chrome"
 	"wwb/internal/crux"
 	"wwb/internal/endemicity"
@@ -75,26 +76,29 @@ type RouterConfig struct {
 	Shards [][]string
 	// Client performs sub-requests; nil uses a 30s-timeout client.
 	Client *http.Client
-	// EpochRetries bounds refetches of stale shards during a fan-out
-	// that straddles a swap. 0 means the default (5).
-	EpochRetries int
 	// HealthCooldown is how long a replica stays routed-around after a
 	// transport failure. 0 means the default (2s).
 	HealthCooldown time.Duration
-	// Workers bounds fan-out concurrency (0 = GOMAXPROCS).
-	Workers int
 	// RetryBudget bounds, per client request, how many sub-request
 	// retries (attempts beyond the first per shard leg) the router may
 	// spend across all replicas. Fan-out routes scale it by the shard
 	// count. 0 means the default (3); a sick fleet must not turn one
 	// client request into an unbounded retry storm.
 	RetryBudget int
-	// HedgeMin / HedgeMax clamp the p99-derived hedge delay for
-	// fan-out sub-requests. Zero values mean the defaults (2ms, 500ms);
-	// HedgeMax < 0 disables hedging entirely.
-	HedgeMin time.Duration
+	// HedgeMax caps the p99-derived hedge delay for fan-out
+	// sub-requests (the floor is hedgeMin). 0 means the default
+	// (500ms); HedgeMax < 0 disables hedging entirely.
 	HedgeMax time.Duration
 }
+
+const (
+	// epochRetries bounds refetches of stale shards during a fan-out
+	// that straddles a swap.
+	epochRetries = 5
+	// hedgeMin floors the p99-derived hedge delay, so a fleet with a
+	// near-zero p99 does not hedge every sub-request.
+	hedgeMin = 2 * time.Millisecond
+)
 
 // replica is one shard backend with its health gate. A transport
 // failure marks it down for a cooldown; requests route around a down
@@ -259,15 +263,12 @@ type fleetInfo struct {
 // epoch-checked: a merged response is never assembled from two dataset
 // epochs, even mid-swap.
 type Router struct {
-	client       *http.Client
-	shards       []*shardGroup
-	epochRetries int
-	cooldown     time.Duration
-	workers      int
-	retryBudget  int
-	hedgeMin     time.Duration
-	hedgeMax     time.Duration
-	lat          latRing
+	client      *http.Client
+	shards      []*shardGroup
+	cooldown    time.Duration
+	retryBudget int
+	hedgeMax    time.Duration
+	lat         latRing
 
 	// infoMu guards the cached fleet info (epoch, analysis month,
 	// country roster); invalidated on swap or observed epoch change.
@@ -290,28 +291,19 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		return nil, fmt.Errorf("router needs at least one shard")
 	}
 	rt := &Router{
-		client:       cfg.Client,
-		epochRetries: cfg.EpochRetries,
-		cooldown:     cfg.HealthCooldown,
-		workers:      cfg.Workers,
-		retryBudget:  cfg.RetryBudget,
-		hedgeMin:     cfg.HedgeMin,
-		hedgeMax:     cfg.HedgeMax,
+		client:      cfg.Client,
+		cooldown:    cfg.HealthCooldown,
+		retryBudget: cfg.RetryBudget,
+		hedgeMax:    cfg.HedgeMax,
 	}
 	if rt.client == nil {
 		rt.client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if rt.epochRetries <= 0 {
-		rt.epochRetries = 5
 	}
 	if rt.cooldown <= 0 {
 		rt.cooldown = 2 * time.Second
 	}
 	if rt.retryBudget <= 0 {
 		rt.retryBudget = 3
-	}
-	if rt.hedgeMin <= 0 {
-		rt.hedgeMin = 2 * time.Millisecond
 	}
 	if rt.hedgeMax == 0 {
 		rt.hedgeMax = 500 * time.Millisecond
@@ -488,14 +480,21 @@ func (rt *Router) hedgeDelay() time.Duration {
 	if d == 0 {
 		return rt.hedgeMax
 	}
-	if d < rt.hedgeMin {
-		d = rt.hedgeMin
+	if d < hedgeMin {
+		d = hedgeMin
 	}
 	if d > rt.hedgeMax {
 		d = rt.hedgeMax
 	}
 	return d
 }
+
+// Attempt numbers of one shard leg, as stamped for the fault transport
+// (chaos.WithAttempt): the primary is attempt 1, its hedge
+// hedgeAttempt, and epoch-skew refetch k is hedgeAttempt+k. Resending
+// a leg thus draws a fresh fault, while a leg's faults never depend
+// on how often its URI was requested before.
+const hedgeAttempt = 2
 
 // doHedged is the tail-latency variant of do for fan-out legs: if the
 // primary attempt has not answered within the p99-derived delay, a
@@ -516,8 +515,12 @@ func (rt *Router) doHedged(ctx context.Context, shard int, uri string, b *retryB
 	}
 	ch := make(chan result, 2)
 	launch := func(hedged bool) {
+		lctx := hctx
+		if hedged {
+			lctx = chaos.WithAttempt(hctx, hedgeAttempt)
+		}
 		go func() {
-			resp, err := rt.do(hctx, shard, http.MethodGet, uri, b)
+			resp, err := rt.do(lctx, shard, http.MethodGet, uri, b)
 			ch <- result{resp: resp, err: err, hedged: hedged}
 		}()
 	}
@@ -576,7 +579,7 @@ func forward(w http.ResponseWriter, resp *shardResp) {
 // error the caller turns into a shed.
 func (rt *Router) fanout(ctx context.Context, uri string, b *retryBudget) ([]*shardResp, error) {
 	mFanoutWidth.Observe(float64(len(rt.shards)))
-	resps, err := parallel.MapCtx(ctx, rt.workers, len(rt.shards),
+	resps, err := parallel.MapCtx(ctx, len(rt.shards),
 		func(ctx context.Context, i int) (*shardResp, error) {
 			resp, err := rt.doHedged(ctx, i, uri, b)
 			if err != nil {
@@ -604,17 +607,18 @@ func (rt *Router) fanout(ctx context.Context, uri string, b *retryBudget) ([]*sh
 			mRouterEpoch.Set(int64(target))
 			return resps, nil
 		}
-		if attempt >= rt.epochRetries {
+		if attempt >= epochRetries {
 			return nil, fmt.Errorf("epoch skew persisted across %d retries (want epoch %d)", attempt, target)
 		}
 		// A stale shard has not installed the new epoch yet; give the
 		// swap a beat to propagate, then refetch just the stragglers.
 		time.Sleep(10 * time.Millisecond)
-		_, err := parallel.MapCtx(ctx, rt.workers, len(stale),
+		refetch := hedgeAttempt + attempt + 1
+		_, err := parallel.MapCtx(ctx, len(stale),
 			func(ctx context.Context, j int) (struct{}, error) {
 				i := stale[j]
 				mEpochSkewRetries.Inc()
-				resp, err := rt.do(ctx, i, http.MethodGet, uri, b)
+				resp, err := rt.do(chaos.WithAttempt(ctx, refetch), i, http.MethodGet, uri, b)
 				if err != nil {
 					return struct{}{}, fmt.Errorf("shard %d: %w", i, err)
 				}
@@ -820,7 +824,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		shard := ShardOf(country, month, len(rt.shards))
-		resp, err := rt.do(r.Context(), shard, http.MethodGet, r.URL.RequestURI(), b)
+		resp, err := rt.do(chaos.WithAttempt(r.Context(), attempt+1), shard, http.MethodGet, r.URL.RequestURI(), b)
 		if err != nil {
 			degrade(w, err, "list proxy failed")
 			return
@@ -1064,7 +1068,7 @@ func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 	// Discover the fleet's max epoch so the target epoch is strictly
 	// newer everywhere, even after a previous partial swap.
 	var maxEpoch atomic.Uint64
-	parallel.ForEach(rt.workers, len(targets), func(i int) {
+	parallel.ForEach(len(targets), func(i int) {
 		resp, err := rt.doReplica(r.Context(), targets[i].rep, http.MethodGet, "/shard/info")
 		if err != nil {
 			return
@@ -1082,7 +1086,7 @@ func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 	}
 	epoch := maxEpoch.Load() + 1
 	uri := "/admin/swap?data=" + url.QueryEscape(path) + "&epoch=" + strconv.FormatUint(epoch, 10)
-	results := parallel.Map(rt.workers, len(targets), func(i int) swapResult {
+	results := parallel.Map(len(targets), func(i int) swapResult {
 		res := swapResult{Shard: targets[i].shard, Replica: targets[i].rep.base}
 		resp, err := rt.doReplica(r.Context(), targets[i].rep, http.MethodPost, uri)
 		if err != nil {

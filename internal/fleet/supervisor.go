@@ -486,7 +486,7 @@ func countFailed(results []swapResult) int {
 // stay strictly monotonic even after partial rollouts.
 func (s *Supervisor) maxEpoch(ctx context.Context) (uint64, error) {
 	var maxE atomic.Uint64
-	parallel.ForEach(0, len(s.slots), func(i int) {
+	parallel.ForEach(len(s.slots), func(i int) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 			"http://"+s.slots[i].spec.Addr+"/shard/info", nil)
 		if err != nil {
@@ -515,7 +515,7 @@ func (s *Supervisor) maxEpoch(ctx context.Context) (uint64, error) {
 // result per replica.
 func (s *Supervisor) swapAll(ctx context.Context, path string, epoch uint64) []swapResult {
 	uri := "/admin/swap?data=" + url.QueryEscape(path) + "&epoch=" + strconv.FormatUint(epoch, 10)
-	return parallel.Map(0, len(s.slots), func(i int) swapResult {
+	return parallel.Map(len(s.slots), func(i int) swapResult {
 		sl := s.slots[i]
 		res := swapResult{Shard: sl.spec.Shard, Replica: sl.spec.Addr}
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+sl.spec.Addr+uri, nil)

@@ -3,8 +3,10 @@
 // indexed, workers pull indices from a shared atomic counter (so
 // uneven items balance automatically), and results land in
 // index-order slots — the output is byte-for-byte independent of
-// scheduling. A worker count of 1 runs inline on the caller's
-// goroutine, preserving an exactly-sequential execution path.
+// scheduling. The pool is sized by runtime.GOMAXPROCS and nothing
+// else: parallelism describes the machine, not the data, so no caller
+// passes a worker count. GOMAXPROCS=1 runs every pool inline on the
+// caller's goroutine, preserving an exactly-sequential execution path.
 package parallel
 
 import (
@@ -36,37 +38,29 @@ var (
 		metrics.DefBuckets)
 )
 
-// Workers resolves a worker-count knob: values >= 1 are used as-is,
-// anything else (0, negative) means "one worker per available CPU"
-// via runtime.GOMAXPROCS(0).
-func Workers(n int) int {
-	if n >= 1 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
+// workers sizes a pool for n items: one worker per GOMAXPROCS, never
+// more workers than items.
+func workers(n int) int {
+	return min(runtime.GOMAXPROCS(0), n)
 }
 
-// ForEach runs fn(i) for every i in [0, n) on at most workers
-// goroutines (0 or negative workers = GOMAXPROCS). It returns after
-// every call has finished. fn must confine its writes to locations
-// disjoint per index (e.g. out[i]); under that contract the overall
-// effect is identical to the sequential loop regardless of worker
-// count or scheduling.
+// ForEach runs fn(i) for every i in [0, n) on at most GOMAXPROCS
+// goroutines. It returns after every call has finished. fn must
+// confine its writes to locations disjoint per index (e.g. out[i]);
+// under that contract the overall effect is identical to the
+// sequential loop regardless of GOMAXPROCS or scheduling.
 //
 // If any fn panics, ForEach waits for the remaining work to finish
 // and then re-panics on the calling goroutine with the first
 // recovered value and its worker stack trace.
-func ForEach(workers, n int, fn func(i int)) {
+func ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
 	start := time.Now()
 	defer func() { mCallSeconds.Observe(time.Since(start).Seconds()) }()
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
+	w := workers(n)
+	if w == 1 {
 		for i := 0; i < n; i++ {
 			mTasksStarted.Inc()
 			fn(i)
@@ -81,7 +75,7 @@ func ForEach(workers, n int, fn func(i int)) {
 		panicOnce sync.Once
 		panicked  error
 	)
-	for w := 0; w < workers; w++ {
+	for range w {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -113,12 +107,12 @@ func ForEach(workers, n int, fn func(i int)) {
 	}
 }
 
-// Map runs fn over every index in [0, n) with at most workers
-// concurrent goroutines and returns the results in index order. The
-// output slice is identical for any worker count.
-func Map[T any](workers, n int, fn func(i int) T) []T {
+// Map runs fn over every index in [0, n) on the ForEach pool and
+// returns the results in index order. The output slice is identical
+// for any GOMAXPROCS.
+func Map[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	ForEach(workers, n, func(i int) {
+	ForEach(n, func(i int) {
 		out[i] = fn(i)
 	})
 	return out
@@ -138,20 +132,17 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 // first panic wins, remaining in-flight work finishes, and the panic
 // is re-raised on the caller with the worker stack — a panic beats any
 // error.
-func ForEachCtx(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
+func ForEachCtx(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
 	start := time.Now()
 	defer func() { mCallSeconds.Observe(time.Since(start).Seconds()) }()
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
+	w := workers(n)
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	if workers == 1 {
+	if w == 1 {
 		for i := 0; i < n; i++ {
 			if err := cctx.Err(); err != nil {
 				return err
@@ -174,7 +165,7 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(ctx context.Context
 		panicOnce sync.Once
 		panicked  error
 	)
-	for w := 0; w < workers; w++ {
+	for range w {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -225,12 +216,12 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(ctx context.Context
 }
 
 // MapCtx is the cancellable, error-propagating Map: results land in
-// index-order slots and the output is identical for any worker count.
+// index-order slots and the output is identical for any GOMAXPROCS.
 // On error or cancellation the partially filled slice is returned
 // alongside the error; callers must treat it as incomplete.
-func MapCtx[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+func MapCtx[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := ForEachCtx(ctx, workers, n, func(ctx context.Context, i int) error {
+	err := ForEachCtx(ctx, n, func(ctx context.Context, i int) error {
 		v, err := fn(ctx, i)
 		if err != nil {
 			return err

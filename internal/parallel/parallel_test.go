@@ -10,41 +10,53 @@ import (
 	"testing"
 )
 
+// withProcs runs fn with GOMAXPROCS set to procs (0 keeps the current
+// setting), restoring the previous setting afterwards. The pool sizes
+// itself from GOMAXPROCS, so this is how a test picks a worker count.
+// No test here calls t.Parallel, so the process-wide change is safe.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
 func TestWorkersResolution(t *testing.T) {
-	if got := Workers(4); got != 4 {
-		t.Errorf("Workers(4) = %d", got)
-	}
-	if got := Workers(1); got != 1 {
-		t.Errorf("Workers(1) = %d", got)
-	}
-	want := runtime.GOMAXPROCS(0)
-	if got := Workers(0); got != want {
-		t.Errorf("Workers(0) = %d, want GOMAXPROCS %d", got, want)
-	}
-	if got := Workers(-3); got != want {
-		t.Errorf("Workers(-3) = %d, want GOMAXPROCS %d", got, want)
-	}
+	withProcs(4, func() {
+		if got := workers(100); got != 4 {
+			t.Errorf("GOMAXPROCS=4: workers(100) = %d, want 4", got)
+		}
+		if got := workers(3); got != 3 {
+			t.Errorf("GOMAXPROCS=4: workers(3) = %d, want 3 (one per item)", got)
+		}
+	})
+	withProcs(1, func() {
+		if got := workers(100); got != 1 {
+			t.Errorf("GOMAXPROCS=1: workers(100) = %d, want 1", got)
+		}
+	})
 }
 
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 64} {
+	for _, procs := range []int{0, 1, 2, 7, 64} {
 		const n = 1000
 		counts := make([]atomic.Int32, n)
-		ForEach(workers, n, func(i int) {
-			counts[i].Add(1)
+		withProcs(procs, func() {
+			ForEach(n, func(i int) {
+				counts[i].Add(1)
+			})
 		})
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
+				t.Fatalf("GOMAXPROCS=%d: index %d ran %d times", procs, i, c)
 			}
 		}
 	}
 }
 
 func TestForEachZeroAndNegativeN(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ran := false
-	ForEach(4, 0, func(int) { ran = true })
-	ForEach(4, -5, func(int) { ran = true })
+	ForEach(0, func(int) { ran = true })
+	ForEach(-5, func(int) { ran = true })
 	if ran {
 		t.Error("fn ran for non-positive n")
 	}
@@ -52,12 +64,14 @@ func TestForEachZeroAndNegativeN(t *testing.T) {
 
 func TestMapOrderIndependentOfWorkers(t *testing.T) {
 	const n = 500
-	want := Map(1, n, func(i int) int { return i * i })
-	for _, workers := range []int{2, 8, 0} {
-		got := Map(workers, n, func(i int) int { return i * i })
+	var want []int
+	withProcs(1, func() { want = Map(n, func(i int) int { return i * i }) })
+	for _, procs := range []int{2, 8, 0} {
+		var got []int
+		withProcs(procs, func() { got = Map(n, func(i int) int { return i * i }) })
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, got[i], want[i])
+				t.Fatalf("GOMAXPROCS=%d: out[%d] = %d, want %d", procs, i, got[i], want[i])
 			}
 		}
 	}
@@ -74,7 +88,8 @@ func TestForEachPropagatesPanic(t *testing.T) {
 			t.Fatalf("unexpected panic payload: %v", r)
 		}
 	}()
-	ForEach(4, 100, func(i int) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ForEach(100, func(i int) {
 		if i == 37 {
 			panic("boom")
 		}
@@ -82,19 +97,22 @@ func TestForEachPropagatesPanic(t *testing.T) {
 }
 
 func TestForEachCtxCompletesWithoutError(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
+	for _, procs := range []int{0, 1, 3, 16} {
 		const n = 300
 		counts := make([]atomic.Int32, n)
-		err := ForEachCtx(context.Background(), workers, n, func(_ context.Context, i int) error {
-			counts[i].Add(1)
-			return nil
+		var err error
+		withProcs(procs, func() {
+			err = ForEachCtx(context.Background(), n, func(_ context.Context, i int) error {
+				counts[i].Add(1)
+				return nil
+			})
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: err = %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: err = %v", procs, err)
 		}
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
+				t.Fatalf("GOMAXPROCS=%d: index %d ran %d times", procs, i, c)
 			}
 		}
 	}
@@ -102,20 +120,23 @@ func TestForEachCtxCompletesWithoutError(t *testing.T) {
 
 func TestForEachCtxPropagatesFirstError(t *testing.T) {
 	boom := errors.New("boom")
-	for _, workers := range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
 		var ran atomic.Int32
-		err := ForEachCtx(context.Background(), workers, 10000, func(_ context.Context, i int) error {
-			ran.Add(1)
-			if i == 5 {
-				return boom
-			}
-			return nil
+		var err error
+		withProcs(procs, func() {
+			err = ForEachCtx(context.Background(), 10000, func(_ context.Context, i int) error {
+				ran.Add(1)
+				if i == 5 {
+					return boom
+				}
+				return nil
+			})
 		})
 		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: err = %v, want boom", procs, err)
 		}
 		if n := ran.Load(); n == 10000 {
-			t.Errorf("workers=%d: error did not stop the loop early (ran all %d items)", workers, n)
+			t.Errorf("GOMAXPROCS=%d: error did not stop the loop early (ran all %d items)", procs, n)
 		}
 	}
 }
@@ -127,7 +148,9 @@ func TestForEachCtxErrorCancelsDerivedContext(t *testing.T) {
 	barrier.Add(2)
 	// The barrier guarantees both items are in flight before item 0
 	// errors, so item 1 reliably witnesses the resulting cancellation.
-	err := ForEachCtx(context.Background(), 2, 2, func(ctx context.Context, i int) error {
+	// It needs two workers, hence GOMAXPROCS=2.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	err := ForEachCtx(context.Background(), 2, func(ctx context.Context, i int) error {
 		barrier.Done()
 		barrier.Wait()
 		if i == 0 {
@@ -150,17 +173,20 @@ func TestForEachCtxErrorCancelsDerivedContext(t *testing.T) {
 func TestForEachCtxHonoursPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
 		var ran atomic.Int32
-		err := ForEachCtx(ctx, workers, 1000, func(_ context.Context, _ int) error {
-			ran.Add(1)
-			return nil
+		var err error
+		withProcs(procs, func() {
+			err = ForEachCtx(ctx, 1000, func(_ context.Context, _ int) error {
+				ran.Add(1)
+				return nil
+			})
 		})
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: err = %v, want context.Canceled", procs, err)
 		}
 		if n := ran.Load(); n == 1000 {
-			t.Errorf("workers=%d: cancelled loop still ran every item", workers)
+			t.Errorf("GOMAXPROCS=%d: cancelled loop still ran every item", procs)
 		}
 	}
 }
@@ -178,9 +204,10 @@ func TestForEachCtxPanicBeatsError(t *testing.T) {
 	// Two workers, two items, and a barrier that forces both items to
 	// be in flight before either resolves: one panics, one errors, and
 	// the panic must win regardless of which lands first.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	var barrier sync.WaitGroup
 	barrier.Add(2)
-	_ = ForEachCtx(context.Background(), 2, 2, func(_ context.Context, i int) error {
+	_ = ForEachCtx(context.Background(), 2, func(_ context.Context, i int) error {
 		barrier.Done()
 		barrier.Wait()
 		if i == 0 {
@@ -192,27 +219,35 @@ func TestForEachCtxPanicBeatsError(t *testing.T) {
 
 func TestMapCtxMatchesMap(t *testing.T) {
 	const n = 400
-	want := Map(1, n, func(i int) int { return i * 3 })
-	for _, workers := range []int{1, 2, 8} {
-		got, err := MapCtx(context.Background(), workers, n, func(_ context.Context, i int) (int, error) {
-			return i * 3, nil
+	var want []int
+	withProcs(1, func() { want = Map(n, func(i int) int { return i * 3 }) })
+	for _, procs := range []int{1, 2, 8} {
+		var (
+			got []int
+			err error
+		)
+		withProcs(procs, func() {
+			got, err = MapCtx(context.Background(), n, func(_ context.Context, i int) (int, error) {
+				return i * 3, nil
+			})
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, got[i], want[i])
+				t.Fatalf("GOMAXPROCS=%d: out[%d] = %d, want %d", procs, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 func TestForEachPanicStillCompletesOtherItems(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	var done atomic.Int32
 	func() {
 		defer func() { _ = recover() }()
-		ForEach(4, 100, func(i int) {
+		ForEach(100, func(i int) {
 			if i == 3 {
 				panic("boom")
 			}

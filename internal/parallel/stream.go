@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-// StreamCtx runs produce(i) for every i in [0, n) on at most workers
-// goroutines and hands each result to consume on the calling
-// goroutine, in strict index order. Unlike MapCtx it never holds all
-// n results at once: at most 2×workers produced-but-unconsumed
+// StreamCtx runs produce(i) for every i in [0, n) on at most
+// GOMAXPROCS goroutines and hands each result to consume on the
+// calling goroutine, in strict index order. Unlike MapCtx it never
+// holds all n results at once: at most 2×workers produced-but-unconsumed
 // results exist at any moment, and a worker that runs ahead of the
 // consumer by more than that window blocks before producing. That
 // bound is what turns an O(n)-results fan-in into an O(workers) one —
@@ -24,15 +24,15 @@ import (
 //
 //	for i := range n { consume(i, produce(i)) }
 //
-// loop for every worker count. workers == 1 executes exactly that
-// loop inline.
+// loop for every GOMAXPROCS. GOMAXPROCS=1 executes exactly that loop
+// inline.
 //
 // The first error from produce or consume cancels the derived context,
 // stops new work, and is returned after in-flight produce calls
 // drain; a consume error additionally guarantees consume is never
 // called again. Panics follow the ForEach contract: first panic wins
 // and is re-raised on the caller with the worker stack.
-func StreamCtx[T any](ctx context.Context, workers, n int,
+func StreamCtx[T any](ctx context.Context, n int,
 	produce func(ctx context.Context, i int) (T, error),
 	consume func(i int, v T) error) error {
 	if n <= 0 {
@@ -40,14 +40,11 @@ func StreamCtx[T any](ctx context.Context, workers, n int,
 	}
 	start := time.Now()
 	defer func() { mCallSeconds.Observe(time.Since(start).Seconds()) }()
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
+	w := workers(n)
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	if workers == 1 {
+	if w == 1 {
 		for i := 0; i < n; i++ {
 			if err := cctx.Err(); err != nil {
 				return err
@@ -65,7 +62,7 @@ func StreamCtx[T any](ctx context.Context, workers, n int,
 		return nil
 	}
 
-	window := 2 * workers
+	window := 2 * w
 	var (
 		mu     sync.Mutex
 		cond   = sync.NewCond(&mu)
@@ -105,7 +102,7 @@ func StreamCtx[T any](ctx context.Context, workers, n int,
 		}
 	}()
 
-	for w := 0; w < workers; w++ {
+	for range w {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -10,29 +11,32 @@ import (
 )
 
 // TestStreamCtxOrderedDelivery: results arrive at consume in strict
-// index order for every worker count, with nothing dropped.
+// index order for every GOMAXPROCS, with nothing dropped.
 func TestStreamCtxOrderedDelivery(t *testing.T) {
 	const n = 500
-	for _, workers := range []int{1, 2, 8} {
+	for _, procs := range []int{1, 2, 8} {
 		var got []int
-		err := StreamCtx(context.Background(), workers, n,
-			func(_ context.Context, i int) (int, error) { return i * i, nil },
-			func(i, v int) error {
-				if v != i*i {
-					t.Fatalf("workers=%d: consume(%d) got %d", workers, i, v)
-				}
-				got = append(got, i)
-				return nil
-			})
+		var err error
+		withProcs(procs, func() {
+			err = StreamCtx(context.Background(), n,
+				func(_ context.Context, i int) (int, error) { return i * i, nil },
+				func(i, v int) error {
+					if v != i*i {
+						t.Fatalf("GOMAXPROCS=%d: consume(%d) got %d", procs, i, v)
+					}
+					got = append(got, i)
+					return nil
+				})
+		})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		if len(got) != n {
-			t.Fatalf("workers=%d: consumed %d of %d", workers, len(got), n)
+			t.Fatalf("GOMAXPROCS=%d: consumed %d of %d", procs, len(got), n)
 		}
 		for i, idx := range got {
 			if idx != i {
-				t.Fatalf("workers=%d: out-of-order delivery at %d: %d", workers, i, idx)
+				t.Fatalf("GOMAXPROCS=%d: out-of-order delivery at %d: %d", procs, i, idx)
 			}
 		}
 	}
@@ -43,9 +47,10 @@ func TestStreamCtxOrderedDelivery(t *testing.T) {
 // assembly depends on.
 func TestStreamCtxBoundedWindow(t *testing.T) {
 	const workers, n = 4, 400
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	var consumed atomic.Int64
 	var maxLead atomic.Int64
-	err := StreamCtx(context.Background(), workers, n,
+	err := StreamCtx(context.Background(), n,
 		func(_ context.Context, i int) (int, error) {
 			lead := int64(i) - consumed.Load()
 			for {
@@ -73,8 +78,9 @@ func TestStreamCtxBoundedWindow(t *testing.T) {
 
 func TestStreamCtxProduceError(t *testing.T) {
 	sentinel := errors.New("boom")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	var consumedPast atomic.Bool
-	err := StreamCtx(context.Background(), 4, 100,
+	err := StreamCtx(context.Background(), 100,
 		func(_ context.Context, i int) (int, error) {
 			if i == 17 {
 				return 0, sentinel
@@ -97,8 +103,9 @@ func TestStreamCtxProduceError(t *testing.T) {
 
 func TestStreamCtxConsumeError(t *testing.T) {
 	sentinel := errors.New("consume failed")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	var after atomic.Bool
-	err := StreamCtx(context.Background(), 3, 50,
+	err := StreamCtx(context.Background(), 50,
 		func(_ context.Context, i int) (int, error) { return i, nil },
 		func(i, v int) error {
 			if i == 5 {
@@ -118,11 +125,12 @@ func TestStreamCtxConsumeError(t *testing.T) {
 }
 
 func TestStreamCtxCancellation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int64
 	errc := make(chan error, 1)
 	go func() {
-		errc <- StreamCtx(ctx, 4, 10_000,
+		errc <- StreamCtx(ctx, 10_000,
 			func(ctx context.Context, i int) (int, error) {
 				if started.Add(1) == 20 {
 					cancel()
@@ -154,7 +162,8 @@ func TestStreamCtxPanicPropagates(t *testing.T) {
 			t.Fatalf("unexpected panic payload: %v", r)
 		}
 	}()
-	_ = StreamCtx(context.Background(), 4, 100,
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	_ = StreamCtx(context.Background(), 100,
 		func(_ context.Context, i int) (int, error) {
 			if i == 9 {
 				panic("kaboom")
@@ -164,11 +173,12 @@ func TestStreamCtxPanicPropagates(t *testing.T) {
 		func(i, v int) error { return nil })
 }
 
-// TestStreamCtxSequentialPath: workers=1 is the plain inline loop —
+// TestStreamCtxSequentialPath: GOMAXPROCS=1 is the plain inline loop —
 // side-effect order interleaves produce and consume per index.
 func TestStreamCtxSequentialPath(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var trace []string
-	err := StreamCtx(context.Background(), 1, 3,
+	err := StreamCtx(context.Background(), 3,
 		func(_ context.Context, i int) (string, error) {
 			trace = append(trace, "p")
 			return "", nil
@@ -186,7 +196,8 @@ func TestStreamCtxSequentialPath(t *testing.T) {
 }
 
 func TestStreamCtxZeroItems(t *testing.T) {
-	err := StreamCtx(context.Background(), 4, 0,
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	err := StreamCtx(context.Background(), 0,
 		func(_ context.Context, i int) (int, error) { t.Fatal("produce called"); return 0, nil },
 		func(i, v int) error { t.Fatal("consume called"); return nil })
 	if err != nil {
