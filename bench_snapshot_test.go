@@ -7,6 +7,7 @@ package wwb
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 
 	"wwb/internal/chrome"
 	"wwb/internal/psl"
+	"wwb/internal/world"
 )
 
 var benchProv = chrome.SnapshotProvenance{Tool: "bench", WorldSeed: 1, Scale: "default"}
@@ -89,5 +91,54 @@ func BenchmarkSnapshotLoadPlusFirstQuery(b *testing.B) {
 		if _, ok := ix.ID(psl.Default.SiteKey("google.us")); !ok {
 			b.Fatal("google missing from restored index")
 		}
+	}
+}
+
+// BenchmarkDecodeDeltaChain resolves the default-scale snapshot
+// through 0, 1 and 2 stacked month deltas (March, then April with the
+// distribution month rolled), so the cost of one chain link — decode,
+// base binding, ApplyIncrement and index growth — is the difference
+// between neighbouring sub-benchmarks. It is the load a fleet swap
+// gate and the swap itself each pay per link.
+func BenchmarkDecodeDeltaChain(b *testing.B) {
+	s := study(b)
+	snap := benchSnapshotBytes(b)
+	dir := b.TempDir()
+	paths := []string{filepath.Join(dir, "study.wwb")}
+	if err := os.WriteFile(paths[0], snap, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	work, _, err := chrome.DecodeSnapshotBytes(snap)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prev := snap
+	for _, app := range []chrome.AppendOptions{
+		{Month: world.Mar2022},
+		{Month: world.Apr2022, RollDist: true},
+	} {
+		inc := chrome.AppendMonth(work, s.World, s.Cfg.Telemetry, app)
+		var buf bytes.Buffer
+		base := chrome.DeltaBase{
+			Name: filepath.Base(paths[len(paths)-1]), Size: uint64(len(prev)),
+			CRC: chrome.SnapshotFileCRC(prev), Provenance: benchProv,
+		}
+		if err := chrome.EncodeDelta(&buf, inc, base, benchProv); err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(dir, "study+"+app.Month.String()+".wwbd")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		paths, prev = append(paths, path), buf.Bytes()
+	}
+	for links, path := range paths {
+		b.Run(fmt.Sprintf("links=%d", links), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, info, err := chrome.DecodeAnyPath(path); err != nil || info.Chain != links {
+					b.Fatalf("decoding %s: chain %v, err %v", path, info, err)
+				}
+			}
+		})
 	}
 }

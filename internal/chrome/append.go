@@ -184,10 +184,11 @@ func (d *Dataset) ApplyIncrement(inc *Increment) error {
 	// Grow the memoized index only when the memo is live and fresh;
 	// otherwise drop it and let Index() rebuild over the merged
 	// dataset. growIndex preserves the sorted-ID invariant (IDs sorted
-	// numerically == keys sorted lexically) by sorted merge + remap,
-	// so a grown index is indistinguishable from a fresh build.
+	// numerically == keys sorted lexically) by sorted merge + remap
+	// and builds the month's views, so a grown index is
+	// indistinguishable from a fresh build.
 	if d.index != nil && d.indexGen == d.gen {
-		d.index = growIndex(d, d.index, inc.Lists)
+		d.index = growIndex(d.index, inc.Lists)
 	} else {
 		d.index = nil
 	}

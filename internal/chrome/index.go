@@ -1,9 +1,12 @@
 package chrome
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
+	"wwb/internal/parallel"
 	"wwb/internal/psl"
 	"wwb/internal/world"
 )
@@ -16,23 +19,21 @@ import (
 type KeyID int32
 
 // KeyIndex interns every merged site key of a dataset exactly once.
-// The key universe is fixed at assembly time, so each domain's PSL
-// parse happens once instead of once per analysis, and the hot
-// comparison kernels (weighted RBO, percent intersection, endemicity
-// rank maps) operate on dense int32 IDs with O(1)-reset scratch
-// buffers instead of hashing strings into fresh maps for each of the
-// ~990 country pairs.
+// Each distinct domain's PSL parse happens once per index build —
+// 51.8K parses for the 2.9M rank-list entries of the default scale —
+// and the hot comparison kernels (weighted RBO, percent intersection,
+// endemicity rank maps) operate on dense int32 IDs with O(1)-reset
+// scratch buffers instead of hashing strings into fresh maps for each
+// of the ~990 country pairs.
 //
-// Per-cell views are materialised lazily and memoized, so a server
-// that only ever touches one month pays only for that month. A
-// KeyIndex is safe for concurrent use.
+// Every per-cell view is built with the index, as a pass over
+// integers, and is immutable from then on; only the per-cell rank map
+// behind Rank is built on first use. A shard view's index shares the
+// parent's key universe and views (see Dataset.ShardView). A KeyIndex
+// is safe for concurrent use.
 type KeyIndex struct {
-	ds   *Dataset
-	keys []string         // KeyID → key, lexicographically sorted
-	ids  map[string]KeyID // key → KeyID
-
-	mu    sync.Mutex
-	cells map[string]*cellKeys // listKey → memoized per-cell view
+	keys  []string             // KeyID → key, lexicographically sorted
+	cells map[string]*cellKeys // listKey → view, one per rank list
 }
 
 // cellKeys is the interned view of one cell's rank list: the deduped
@@ -42,37 +43,21 @@ type KeyIndex struct {
 type cellKeys struct {
 	ids      []KeyID
 	firstPos []int32
-	// rankOf is built lazily by Rank for point-lookup callers (the
-	// query server); the bulk analyses never pay for it.
-	rankOf map[KeyID]int32
+	// rankOf is built on first use by Rank for point-lookup callers
+	// (the query server); the bulk analyses never pay for it.
+	rankOnce sync.Once
+	rankOf   map[KeyID]int32
 }
 
-// buildIndex interns the key universe: every distinct merged site key
-// across every cell's rank list, IDs assigned in sorted-key order so
-// the numbering is canonical — independent of map iteration order,
-// worker count, and which cells exist.
-func buildIndex(ds *Dataset) *KeyIndex {
-	distinct := make(map[string]struct{})
-	for _, l := range ds.lists {
-		for _, e := range l {
-			distinct[psl.Default.SiteKey(e.Domain)] = struct{}{}
-		}
-	}
-	keys := make([]string, 0, len(distinct))
-	for k := range distinct {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	ids := make(map[string]KeyID, len(keys))
-	for i, k := range keys {
-		ids[k] = KeyID(i)
-	}
-	return &KeyIndex{
-		ds:    ds,
-		keys:  keys,
-		ids:   ids,
-		cells: make(map[string]*cellKeys),
-	}
+// emptyCell is the view of a cell the dataset does not hold.
+var emptyCell = &cellKeys{}
+
+// buildIndex interns the key universe of a dataset's rank lists: every
+// distinct merged site key, IDs assigned in sorted-key order so the
+// numbering is canonical — independent of map iteration order,
+// GOMAXPROCS, and which cells exist.
+func buildIndex(lists map[string]RankList) *KeyIndex {
+	return growIndex(&KeyIndex{}, lists)
 }
 
 // Index returns the dataset's interned site-key index, building it on
@@ -81,7 +66,7 @@ func buildIndex(ds *Dataset) *KeyIndex {
 //
 // The memo is generation-checked: a month append bumps the dataset
 // generation and installs an incrementally grown index alongside it
-// (see applyIncrement), so a pre-append index can never be served. If
+// (see ApplyIncrement), so a pre-append index can never be served. If
 // the generations ever disagree — a mutation that bypassed the append
 // bookkeeping — the index is rebuilt from scratch, trading time for
 // guaranteed freshness.
@@ -89,78 +74,154 @@ func (d *Dataset) Index() *KeyIndex {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.index == nil || d.indexGen != d.gen {
-		d.index = buildIndex(d)
+		d.index = buildIndex(d.lists)
 		d.indexGen = d.gen
 	}
 	return d.index
 }
 
-// growIndex extends an index with the site keys of an appended month's
-// rank lists, preserving the canonical invariant that IDs numerically
-// sorted equal keys lexically sorted — the property every ID-path
-// analysis (and the snapshot INDX section) relies on for byte-identity
-// with a full rebuild. Keys not seen before are sorted and merged into
-// the existing sorted universe, existing IDs are remapped by a single
-// O(universe) pass, and every memoized per-cell view is remapped in
-// place of being recomputed — no PSL parse and no dedup pass runs for
-// any pre-existing cell. When the appended lists introduce no new
-// keys, the existing index is reused untouched.
-func growIndex(d *Dataset, old *KeyIndex, newLists map[string]RankList) *KeyIndex {
-	fresh := make(map[string]struct{})
-	for _, l := range newLists {
-		for _, e := range l {
-			k := psl.Default.SiteKey(e.Domain)
-			if _, ok := old.ID(k); !ok {
-				fresh[k] = struct{}{}
-			}
-		}
-	}
-	if len(fresh) == 0 {
-		return old
-	}
-	add := make([]string, 0, len(fresh))
-	for k := range fresh {
-		add = append(add, k)
-	}
-	sort.Strings(add)
+// growIndex returns old extended with views of the given new cells,
+// preserving the canonical invariant that IDs numerically sorted equal
+// keys lexically sorted — the property every ID-path analysis (and the
+// snapshot INDX section) relies on for byte-identity with a full
+// rebuild. buildIndex is growIndex over an empty index.
+//
+// The new cells' domains are interned first, so each distinct domain
+// is parsed into its site key once. One sorted merge then places the
+// keys in the existing universe; existing views are remapped by a
+// single pass over their IDs (shared untouched when no key is new),
+// and the new cells' views are passes over integers.
+func growIndex(old *KeyIndex, lists map[string]RankList) *KeyIndex {
+	cells := sortedKeys(lists)
 
-	merged := make([]string, 0, len(old.keys)+len(add))
-	remap := make([]KeyID, len(old.keys))
-	i, j := 0, 0
-	for i < len(old.keys) || j < len(add) {
-		// No duplicates across the two inputs: fresh excluded every key
-		// already interned.
-		if j >= len(add) || (i < len(old.keys) && old.keys[i] < add[j]) {
-			remap[i] = KeyID(len(merged))
-			merged = append(merged, old.keys[i])
-			i++
-		} else {
-			merged = append(merged, add[j])
-			j++
-		}
-	}
-	var ids map[string]KeyID
-	if old.ids != nil {
-		ids = make(map[string]KeyID, len(merged))
-		for k, key := range merged {
-			ids[key] = KeyID(k)
-		}
-	}
-	nx := &KeyIndex{ds: d, keys: merged, ids: ids, cells: make(map[string]*cellKeys, len(old.cells))}
-	old.mu.Lock()
+	doms, refs := internDomains(cells, lists)
+
+	// One PSL parse per distinct domain.
+	domKeys := make([]string, len(doms))
+	parallel.ForEach(len(doms), func(i int) { domKeys[i] = psl.Default.SiteKey(doms[i]) })
+
+	keys, remap, domID := mergeKeys(old.keys, domKeys)
+
+	nx := &KeyIndex{keys: keys, cells: make(map[string]*cellKeys, len(old.cells)+len(cells))}
 	for k, c := range old.cells {
-		// firstPos is untouched by an ID renumbering; the ids slice is
-		// rebuilt rather than mutated so any reader still holding the
-		// old index sees a consistent (if stale) view. rankOf maps
-		// KeyIDs, so it is dropped and rebuilt lazily on demand.
-		nc := &cellKeys{ids: make([]KeyID, len(c.ids)), firstPos: c.firstPos}
-		for i, id := range c.ids {
-			nc.ids[i] = remap[id]
+		if remap != nil {
+			// firstPos is untouched by an ID renumbering; the ids slice
+			// is rebuilt rather than mutated so any reader still holding
+			// the old index sees a consistent (if stale) view.
+			nc := &cellKeys{ids: make([]KeyID, len(c.ids)), firstPos: c.firstPos}
+			for i, id := range c.ids {
+				nc.ids[i] = remap[id]
+			}
+			c = nc
 		}
-		nx.cells[k] = nc
+		nx.cells[k] = c
 	}
-	old.mu.Unlock()
+
+	// Dedup by generation stamp: seen[id] == gen marks a key already
+	// taken in the current cell, so no per-cell set is allocated or
+	// cleared. All views share two backing blocks sized for the
+	// no-duplicates worst case.
+	seen := make([]int32, len(keys))
+	idBlock := make([]KeyID, 0, len(refs))
+	posBlock := make([]int32, 0, len(refs))
+	off := 0
+	for gen, k := range cells {
+		n := len(lists[k])
+		start := len(idBlock)
+		for pos, di := range refs[off : off+n] {
+			id := domID[di]
+			if seen[id] == int32(gen+1) {
+				continue
+			}
+			seen[id] = int32(gen + 1)
+			idBlock = append(idBlock, id)
+			posBlock = append(posBlock, int32(pos))
+		}
+		off += n
+		end := len(idBlock)
+		nx.cells[k] = &cellKeys{ids: idBlock[start:end:end], firstPos: posBlock[start:end:end]}
+	}
 	return nx
+}
+
+// internDomains interns the domains of the given cells' rank lists in
+// cell order: doms holds each distinct domain once, in first-seen
+// order, and refs every entry's index into doms, cell after cell — one
+// map lookup per entry, and no string work after it.
+func internDomains(cells []string, lists map[string]RankList) (doms []string, refs []int32) {
+	total := 0
+	for _, k := range cells {
+		total += len(lists[k])
+	}
+	idx := make(map[string]int32)
+	refs = make([]int32, 0, total)
+	for _, k := range cells {
+		for _, e := range lists[k] {
+			di, ok := idx[e.Domain]
+			if !ok {
+				di = int32(len(doms))
+				idx[e.Domain] = di
+				doms = append(doms, e.Domain)
+			}
+			refs = append(refs, di)
+		}
+	}
+	return doms, refs
+}
+
+// mergeKeys merges the site keys of new domains into the sorted
+// universe old: it sorts the domains by key and walks them alongside
+// old once. It returns the merged universe, each old ID's new ID, and
+// each domain's ID. When no key is new, the universe is old itself and
+// remap is nil: every ID keeps its value.
+func mergeKeys(old, domKeys []string) (keys []string, remap, domID []KeyID) {
+	byKey := make([]int32, len(domKeys))
+	for i := range byKey {
+		byKey[i] = int32(i)
+	}
+	slices.SortFunc(byKey, func(a, b int32) int { return strings.Compare(domKeys[a], domKeys[b]) })
+
+	keys = make([]string, 0, len(old)+len(domKeys))
+	remap = make([]KeyID, len(old))
+	domID = make([]KeyID, len(domKeys))
+	i := 0
+	take := func() { // moves old[i] into the merged universe
+		remap[i] = KeyID(len(keys))
+		keys = append(keys, old[i])
+		i++
+	}
+	for _, di := range byKey {
+		k := domKeys[di]
+		for i < len(old) && old[i] < k {
+			take()
+		}
+		if i < len(old) && old[i] == k {
+			take()
+		} else if len(keys) == 0 || keys[len(keys)-1] != k {
+			keys = append(keys, k) // new, and not already added for another domain
+		}
+		domID[di] = KeyID(len(keys) - 1)
+	}
+	for i < len(old) {
+		take()
+	}
+	if len(keys) == len(old) {
+		return old, nil, domID
+	}
+	return keys, remap, domID
+}
+
+// subset returns an index over the same key universe holding only the
+// views of the given cells — a shard view's index. Views are shared,
+// not copied.
+func (ix *KeyIndex) subset(lists map[string]RankList) *KeyIndex {
+	sub := &KeyIndex{keys: ix.keys, cells: make(map[string]*cellKeys, len(lists))}
+	for k := range lists {
+		if c, ok := ix.cells[k]; ok {
+			sub.cells[k] = c
+		}
+	}
+	return sub
 }
 
 // NumKeys returns the size of the interned key universe; valid KeyIDs
@@ -177,14 +238,8 @@ func (ix *KeyIndex) Key(id KeyID) string {
 }
 
 // ID returns the dense ID for a site key and whether the key exists in
-// the dataset's universe. Indexes restored from a snapshot carry no
-// key→ID map — the sorted universe itself is the lookup structure —
-// so a nil map falls back to binary search.
+// the dataset's universe, by binary search over the sorted universe.
 func (ix *KeyIndex) ID(key string) (KeyID, bool) {
-	if ix.ids != nil {
-		id, ok := ix.ids[key]
-		return id, ok
-	}
 	i := sort.SearchStrings(ix.keys, key)
 	if i < len(ix.keys) && ix.keys[i] == key {
 		return KeyID(i), true
@@ -192,44 +247,19 @@ func (ix *KeyIndex) ID(key string) (KeyID, bool) {
 	return 0, false
 }
 
-// cell returns the memoized interned view of one cell, computing it on
-// first access. Cells absent from the dataset yield an empty view.
+// cell returns the interned view of one cell. Cells absent from the
+// dataset yield an empty view.
 func (ix *KeyIndex) cell(country string, p world.Platform, m world.Metric, month world.Month) *cellKeys {
 	return ix.cellByKey(listKey(country, p, m, month))
 }
 
 // cellByKey is cell keyed by the raw list-key string — the snapshot
-// encoder walks the dataset's list keys directly when it materialises
-// every per-cell view for serialisation.
+// encoder walks the dataset's list keys directly.
 func (ix *KeyIndex) cellByKey(k string) *cellKeys {
-	ix.mu.Lock()
-	c := ix.cells[k]
-	ix.mu.Unlock()
-	if c != nil {
+	if c, ok := ix.cells[k]; ok {
 		return c
 	}
-	// Compute outside the lock: cells are independent, and the result
-	// is deterministic, so a racing duplicate compute is harmless.
-	list := ix.ds.lists[k]
-	c = &cellKeys{}
-	seen := make(map[KeyID]struct{}, len(list))
-	for i, e := range list {
-		id, _ := ix.ID(psl.Default.SiteKey(e.Domain))
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		c.ids = append(c.ids, id)
-		c.firstPos = append(c.firstPos, int32(i))
-	}
-	ix.mu.Lock()
-	if prev := ix.cells[k]; prev != nil {
-		c = prev
-	} else {
-		ix.cells[k] = c
-	}
-	ix.mu.Unlock()
-	return c
+	return emptyCell
 }
 
 // MergedIDs returns a cell's deduped merged key IDs in rank order —
@@ -267,13 +297,11 @@ func (ix *KeyIndex) KeyRankIDs(country string, p world.Platform, m world.Metric,
 // map is built once on first use and memoized.
 func (ix *KeyIndex) Rank(country string, p world.Platform, m world.Metric, month world.Month, id KeyID) int {
 	c := ix.cell(country, p, m, month)
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if c.rankOf == nil {
+	c.rankOnce.Do(func() {
 		c.rankOf = make(map[KeyID]int32, len(c.ids))
 		for k, cid := range c.ids {
 			c.rankOf[cid] = c.firstPos[k] + 1
 		}
-	}
+	})
 	return int(c.rankOf[id])
 }

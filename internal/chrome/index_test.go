@@ -151,8 +151,9 @@ func TestIndexAbsentCellIsEmpty(t *testing.T) {
 }
 
 func TestIndexConcurrentAccess(t *testing.T) {
-	// First Index() call and per-cell materialisation racing from many
-	// goroutines; under -race this verifies the lazy paths are safe.
+	// First Index() call and the first Rank per cell (which builds the
+	// cell's rank map) racing from many goroutines; under -race this
+	// verifies the lazy paths are safe.
 	ds := Assemble(testWorld, telemetry.DefaultConfig(), Options{
 		PrivacyThreshold: 50,
 		TopN:             2000,
@@ -184,13 +185,15 @@ func TestIndexConcurrentAccess(t *testing.T) {
 }
 
 // BenchmarkDatasetIndexBuild is the one-time interning cost over the
-// shared test dataset: the price paid to make every later geography
-// analysis ID-based. It calls buildIndex directly, so every iteration
-// is a cold intern rather than a hit on the dataset's memoized index.
+// shared test dataset: the key universe plus every per-cell view, the
+// price paid to make every later geography analysis ID-based. It
+// calls buildIndex directly, so every iteration is a cold intern
+// rather than a hit on the dataset's memoized index.
 func BenchmarkDatasetIndexBuild(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if ix := buildIndex(testDataset); ix.NumKeys() == 0 {
-			b.Fatal("empty key universe")
+		if ix := buildIndex(testDataset.lists); len(ix.cells) != len(testDataset.lists) {
+			b.Fatalf("%d cell views for %d lists", len(ix.cells), len(testDataset.lists))
 		}
 	}
 }

@@ -14,10 +14,14 @@ import (
 //
 // The view shares the kept per-cell slices and the distribution
 // curves with the receiver (both are immutable after assembly), so a
-// slice costs O(kept cells) map entries, not a copy of the data. The
-// view builds its own lazy KeyIndex over the surviving lists; the
-// receiver's index, if already built, is untouched.
+// slice costs O(kept cells) map entries, not a copy of the data. It
+// shares the receiver's KeyIndex too (built first if need be): the
+// view's index holds the receiver's whole key universe and only the
+// kept cells' views. A key that only other shards' cells hold
+// therefore resolves to an ID that ranks 0 in every kept cell — the
+// same empty answer an index over the kept cells alone would give.
 func (d *Dataset) ShardView(keep func(country string, month world.Month) bool) *Dataset {
+	ix := d.Index()
 	out := &Dataset{
 		Opts:      d.Opts,
 		Countries: d.Countries,
@@ -44,6 +48,7 @@ func (d *Dataset) ShardView(keep func(country string, month world.Month) bool) *
 			}
 		}
 	}
+	out.index = ix.subset(out.lists) // generation 0 == indexGen 0
 	return out
 }
 

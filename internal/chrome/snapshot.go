@@ -2,7 +2,7 @@ package chrome
 
 // Binary dataset snapshots (.wwb). The snapshot persists everything a
 // serving process needs — the assembled dataset, its interned KeyIndex,
-// and every memoized per-cell view — so `wwbserve -data study.wwb`
+// and every per-cell view — so `wwbserve -data study.wwb`
 // answers its first query without re-assembling or re-interning. It
 // is the only lossless dataset format; .wwbd deltas (delta.go) extend
 // it a month at a time. The layout (DESIGN.md §7):
@@ -39,7 +39,9 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"wwb/internal/parallel"
 	"wwb/internal/world"
@@ -130,6 +132,15 @@ func (e *snapEncoder) u64(v uint64) {
 
 func (e *snapEncoder) f64(v float64) { e.u64(math.Float64bits(v)) }
 
+// reserve returns an empty slice over at least n bytes of the
+// section's spare capacity. Appending fixed-width records to it and
+// passing it to e.sec.Write writes them in place, without a call per
+// record.
+func (e *snapEncoder) reserve(n int) []byte {
+	e.sec.Grow(n)
+	return e.sec.AvailableBuffer()
+}
+
 func (e *snapEncoder) str(s string) {
 	e.uvarint(uint64(len(s)))
 	e.sec.WriteString(s)
@@ -200,8 +211,8 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // EncodeSnapshot writes the dataset as a versioned, checksummed binary
 // snapshot: the rank lists, coverage, and distribution curves plus the
-// interned KeyIndex and every memoized per-cell view (materialised
-// here if not already), so a decoding process never re-interns. Output
+// interned KeyIndex and its per-cell views (the index is built here if
+// it is not already), so a decoding process never re-interns. Output
 // is deterministic: all maps are serialised in sorted key order, so
 // byte-identical datasets produce byte-identical snapshots regardless
 // of assembly worker count.
@@ -237,7 +248,7 @@ func (d *Dataset) EncodeSnapshot(w io.Writer, prov SnapshotProvenance) error {
 		return err
 	}
 
-	// INDX: the interned key universe plus one materialised view per
+	// INDX: the interned key universe plus the index's view of every
 	// rank-list cell, so a decoded dataset serves /v1/site point
 	// lookups and the comparison kernels without a single PSL parse.
 	ix := d.Index()
@@ -245,17 +256,24 @@ func (d *Dataset) EncodeSnapshot(w io.Writer, prov SnapshotProvenance) error {
 	for _, k := range ix.keys {
 		e.str(k)
 	}
+	size := 0
+	for _, k := range listKeys {
+		size += 2*binary.MaxVarintLen64 + len(k) + 8*len(ix.cellByKey(k).ids)
+	}
+	e.sec.Grow(size) // one allocation for the whole section
 	e.uvarint(uint64(len(listKeys)))
 	for _, k := range listKeys {
 		c := ix.cellByKey(k)
 		e.str(k)
 		e.uvarint(uint64(len(c.ids)))
+		b := e.reserve(8 * len(c.ids))
 		for _, id := range c.ids {
-			e.u32(uint32(id))
+			b = binary.LittleEndian.AppendUint32(b, uint32(id))
 		}
 		for _, fp := range c.firstPos {
-			e.u32(uint32(fp))
+			b = binary.LittleEndian.AppendUint32(b, uint32(fp))
 		}
+		e.sec.Write(b)
 	}
 	if err := e.flushSection("INDX"); err != nil {
 		return fmt.Errorf("chrome: snapshot: writing INDX: %w", err)
@@ -270,25 +288,23 @@ func (d *Dataset) EncodeSnapshot(w io.Writer, prov SnapshotProvenance) error {
 func encodeDataSections(e *snapEncoder, listKeys []string, lists map[string]RankList, coverage map[string]float64, dist map[string]*DistCurve) error {
 	// DOMS: the deduplicated domain table, sorted. Rank-list entries
 	// reference domains by index, so each distinct domain string is
-	// stored (and later allocated) exactly once.
-	domSet := make(map[string]struct{})
-	for _, k := range listKeys {
-		for _, en := range lists[k] {
-			domSet[en.Domain] = struct{}{}
-		}
+	// stored (and later allocated) exactly once. Domains are interned
+	// in first-seen order, then renumbered in sorted order: sorted[r]
+	// is the first-seen index of the domain at table position r, and
+	// pos inverts it.
+	doms, refs := internDomains(listKeys, lists)
+	sorted := make([]int32, len(doms))
+	for i := range sorted {
+		sorted[i] = int32(i)
 	}
-	doms := make([]string, 0, len(domSet))
-	for dom := range domSet {
-		doms = append(doms, dom)
-	}
-	sort.Strings(doms)
-	domIdx := make(map[string]uint64, len(doms))
-	for i, dom := range doms {
-		domIdx[dom] = uint64(i)
+	slices.SortFunc(sorted, func(a, b int32) int { return strings.Compare(doms[a], doms[b]) })
+	pos := make([]uint32, len(doms))
+	for r, di := range sorted {
+		pos[di] = uint32(r)
 	}
 	e.uvarint(uint64(len(doms)))
-	for _, dom := range doms {
-		e.str(dom)
+	for _, di := range sorted {
+		e.str(doms[di])
 	}
 	if err := e.flushSection("DOMS"); err != nil {
 		return fmt.Errorf("chrome: snapshot: writing DOMS: %w", err)
@@ -297,6 +313,11 @@ func encodeDataSections(e *snapEncoder, listKeys []string, lists map[string]Rank
 	// LSTS: every rank list, keys sorted. Entries are fixed 12-byte
 	// records (u32 domain index + f64 value) so a decoder can skip a
 	// whole cell in O(1) and fan cell decoding out across CPUs.
+	size := 0
+	for _, k := range listKeys {
+		size += 2*binary.MaxVarintLen64 + 1 + len(k) + listEntrySize*len(lists[k])
+	}
+	e.sec.Grow(size) // one allocation for the whole section
 	e.uvarint(uint64(len(listKeys)))
 	for _, k := range listKeys {
 		e.str(k)
@@ -307,10 +328,13 @@ func encodeDataSections(e *snapEncoder, listKeys []string, lists map[string]Rank
 		}
 		e.sec.WriteByte(presSome)
 		e.uvarint(uint64(len(list)))
-		for _, en := range list {
-			e.u32(uint32(domIdx[en.Domain]))
-			e.f64(en.Value)
+		b := e.reserve(listEntrySize * len(list))
+		for j, en := range list {
+			b = binary.LittleEndian.AppendUint32(b, pos[refs[j]])
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(en.Value))
 		}
+		e.sec.Write(b)
+		refs = refs[len(list):]
 	}
 	if err := e.flushSection("LSTS"); err != nil {
 		return fmt.Errorf("chrome: snapshot: writing LSTS: %w", err)
@@ -910,10 +934,8 @@ func (sd *snapDecoded) decodeIndex(c *snapCursor) error {
 	off := 0
 	for i := range spans {
 		n := len(spans[i].raw) / 8
-		cellBlock[i] = cellKeys{
-			ids:      idBlock[off : off+n : off+n],
-			firstPos: posBlock[off : off+n : off+n],
-		}
+		cellBlock[i].ids = idBlock[off : off+n : off+n]
+		cellBlock[i].firstPos = posBlock[off : off+n : off+n]
 		spans[i].cell = &cellBlock[i]
 		off += n
 	}
@@ -936,11 +958,15 @@ func (sd *snapDecoded) decodeIndex(c *snapCursor) error {
 }
 
 // validateIndex checks the decoded index against the decoded lists:
-// every cell view must reference an existing rank list, stay inside
-// the key universe, and keep first-occurrence positions strictly
-// increasing within the list bounds — the invariants buildIndex
-// guarantees, so a decoded index behaves exactly like a built one.
+// there must be exactly one cell view per rank list, and every view
+// must stay inside the key universe and keep first-occurrence
+// positions strictly increasing within the list bounds — the
+// invariants buildIndex guarantees, so a decoded index behaves exactly
+// like a built one.
 func validateIndex(lists map[string]RankList, keys []string, cells map[string]*cellKeys) error {
+	if len(cells) != len(lists) {
+		return fmt.Errorf("index holds %d cell views, dataset %d rank lists", len(cells), len(lists))
+	}
 	for key, cell := range cells {
 		if err := parseCellKey(key); err != nil {
 			return err
@@ -1027,9 +1053,7 @@ func DecodeSnapshotBytes(data []byte) (*Dataset, *SnapshotInfo, error) {
 		dist:      sd.dist,
 		coverage:  sd.coverage,
 	}
-	// No key→ID map: the sorted universe makes KeyIndex.ID a binary
-	// search, which costs nothing to restore.
-	ix := &KeyIndex{ds: ds, keys: sd.keys, cells: sd.cells}
-	ds.index = ix // freshly built dataset: generation 0 == indexGen 0
+	// Freshly built dataset: generation 0 == indexGen 0.
+	ds.index = &KeyIndex{keys: sd.keys, cells: sd.cells}
 	return ds, &SnapshotInfo{Format: FormatWWB, Version: SnapshotVersion, Provenance: sd.prov}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"wwb/internal/telemetry"
+	"wwb/internal/world"
 )
 
 var testProvenance = SnapshotProvenance{Tool: "wwbgen", WorldSeed: 42, Scale: "small"}
@@ -28,7 +29,7 @@ func snapshotBytes(t testing.TB, ds *Dataset) []byte {
 
 // TestSnapshotRoundTrip is the acceptance bar: a dataset decoded from
 // a .wwb snapshot must be byte-identical to the in-memory one — same
-// interned index, same memoized per-cell views, same re-encoding.
+// interned index, same per-cell views, same re-encoding.
 func TestSnapshotRoundTrip(t *testing.T) {
 	snap := snapshotBytes(t, testDataset)
 	ds, info, err := DecodeSnapshotBytes(snap)
@@ -45,7 +46,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// The restored index must match what buildIndex would compute from
 	// scratch: same key universe, same per-cell views.
 	restored := ds.Index()
-	fresh := buildIndex(ds)
+	fresh := buildIndex(ds.lists)
 	if !reflect.DeepEqual(restored.keys, fresh.keys) {
 		t.Fatalf("restored key universe differs: %d keys vs %d", len(restored.keys), len(fresh.keys))
 	}
@@ -176,6 +177,29 @@ func TestSnapshotRejectsTrailingData(t *testing.T) {
 	snap := append(snapshotBytes(t, testDataset), 0xFF)
 	if _, _, err := DecodeSnapshotBytes(snap); err == nil {
 		t.Error("trailing data accepted")
+	}
+}
+
+// TestSnapshotRejectsPartialIndex: a snapshot's INDX must hold a view
+// of every rank list. Here the INDX of a shard view (the same key
+// universe, half the cells, a valid checksum) is spliced onto the
+// whole dataset's other sections.
+func TestSnapshotRejectsPartialIndex(t *testing.T) {
+	indx := func(snap []byte) int {
+		for off := 12; off+16 <= len(snap); off += 16 + int(binary.LittleEndian.Uint64(snap[off+4:])) {
+			if string(snap[off:off+4]) == "INDX" {
+				return off
+			}
+		}
+		t.Fatal("no INDX section")
+		return 0
+	}
+	whole := snapshotBytes(t, testDataset)
+	half := snapshotBytes(t, testDataset.ShardView(func(c string, _ world.Month) bool { return c < "M" }))
+	spliced := append(append([]byte(nil), whole[:indx(whole)]...), half[indx(half):]...)
+	_, _, err := DecodeSnapshotBytes(spliced)
+	if err == nil || !strings.Contains(err.Error(), "cell views") {
+		t.Errorf("INDX covering part of the lists: err = %v, want an index coverage error", err)
 	}
 }
 

@@ -4,37 +4,41 @@
 // a site's ccTLD variants (google.co.uk, google.com.br, ...) into a
 // single cross-country site key, as described in Section 3.1 of the
 // paper ("Aggregating Sites Across Domains").
+//
+// Lookups hold no state: a List is immutable after Parse, and SiteKey
+// keeps no cache, so client-supplied domains (the query server's
+// /v1/site) cannot grow the process. Every candidate suffix is a
+// substring of the domain, so SiteKey allocates nothing; callers that
+// resolve the same domain many times (the dataset's interned key
+// index) parse each distinct domain once themselves.
 package psl
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // List is a compiled set of public-suffix rules.
 type List struct {
-	exact      map[string]struct{} // "com", "co.uk"
-	wildcard   map[string]struct{} // base of "*.<base>", e.g. "ck"
-	exceptions map[string]struct{} // full exception domains, e.g. "www.ck"
-
-	// siteKeys memoizes SiteKey per input domain. The rule set is
-	// immutable after Parse, so entries never invalidate; the domain
-	// universe of a study is fixed at assembly time, so the cache is
-	// bounded by it. sync.Map suits the read-mostly access pattern of
-	// the analyses, which resolve the same domains again and again.
-	siteKeys sync.Map // string → string
+	// rules maps each suffix a rule names to the kinds of rule naming
+	// it, so one lookup per candidate suffix tests all three kinds.
+	rules map[string]ruleKind
 }
+
+// ruleKind is a bit set of the rule kinds naming one suffix.
+type ruleKind uint8
+
+const (
+	ruleExact     ruleKind = 1 << iota // "com", "co.uk"
+	ruleWildcard                       // base of "*.<base>", e.g. "ck"
+	ruleException                      // full exception domain of "!<domain>", e.g. "www.ck"
+)
 
 // Parse compiles a rule set from the PSL text format: one rule per
 // line, "//" comments and blank lines ignored. Rules are stored
 // lower-cased.
 func Parse(rules string) (*List, error) {
-	l := &List{
-		exact:      make(map[string]struct{}),
-		wildcard:   make(map[string]struct{}),
-		exceptions: make(map[string]struct{}),
-	}
+	l := &List{rules: make(map[string]ruleKind)}
 	for lineNo, raw := range strings.Split(rules, "\n") {
 		line := strings.TrimSpace(raw)
 		if line == "" || strings.HasPrefix(line, "//") {
@@ -47,18 +51,18 @@ func Parse(rules string) (*List, error) {
 			if dom == "" || strings.Contains(dom, "*") {
 				return nil, fmt.Errorf("psl: invalid exception rule %q on line %d", raw, lineNo+1)
 			}
-			l.exceptions[dom] = struct{}{}
+			l.rules[dom] |= ruleException
 		case strings.HasPrefix(line, "*."):
 			base := strings.TrimPrefix(line, "*.")
 			if base == "" || strings.Contains(base, "*") {
 				return nil, fmt.Errorf("psl: invalid wildcard rule %q on line %d", raw, lineNo+1)
 			}
-			l.wildcard[base] = struct{}{}
+			l.rules[base] |= ruleWildcard
 		default:
 			if strings.Contains(line, "*") {
 				return nil, fmt.Errorf("psl: invalid rule %q on line %d", raw, lineNo+1)
 			}
-			l.exact[line] = struct{}{}
+			l.rules[line] |= ruleExact
 		}
 	}
 	return l, nil
@@ -86,36 +90,63 @@ func normalize(domain string) string {
 // its last label as public suffix (the implicit "*" rule). The empty
 // string yields the empty string.
 func (l *List) PublicSuffix(domain string) string {
-	domain = normalize(domain)
+	return l.publicSuffix(normalize(domain))
+}
+
+// publicSuffix is PublicSuffix over a normalized domain. It walks the
+// domain's label-aligned suffixes longest first; each is a substring
+// of domain, so the walk allocates nothing.
+func (l *List) publicSuffix(domain string) string {
 	if domain == "" {
 		return ""
 	}
-	labels := strings.Split(domain, ".")
-	// Walk suffixes longest-rule-wins: exceptions beat wildcards beat
-	// exact rules of shorter length.
-	best := labels[len(labels)-1] // implicit "*" rule
+	// Longest rule wins: exceptions beat wildcards beat exact rules of
+	// shorter length.
+	best := domain[strings.LastIndexByte(domain, '.')+1:] // implicit "*" rule
 	bestLen := 1
-	for i := 0; i < len(labels); i++ {
-		suffix := strings.Join(labels[i:], ".")
-		n := len(labels) - i
-		if _, ok := l.exceptions[suffix]; ok && i+1 < len(labels)+1 && n >= 2 {
+	labels := strings.Count(domain, ".") + 1
+	prev, start := 0, 0 // starts of the previous and the current label
+	for i := 0; i < labels; i++ {
+		suffix := domain[start:]
+		n := labels - i
+		next := start + strings.IndexByte(suffix, '.') + 1 // start of label i+1
+		kind := l.rules[suffix]
+		if kind&ruleException != 0 && n >= 2 {
 			// Exception rules prevail over every other match: the
 			// public suffix is the exception with its leftmost label
 			// removed.
-			return strings.Join(labels[i+1:], ".")
+			return domain[next:]
 		}
-		if _, ok := l.exact[suffix]; ok && n > bestLen {
+		if kind&ruleExact != 0 && n > bestLen {
 			best, bestLen = suffix, n
 		}
 		// Wildcard "*.base": matches <label>.base, so the public
 		// suffix has n = len(base labels)+1 labels.
-		if i > 0 {
-			if _, ok := l.wildcard[suffix]; ok && n+1 > bestLen {
-				best, bestLen = strings.Join(labels[i-1:], "."), n+1
-			}
+		if kind&ruleWildcard != 0 && i > 0 && n+1 > bestLen {
+			best, bestLen = domain[prev:], n+1
 		}
+		prev, start = start, next
 	}
 	return best
+}
+
+// registrable splits a normalized domain into the label left of its
+// public suffix and the suffix itself. ok is false when the domain is
+// empty or is itself a public suffix.
+//
+// The suffix is taken of the domain normalized once more, as
+// ETLDPlusOne always has: the two differ only for inputs such as
+// "com..", whose keys must not change.
+func (l *List) registrable(domain string) (label, suffix string, ok bool) {
+	suffix = l.publicSuffix(normalize(domain))
+	if domain == suffix || suffix == "" {
+		return "", "", false
+	}
+	rest := domain
+	if n := len(domain) - len(suffix) - 1; n >= 0 && domain[n] == '.' && domain[n+1:] == suffix {
+		rest = domain[:n]
+	}
+	return rest[strings.LastIndexByte(rest, '.')+1:], suffix, true
 }
 
 // ETLDPlusOne returns the registrable domain (public suffix plus one
@@ -123,13 +154,11 @@ func (l *List) PublicSuffix(domain string) string {
 // suffix or empty.
 func (l *List) ETLDPlusOne(domain string) (string, error) {
 	domain = normalize(domain)
-	suffix := l.PublicSuffix(domain)
-	if domain == suffix || suffix == "" {
+	label, suffix, ok := l.registrable(domain)
+	if !ok {
 		return "", fmt.Errorf("psl: %q is a public suffix or empty", domain)
 	}
-	rest := strings.TrimSuffix(domain, "."+suffix)
-	labels := strings.Split(rest, ".")
-	return labels[len(labels)-1] + "." + suffix, nil
+	return label + "." + suffix, nil
 }
 
 // SiteKey returns the cross-country merge key for a domain: the first
@@ -138,24 +167,15 @@ func (l *List) ETLDPlusOne(domain string) (string, error) {
 // For a bare public suffix the domain itself is returned so unknown
 // inputs still group deterministically.
 //
-// Results are memoized per input domain; the cache is safe for
-// concurrent use, so parallel analyses share one List freely.
+// The key is a substring of the (normalized) input, so for a
+// lower-case domain SiteKey allocates nothing. It is safe for
+// concurrent use.
 func (l *List) SiteKey(domain string) string {
-	if v, ok := l.siteKeys.Load(domain); ok {
-		return v.(string)
+	domain = normalize(domain)
+	if label, _, ok := l.registrable(domain); ok {
+		return label
 	}
-	key := l.siteKey(domain)
-	l.siteKeys.Store(domain, key)
-	return key
-}
-
-// siteKey is the uncached SiteKey computation.
-func (l *List) siteKey(domain string) string {
-	e1, err := l.ETLDPlusOne(domain)
-	if err != nil {
-		return normalize(domain)
-	}
-	return e1[:strings.IndexByte(e1, '.')]
+	return domain
 }
 
 // Default is the embedded rule set. It covers the generic TLDs and

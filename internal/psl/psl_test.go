@@ -186,28 +186,109 @@ func TestDefaultCoversStudyCountryTLDs(t *testing.T) {
 	}
 }
 
-func TestSiteKeyMemoConsistent(t *testing.T) {
-	// The memoized path must return exactly what the uncached
-	// computation returns, for hits and misses alike.
-	l := MustParse("com\nco.uk\nck\n*.ck\n!www.ck")
-	domains := []string{"a.com", "b.co.uk", "a.com", "x.y.ck", "www.ck", "", "weird"}
-	for _, d := range domains {
-		want := l.siteKey(d)
-		if got := l.SiteKey(d); got != want {
-			t.Errorf("SiteKey(%q) = %q, want %q", d, got, want)
+// refPublicSuffix, refETLDPlusOne and refSiteKey are the label-split
+// formulation of the PSL algorithm: split the domain into labels and
+// join each candidate suffix back into a string. The package walks the
+// same suffixes as substrings instead; these are the statement it is
+// held to.
+func refPublicSuffix(l *List, domain string) string {
+	domain = normalize(domain)
+	if domain == "" {
+		return ""
+	}
+	labels := strings.Split(domain, ".")
+	best := labels[len(labels)-1]
+	bestLen := 1
+	for i := 0; i < len(labels); i++ {
+		suffix := strings.Join(labels[i:], ".")
+		n := len(labels) - i
+		if l.rules[suffix]&ruleException != 0 && n >= 2 {
+			return strings.Join(labels[i+1:], ".")
 		}
-		// Second call exercises the cache-hit path.
-		if got := l.SiteKey(d); got != want {
-			t.Errorf("cached SiteKey(%q) = %q, want %q", d, got, want)
+		if l.rules[suffix]&ruleExact != 0 && n > bestLen {
+			best, bestLen = suffix, n
+		}
+		if i > 0 {
+			if l.rules[suffix]&ruleWildcard != 0 && n+1 > bestLen {
+				best, bestLen = strings.Join(labels[i-1:], "."), n+1
+			}
+		}
+	}
+	return best
+}
+
+func refETLDPlusOne(l *List, domain string) (string, bool) {
+	domain = normalize(domain)
+	suffix := refPublicSuffix(l, domain)
+	if domain == suffix || suffix == "" {
+		return "", false
+	}
+	labels := strings.Split(strings.TrimSuffix(domain, "."+suffix), ".")
+	return labels[len(labels)-1] + "." + suffix, true
+}
+
+func refSiteKey(l *List, domain string) string {
+	e1, ok := refETLDPlusOne(l, domain)
+	if !ok {
+		return normalize(domain)
+	}
+	return e1[:strings.IndexByte(e1, '.')]
+}
+
+func TestSiteKeyMatchesReference(t *testing.T) {
+	lists := []*List{Default, MustParse("com\nco.uk\nck\n*.ck\n!www.ck\nb.ck")}
+	fixed := []string{
+		"a.com", "b.co.uk", "x.y.ck", "www.ck", "a.www.ck", "b.ck", "a.b.ck",
+		"", ".", "com", ".com", "a..com", "..", "weird", "WWW.Google.CO.UK.",
+		" naver.com ", "ck", "z.ck", "shop.amazon.com.au", "a.b.c.d.e.com.br",
+	}
+	labels := []string{"a", "bb", "", "com", "co", "uk", "br", "google", "ck", "www", "b", "GOV"}
+	check := func(d string) bool {
+		for _, l := range lists {
+			if got, want := l.SiteKey(d), refSiteKey(l, d); got != want {
+				t.Errorf("SiteKey(%q) = %q, reference %q", d, got, want)
+				return false
+			}
+			if got, want := l.PublicSuffix(d), refPublicSuffix(l, d); got != want {
+				t.Errorf("PublicSuffix(%q) = %q, reference %q", d, got, want)
+				return false
+			}
+			got, err := l.ETLDPlusOne(d)
+			want, ok := refETLDPlusOne(l, d)
+			if (err == nil) != ok || got != want {
+				t.Errorf("ETLDPlusOne(%q) = %q, %v; reference %q, %v", d, got, err, want, ok)
+				return false
+			}
+		}
+		return true
+	}
+	for _, d := range fixed {
+		check(d)
+	}
+	f := func(picks [5]uint8, depth uint8) bool {
+		parts := make([]string, 1+int(depth)%len(picks))
+		for i := range parts {
+			parts[i] = labels[int(picks[i])%len(labels)]
+		}
+		return check(strings.Join(parts, "."))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestSiteKeyAllocationFree(t *testing.T) {
+	for _, d := range []string{"www.google.co.uk", "naver.com", "x.y.ck", "com"} {
+		if n := testing.AllocsPerRun(100, func() { _ = Default.SiteKey(d) }); n != 0 {
+			t.Errorf("SiteKey(%q) allocates %.0f times per call, want 0", d, n)
 		}
 	}
 }
 
-func TestSiteKeyMemoConcurrent(t *testing.T) {
-	// Hammer one List's memo cache from many goroutines over an
-	// overlapping domain set; run under -race this verifies the cache
-	// is data-race free, and every goroutine must observe identical
-	// results.
+func TestSiteKeyConcurrent(t *testing.T) {
+	// Share one List across many goroutines over an overlapping domain
+	// set; run under -race this verifies lookups are data-race free,
+	// and every goroutine must observe identical results.
 	l := MustParse("com\nco.uk\ngov.uk\nbr\ncom.br")
 	domains := make([]string, 200)
 	for i := range domains {
@@ -224,7 +305,7 @@ func TestSiteKeyMemoConcurrent(t *testing.T) {
 	}
 	want := make([]string, len(domains))
 	for i, d := range domains {
-		want[i] = l.siteKey(d)
+		want[i] = refSiteKey(l, d)
 	}
 	const goroutines = 16
 	var wg sync.WaitGroup

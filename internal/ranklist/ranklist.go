@@ -60,10 +60,12 @@ func FilterCategory(l chrome.RankList, categorize func(string) taxonomy.Category
 // deduplicating keys that appear under several domains (Section 3.1's
 // cross-ccTLD aggregation). The first (best-ranked) occurrence wins.
 //
-// Hot paths over a full Dataset should prefer the interned ID-space
-// equivalent, chrome.KeyIndex.MergedIDs (and MergedIDsTopN for TopN
-// prefixes), which memoizes this computation per cell and returns
-// dense int32 IDs ready for the allocation-free comparison kernels.
+// It parses every entry's domain. Hot paths over a full Dataset
+// should prefer the interned ID-space equivalent,
+// chrome.KeyIndex.MergedIDs (and MergedIDsTopN for TopN prefixes):
+// the index parses each distinct domain once, holds this computation
+// for every cell, and returns dense int32 IDs ready for the
+// allocation-free comparison kernels.
 func MergedKeys(l chrome.RankList) []string {
 	seen := make(map[string]struct{}, len(l))
 	out := make([]string, 0, len(l))
@@ -80,9 +82,11 @@ func MergedKeys(l chrome.RankList) []string {
 
 // KeyRanks returns merged key → best 1-based rank for a list.
 //
-// Hot paths over a full Dataset should prefer the interned ID-space
-// equivalent, chrome.KeyIndex.KeyRankIDs (bulk) or chrome.KeyIndex.Rank
-// (memoized point lookup), which avoid rebuilding this map per call.
+// It parses every entry's domain. Hot paths over a full Dataset
+// should prefer the interned ID-space equivalent,
+// chrome.KeyIndex.KeyRankIDs (bulk) or chrome.KeyIndex.Rank (point
+// lookup, its per-cell map built once), which avoid re-parsing and
+// rebuilding this map per call.
 func KeyRanks(l chrome.RankList) map[string]int {
 	out := make(map[string]int, len(l))
 	for i, e := range l {
