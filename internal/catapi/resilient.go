@@ -43,8 +43,9 @@ const (
 // ClientStats counts the resilient client's traffic. All fields are
 // monotonic; read them with Stats.
 type ClientStats struct {
-	// Lookups is the number of distinct domain resolutions performed
-	// (memo hits excluded).
+	// Lookups is the number of domain resolutions performed (memo hits
+	// excluded; a domain the client does not memoize counts every
+	// time).
 	Lookups int64
 	// Attempts is the total transport calls issued.
 	Attempts int64
@@ -81,7 +82,10 @@ type lookupEntry struct {
 // when the budget is exhausted.
 //
 // Outcomes are memoized per domain with single-flight, which matches
-// the real API's repeated-queries-agree behaviour. Each lookup numbers
+// the real API's repeated-queries-agree behaviour. The memo is bounded
+// by the memoize predicate: a domain it rejects (a client-supplied
+// domain the world does not know) is resolved afresh on every call, to
+// the same label, and leaves nothing behind. Each lookup numbers
 // its attempts from 1 and passes the number to the transport, which
 // keys the FlakyTransport's fault schedule: for a given chaos seed, a
 // domain's label is the same in every run, at every worker count, in
@@ -93,6 +97,9 @@ type Client struct {
 	sleep func(context.Context, time.Duration) error
 
 	memo sync.Map // domain -> *lookupEntry
+	// memoize reports whether a domain's outcome is kept in memo; nil
+	// keeps every domain's.
+	memoize func(domain string) bool
 
 	lookups  atomic.Int64
 	attempts atomic.Int64
@@ -101,9 +108,10 @@ type Client struct {
 	panics   atomic.Int64
 }
 
-// NewClient builds a resilient client over transport.
-func NewClient(transport Transport) *Client {
-	return &Client{transport: transport, jitter: world.NewRNG(jitterSeed), sleep: chaos.Sleep}
+// NewClient builds a resilient client over transport that memoizes the
+// outcomes of the domains memoize accepts (every domain when nil).
+func NewClient(transport Transport, memoize func(domain string) bool) *Client {
+	return &Client{transport: transport, jitter: world.NewRNG(jitterSeed), sleep: chaos.Sleep, memoize: memoize}
 }
 
 // Stats returns a snapshot of the client's counters.
@@ -126,6 +134,9 @@ func (c *Client) Category(ctx context.Context, domain string) (taxonomy.Category
 	for {
 		v, ok := c.memo.Load(domain)
 		if !ok {
+			if c.memoize != nil && !c.memoize(domain) {
+				return c.resolve(ctx, domain)
+			}
 			v, _ = c.memo.LoadOrStore(domain, new(lookupEntry))
 		}
 		e := v.(*lookupEntry)

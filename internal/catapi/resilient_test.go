@@ -3,6 +3,8 @@ package catapi
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,7 +53,7 @@ func (t *scriptedTransport) callCount(domain string) int {
 // fastClient is NewClient with every backoff sleep shrunk a
 // hundredfold; the retry arithmetic is unchanged.
 func fastClient(tr Transport) *Client {
-	c := NewClient(tr)
+	c := NewClient(tr, nil)
 	c.sleep = func(ctx context.Context, d time.Duration) error { return chaos.Sleep(ctx, d/100) }
 	return c
 }
@@ -283,7 +285,7 @@ func TestFlakyClientDeterministicAcrossRunsAndOrder(t *testing.T) {
 func TestFlakyClientOffMatchesServiceExactly(t *testing.T) {
 	w := world.Generate(world.SmallConfig())
 	svc := NewService(w, DefaultServiceConfig())
-	c := NewClient(NewServiceTransport(svc))
+	c := NewClient(NewServiceTransport(svc), svc.Knows)
 	for i, s := range w.Sites() {
 		if i == 200 {
 			break
@@ -344,6 +346,62 @@ func TestFlakyClientConcurrentLookupsDeterministic(t *testing.T) {
 	for d := range a {
 		if a[d] != b[d] {
 			t.Fatalf("domain %s: concurrent runs disagree: %v vs %v", d, a[d], b[d])
+		}
+	}
+}
+
+func TestServiceKnowsExactlyTheWorldsDomains(t *testing.T) {
+	for _, s := range testWorld.Sites() {
+		if !testSvc.Knows(s.Domain()) {
+			t.Fatalf("%s not known", s.Domain())
+		}
+		for _, c := range testWorld.Countries() {
+			if d := s.DomainIn(c); !testSvc.Knows(d) {
+				t.Fatalf("%s (in %s) not known", d, c.Code)
+			}
+		}
+	}
+	for _, d := range []string{"", "com", "probe1.co.uk", "www.google.com", "google.zz", "google.com.evil"} {
+		if testSvc.Knows(d) {
+			t.Errorf("%q known", d)
+		}
+	}
+}
+
+// TestUnknownDomainLookupsRetainNoHeap: the serving path categorises
+// client-supplied domains, so the client's memo may keep only domains
+// the world knows. 100K lookups of never-seen domains, under chaos,
+// must leave the heap retained after a collection where it was, and a
+// repeated unknown domain must resolve to the same label.
+func TestUnknownDomainLookupsRetainNoHeap(t *testing.T) {
+	c := fastClient(NewFlakyTransport(NewServiceTransport(testSvc), chaos.Flaky(7, 0.2)))
+	c.memoize = testSvc.Knows
+	lookup := c.LookupFunc()
+	retained := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for i := 0; i < 1000; i++ {
+		lookup("probe" + strconv.Itoa(i) + ".co.uk")
+	}
+	before := retained()
+	const lookups = 100_000
+	for i := 1000; i < 1000+lookups; i++ {
+		lookup("probe" + strconv.Itoa(i) + ".co.uk")
+	}
+	after := retained()
+	const bound = 4 << 20
+	if after > before+bound {
+		t.Fatalf("%d distinct unknown domains left %.1f MiB of heap retained (%.1f → %.1f MiB), want under %d MiB",
+			lookups, float64(after-before)/(1<<20), float64(before)/(1<<20), float64(after)/(1<<20), bound>>20)
+	}
+	for i := 0; i < 50; i++ {
+		d := "probe" + strconv.Itoa(i) + ".co.uk"
+		if a, b := lookup(d), lookup(d); a != b {
+			t.Fatalf("%s: labels %v then %v", d, a, b)
 		}
 	}
 }

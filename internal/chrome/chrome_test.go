@@ -1,7 +1,10 @@
 package chrome
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"wwb/internal/telemetry"
 	"wwb/internal/world"
@@ -222,5 +225,23 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 	if ds.List("US", world.Windows, world.PageLoads, world.Feb2022) != nil {
 		t.Error("empty dataset should have nil lists")
+	}
+}
+
+// TestAssembleCtxTimeoutMidAssembly: a deadline that lands partway
+// through assembling every study month returns promptly with the
+// context error and no dataset.
+func TestAssembleCtxTimeoutMidAssembly(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	ds, err := AssembleCtx(ctx, testWorld, telemetry.DefaultConfig(), Options{
+		PrivacyThreshold: 50, TopN: 10000, DistMonth: world.Feb2022, Seed: 1,
+	})
+	if !errors.Is(err, context.DeadlineExceeded) || ds != nil {
+		t.Fatalf("AssembleCtx = %v, %v; want nil, deadline exceeded", ds, err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("timed-out AssembleCtx took %s to give up", elapsed)
 	}
 }

@@ -96,15 +96,18 @@ func New(cfg Config) *Study {
 }
 
 // NewCtx runs the pipeline end to end under a context: cancelling it
-// mid-assembly (the dominant cost) returns promptly with the context
-// error and no study. A nil error guarantees a study identical to
+// mid-generation or mid-assembly (the dominant costs) returns promptly
+// with the context error and no study. A nil error guarantees a study identical to
 // New's.
 func NewCtx(ctx context.Context, cfg Config) (*Study, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	genStart := time.Now()
-	w := world.Generate(cfg.World)
+	w, err := world.GenerateCtx(ctx, cfg.World)
+	if err != nil {
+		return nil, err
+	}
 	metrics.ObserveStage("world.generate", time.Since(genStart))
 	ds, err := chrome.AssembleCtx(ctx, w, cfg.Telemetry, cfg.Chrome)
 	if err != nil {
@@ -131,7 +134,7 @@ func NewCtx(ctx context.Context, cfg Config) (*Study, error) {
 	if cfg.Chaos.Enabled() {
 		transport = catapi.NewFlakyTransport(transport, cfg.Chaos)
 	}
-	client := catapi.NewClient(transport)
+	client := catapi.NewClient(transport, svc.Knows)
 
 	return &Study{
 		Cfg:         cfg,

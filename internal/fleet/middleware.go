@@ -261,11 +261,14 @@ func limitInFlight(next http.Handler, max int) http.Handler {
 }
 
 // checksummedWriter buffers a handler's response so its body checksum
-// can be stamped into the headers before anything reaches the wire.
+// can be stamped into the headers before anything reaches the wire. A
+// handler serving a pre-rendered response hands it over in pre instead
+// (writeRendered): its checksum is already known.
 type checksummedWriter struct {
 	w      http.ResponseWriter
 	status int
 	body   bytes.Buffer
+	pre    *rendered
 }
 
 func (c *checksummedWriter) Header() http.Header { return c.w.Header() }
@@ -290,7 +293,8 @@ func (c *checksummedWriter) Write(p []byte) (int, error) {
 // body corruption (chaos garble, flaky proxy, bad NIC) into a
 // retryable transport failure instead of a silently wrong merge.
 // Ops endpoints are exempt: pprof streams for 30s and must not be
-// buffered.
+// buffered. A pre-rendered response is written through with its stored
+// checksum, unbuffered.
 func checksumResponses(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if opsExempt(r) {
@@ -302,8 +306,14 @@ func checksumResponses(next http.Handler) http.Handler {
 		if cw.status == 0 {
 			cw.status = http.StatusOK
 		}
-		body := cw.body.Bytes()
-		w.Header().Set(ChecksumHeader, BodyChecksum(body))
+		var body []byte
+		if cw.pre != nil {
+			body = cw.pre.body
+			w.Header().Set(ChecksumHeader, cw.pre.sum)
+		} else {
+			body = cw.body.Bytes()
+			w.Header().Set(ChecksumHeader, BodyChecksum(body))
+		}
 		w.WriteHeader(cw.status)
 		w.Write(body)
 	})

@@ -152,10 +152,11 @@ func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 	}
 }
 
-// TestCruxCacheEvictedOnEpochAdvance: the per-epoch /v1/crux cache is
-// dropped as soon as the router learns the fleet moved to a newer
-// epoch — via a fleet swap it orchestrated or an epoch observed on any
-// sub-response — so a superseded export never pins its memory.
+// TestCruxCacheEvictedOnEpochAdvance: the router's per-(epoch, month)
+// /v1/crux export is dropped as soon as the router learns the fleet
+// moved to a newer epoch — via a fleet swap it orchestrated or an epoch
+// observed on any sub-response — so a superseded export never pins its
+// memory.
 func TestCruxCacheEvictedOnEpochAdvance(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(prevWriter())
@@ -169,9 +170,11 @@ func TestCruxCacheEvictedOnEpochAdvance(t *testing.T) {
 	defer ts.Close()
 
 	cached := func() (bool, uint64) {
-		rt.cruxMu.Lock()
-		defer rt.cruxMu.Unlock()
-		return rt.cruxRecords != nil, rt.cruxEpoch
+		ex := rt.crux.Load()
+		if ex == nil {
+			return false, 0
+		}
+		return true, ex.epoch
 	}
 
 	if status, _, _ := fetch(t, ts.URL, "/v1/crux"); status != http.StatusOK {

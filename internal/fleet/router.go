@@ -19,7 +19,6 @@ import (
 	"wwb/internal/chrome"
 	"wwb/internal/crux"
 	"wwb/internal/endemicity"
-	"wwb/internal/experiments"
 	"wwb/internal/metrics"
 	"wwb/internal/parallel"
 	"wwb/internal/world"
@@ -275,14 +274,28 @@ type Router struct {
 	infoMu sync.Mutex
 	info   *fleetInfo
 
-	// cruxMu guards the /v1/crux cache: the export is a full
-	// cross-shard merge, far too heavy to redo per request. It is
-	// keyed by (epoch, month), not epoch alone — a delta swap rolls
-	// the analysis month forward, and the export is month-dependent.
-	cruxMu      sync.Mutex
-	cruxEpoch   uint64
-	cruxMonth   string
-	cruxRecords []crux.Record
+	// crux is the reassembled /v1/crux export, rendered: a full
+	// cross-shard merge, far too heavy to redo per request. It is one
+	// immutable value per (epoch, month), not per epoch alone — a delta
+	// swap rolls the analysis month forward, and the export is
+	// month-dependent. cruxBuild single-flights the reassembly; the
+	// serving path takes no lock.
+	crux      atomic.Pointer[cruxExport]
+	cruxBuild sync.Mutex
+}
+
+// cruxExport is the router's /v1/crux export: every scope's rendered
+// body, and the (epoch, month) the shards that answered served it from.
+type cruxExport struct {
+	epoch  uint64
+	month  string
+	bodies *cruxBodies
+}
+
+// current reports whether the export was assembled from the epoch and
+// month a live probe reports.
+func (ex *cruxExport) current(info *fleetInfo) bool {
+	return ex != nil && ex.epoch == info.Epoch && ex.month == info.Month
 }
 
 // NewRouter builds a router over the configured shard fleet.
@@ -664,9 +677,7 @@ func (rt *Router) getInfo(ctx context.Context) (*fleetInfo, error) {
 // observe out-of-band swaps — epoch bumps performed by a supervisor
 // directly against the replicas, which this router never sees as a
 // request — use this instead of getInfo: the cached epoch cannot
-// vouch for itself. probeInfo only stores the fresh info; it must not
-// evict dependent caches (evictCruxBefore takes cruxMu, which cruxData
-// holds while calling here).
+// vouch for itself. probeInfo only stores the fresh info.
 func (rt *Router) probeInfo(ctx context.Context) (*fleetInfo, error) {
 	resp, err := rt.do(ctx, 0, http.MethodGet, "/shard/info", rt.budgetFor(false))
 	if err != nil {
@@ -712,30 +723,12 @@ func (rt *Router) analysisMonth(ctx context.Context) (world.Month, uint64, error
 // model, not dataset state, so no shard round-trip is needed and the
 // bytes match the single-server handler by construction.
 func (rt *Router) handleCountries(w http.ResponseWriter, _ *http.Request) {
-	type country struct {
-		Code      string `json:"code"`
-		Name      string `json:"name"`
-		Continent string `json:"continent"`
-	}
-	var out []country
-	for _, c := range world.Countries() {
-		out = append(out, country{Code: c.Code, Name: c.Name, Continent: c.Continent})
-	}
-	WriteJSON(w, http.StatusOK, out)
+	writeRendered(w, countriesBody())
 }
 
 // handleExperiments serves the static experiment catalogue locally.
 func (rt *Router) handleExperiments(w http.ResponseWriter, _ *http.Request) {
-	type exp struct {
-		ID    string `json:"id"`
-		Title string `json:"title"`
-	}
-	var out []exp
-	for _, id := range experiments.IDs() {
-		e, _ := experiments.Lookup(id)
-		out = append(out, exp{ID: e.ID, Title: e.Title})
-	}
-	WriteJSON(w, http.StatusOK, out)
+	writeRendered(w, experimentsBody())
 }
 
 // handleProxyAny proxies a query every shard answers identically
@@ -760,9 +753,9 @@ func (rt *Router) handleProxyAny(w http.ResponseWriter, r *http.Request) {
 }
 
 // noteEpoch invalidates the info cache when a sub-response reveals the
-// fleet has moved past the cached epoch, and evicts the superseded
-// crux export so an old epoch's full export never lingers in memory
-// after a swap.
+// fleet has moved past the cached epoch, and drops the superseded crux
+// export so an old epoch's full export never lingers in memory after a
+// swap.
 func (rt *Router) noteEpoch(epoch uint64) {
 	if epoch == 0 {
 		return
@@ -772,22 +765,16 @@ func (rt *Router) noteEpoch(epoch uint64) {
 		rt.info = nil
 	}
 	rt.infoMu.Unlock()
-	rt.evictCruxBefore(epoch)
+	rt.dropCruxBefore(epoch)
 	mRouterEpoch.Set(int64(epoch))
 }
 
-// evictCruxBefore drops the cached crux export if it was assembled
-// from an epoch older than epoch. The locks are taken sequentially,
-// never nested, so this cannot deadlock against cruxData (which holds
-// cruxMu while consulting the info cache).
-func (rt *Router) evictCruxBefore(epoch uint64) {
-	rt.cruxMu.Lock()
-	if rt.cruxRecords != nil && rt.cruxEpoch < epoch {
-		rt.cruxRecords = nil
-		rt.cruxEpoch = 0
-		rt.cruxMonth = ""
+// dropCruxBefore drops the crux export if it was assembled from an
+// epoch older than epoch.
+func (rt *Router) dropCruxBefore(epoch uint64) {
+	if ex := rt.crux.Load(); ex != nil && ex.epoch < epoch {
+		rt.crux.CompareAndSwap(ex, nil)
 	}
-	rt.cruxMu.Unlock()
 }
 
 // handleList proxies the list query to the shard owning its
@@ -954,48 +941,50 @@ func (rt *Router) handleCrux(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	recs, epoch, err := rt.cruxData(r.Context())
+	ex, err := rt.cruxData(r.Context())
 	if err != nil {
 		degrade(w, err, "crux reassembly failed")
 		return
 	}
-	w.Header().Set(EpochHeader, strconv.FormatUint(epoch, 10))
-	WriteJSON(w, http.StatusOK, crux.Filter(recs, country))
+	w.Header().Set(EpochHeader, strconv.FormatUint(ex.epoch, 10))
+	writeRendered(w, ex.bodies.scope(country))
 }
 
-// cruxData returns the fleet-wide public records and the epoch they
-// were assembled from, merging /shard/lists from every shard on first
-// use per (epoch, month).
-func (rt *Router) cruxData(ctx context.Context) ([]crux.Record, uint64, error) {
-	rt.cruxMu.Lock()
-	defer rt.cruxMu.Unlock()
-	// A cheap single-shard LIVE probe decides cache validity; the
-	// expensive full fan-out only runs when the epoch or month moved.
-	// The probe must be live, not the cached getInfo: a supervisor
-	// swapping replicas out of band leaves this router's info cache at
-	// the old epoch, and a cached epoch comparing equal to itself
-	// would pin the superseded export forever.
+// cruxData returns the fleet-wide export, merging /shard/lists from
+// every shard on first use per (epoch, month).
+func (rt *Router) cruxData(ctx context.Context) (*cruxExport, error) {
+	// A cheap single-shard LIVE probe decides whether the export is
+	// current; the expensive full fan-out only runs when the epoch or
+	// month moved. The probe must be live, not the cached getInfo: a
+	// supervisor swapping replicas out of band leaves this router's
+	// info cache at the old epoch, and a cached epoch comparing equal
+	// to itself would pin the superseded export forever.
 	info, err := rt.probeInfo(ctx)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if rt.cruxRecords != nil && rt.cruxEpoch == info.Epoch && rt.cruxMonth == info.Month {
-		return rt.cruxRecords, rt.cruxEpoch, nil
+	if ex := rt.crux.Load(); ex.current(info) {
+		return ex, nil
+	}
+	rt.cruxBuild.Lock()
+	defer rt.cruxBuild.Unlock()
+	if ex := rt.crux.Load(); ex.current(info) {
+		return ex, nil // built while this request waited
 	}
 	resps, err := rt.fanout(ctx, "/shard/lists", rt.budgetFor(true))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	var roster []string
 	month := ""
 	byCountry := map[string]map[string]chrome.RankList{}
 	for i, resp := range resps {
 		if resp.status != http.StatusOK {
-			return nil, 0, fmt.Errorf("shard %d: status %d fetching lists", i, resp.status)
+			return nil, fmt.Errorf("shard %d: status %d fetching lists", i, resp.status)
 		}
 		var sl shardLists
 		if err := json.Unmarshal(resp.body, &sl); err != nil {
-			return nil, 0, fmt.Errorf("shard %d: bad lists payload: %v", i, err)
+			return nil, fmt.Errorf("shard %d: bad lists payload: %v", i, err)
 		}
 		if roster == nil {
 			roster = sl.Countries
@@ -1008,14 +997,13 @@ func (rt *Router) cruxData(ctx context.Context) ([]crux.Record, uint64, error) {
 	recs := crux.ExportFrom(roster, func(country string, p world.Platform) chrome.RankList {
 		return byCountry[country][PlatformParam(p)]
 	})
-	// Key the cache by what the shards actually answered (the fan-out
+	// Key the export by what the shards actually answered (the fan-out
 	// is epoch-checked, so all legs agree), not by the probe: a swap
 	// landing between probe and fan-out must not file the new export
 	// under the old key.
-	rt.cruxEpoch = resps[0].epoch
-	rt.cruxMonth = month
-	rt.cruxRecords = recs
-	return recs, rt.cruxEpoch, nil
+	ex := &cruxExport{epoch: resps[0].epoch, month: month, bodies: renderCrux(recs)}
+	rt.crux.Store(ex)
+	return ex, nil
 }
 
 // handleInfo reports the router's view of the fleet.
@@ -1100,7 +1088,7 @@ func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 		return res
 	})
 	rt.invalidate()
-	rt.evictCruxBefore(epoch)
+	rt.dropCruxBefore(epoch)
 	ok := true
 	for _, res := range results {
 		if res.Status != http.StatusOK {

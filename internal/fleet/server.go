@@ -13,7 +13,6 @@ import (
 	"wwb/internal/chrome"
 	"wwb/internal/crux"
 	"wwb/internal/endemicity"
-	"wwb/internal/experiments"
 	"wwb/internal/metrics"
 	"wwb/internal/psl"
 	"wwb/internal/world"
@@ -49,23 +48,52 @@ type ServerConfig struct {
 	LoadSnapshot func(path string) (*chrome.Dataset, error)
 }
 
-// epochState is one immutable serving generation: a dataset plus its
-// lazily computed per-epoch caches. Handlers capture the pointer once
-// at entry, so a concurrent swap can never tear a response across two
-// datasets; the old epoch drains naturally as its in-flight requests
-// finish and is then garbage-collected.
+// epochState is one immutable serving generation: a dataset plus the
+// finished bytes of its small-keyspace responses. Handlers capture the
+// pointer once at entry, so a concurrent swap can never tear a response
+// across two datasets, and no rendered body can outlive or straddle its
+// epoch; the old epoch drains naturally as its in-flight requests
+// finish and is then garbage-collected with everything it rendered.
 type epochState struct {
 	ds    *chrome.Dataset
 	epoch uint64
 	path  string // artifact the epoch was loaded from ("" for the boot dataset)
 	month world.Month
 
-	// crux caches the public records; a failed export is NOT cached —
-	// the next request retries — so a one-off panic (e.g. under chaos)
-	// cannot poison the endpoint for the life of the epoch.
-	cruxMu      sync.Mutex
-	cruxReady   bool
-	cruxRecords []crux.Record
+	// dist holds the /v1/dist bodies at the default n, by distKey;
+	// rendered when the epoch is built.
+	dist map[distKey]*rendered
+
+	// crux holds the /v1/crux bodies of every scope once the export has
+	// succeeded; cruxMu guards it and single-flights the export. A
+	// failed export is NOT kept — the next request retries — so a
+	// one-off panic (e.g. under chaos) cannot poison the endpoint for
+	// the life of the epoch.
+	cruxMu sync.Mutex
+	crux   *cruxBodies
+}
+
+// distKey keys an epoch's rendered /v1/dist bodies.
+type distKey struct {
+	p world.Platform
+	m world.Metric
+}
+
+// defaultDistN is the /v1/dist depth when ?n= is absent.
+const defaultDistN = 1000
+
+// newEpoch builds an epoch over a (sliced) dataset and renders its
+// default-n /v1/dist bodies.
+func newEpoch(ds *chrome.Dataset, epoch uint64, path string, month world.Month) *epochState {
+	st := &epochState{ds: ds, epoch: epoch, path: path, month: month, dist: map[distKey]*rendered{}}
+	for _, p := range world.Platforms {
+		for _, m := range world.Metrics {
+			if curve := ds.Dist(p, m); curve != nil {
+				st.dist[distKey{p, m}] = render(distResponse(curve, min(defaultDistN, curve.Len())))
+			}
+		}
+	}
+	return st
 }
 
 // Server serves a dataset (or a shard slice of one) over the /v1 HTTP
@@ -86,7 +114,7 @@ type Server struct {
 // NewServer builds a server over ds at epoch 1, sliced per cfg.Shard.
 func NewServer(ds *chrome.Dataset, cfg ServerConfig) *Server {
 	s := &Server{cfg: cfg, cruxExport: crux.Export}
-	s.install(&epochState{ds: s.slice(ds), epoch: 1, month: cfg.Month})
+	s.install(newEpoch(s.slice(ds), 1, "", cfg.Month))
 	return s
 }
 
@@ -152,7 +180,7 @@ func (s *Server) SwapTo(path string, epoch uint64) (*epochState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("loading %s: %w", path, err)
 	}
-	st := &epochState{ds: s.slice(ds), epoch: epoch, path: path, month: ds.Opts.DistMonth}
+	st := newEpoch(s.slice(ds), epoch, path, ds.Opts.DistMonth)
 	s.install(st)
 	mServeSwaps.Inc()
 	return st, nil
@@ -207,16 +235,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleCountries(w http.ResponseWriter, _ *http.Request) {
 	s.begin(w)
-	type country struct {
-		Code      string `json:"code"`
-		Name      string `json:"name"`
-		Continent string `json:"continent"`
-	}
-	var out []country
-	for _, c := range world.Countries() {
-		out = append(out, country{Code: c.Code, Name: c.Name, Continent: c.Continent})
-	}
-	WriteJSON(w, http.StatusOK, out)
+	writeRendered(w, countriesBody())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -299,7 +318,7 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusNotFound, "no distribution for %s/%s", p, m)
 		return
 	}
-	n := 1000
+	n := defaultDistN
 	if raw := q.Get("n"); raw != "" {
 		n, err = strconv.Atoi(raw)
 		if err != nil || n < 1 {
@@ -307,10 +326,20 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if n > curve.Len() {
-		n = curve.Len()
+	n = min(n, curve.Len())
+	// Every n that clamps to the default depth has the default body;
+	// any other n is encoded per request, so hostile n values cannot
+	// grow what the epoch stores.
+	if n == min(defaultDistN, curve.Len()) {
+		writeRendered(w, st.dist[distKey{p, m}])
+		return
 	}
-	WriteJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, distResponse(curve, n))
+}
+
+// distResponse is the /v1/dist body for a curve's top n shares.
+func distResponse(curve *chrome.DistCurve, n int) map[string]any {
+	return map[string]any{
 		"sites":  curve.Len(),
 		"shares": curve.Shares[:n],
 		"cum10":  curve.CumShare(10),
@@ -318,7 +347,7 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 		"cum10k": curve.CumShare(10000),
 		"for25":  curve.SitesForShare(0.25),
 		"for50":  curve.SitesForShare(0.50),
-	})
+	}
 }
 
 // handleSite serves a per-site popularity profile. Besides the
@@ -387,45 +416,35 @@ func (s *Server) handleCrux(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	recs, err := s.cruxData(st)
+	bodies, err := s.renderedCrux(st)
 	if err != nil {
 		HTTPError(w, http.StatusInternalServerError, "crux export failed: %v", err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, crux.Filter(recs, country))
+	writeRendered(w, bodies.scope(country))
 }
 
-// cruxData lazily computes the epoch's public records once and caches
-// only a successful result; a failure is reported and the next request
-// recomputes.
-func (s *Server) cruxData(st *epochState) (recs []crux.Record, err error) {
+// renderedCrux exports and renders the epoch's public records once,
+// under single-flight, and keeps only a successful result; a failure
+// is reported and the next request retries.
+func (s *Server) renderedCrux(st *epochState) (bodies *cruxBodies, err error) {
 	st.cruxMu.Lock()
 	defer st.cruxMu.Unlock()
-	if st.cruxReady {
-		return st.cruxRecords, nil
+	if st.crux != nil {
+		return st.crux, nil
 	}
 	defer func() {
 		if v := recover(); v != nil {
-			recs, err = nil, fmt.Errorf("%v", v)
+			bodies, err = nil, fmt.Errorf("%v", v)
 		}
 	}()
-	recs = s.cruxExport(st.ds, st.month)
-	st.cruxRecords, st.cruxReady = recs, true
-	return recs, nil
+	st.crux = renderCrux(s.cruxExport(st.ds, st.month))
+	return st.crux, nil
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 	s.begin(w)
-	type exp struct {
-		ID    string `json:"id"`
-		Title string `json:"title"`
-	}
-	var out []exp
-	for _, id := range experiments.IDs() {
-		e, _ := experiments.Lookup(id)
-		out = append(out, exp{ID: e.ID, Title: e.Title})
-	}
-	WriteJSON(w, http.StatusOK, out)
+	writeRendered(w, experimentsBody())
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,7 @@
 package world
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -11,6 +12,16 @@ import (
 // hand-curated national giants, and generated national sites per
 // (country, category). Generation is fully deterministic in cfg.Seed.
 func Generate(cfg Config) *World {
+	w, _ := GenerateCtx(context.Background(), cfg) // a background context never ends
+	return w
+}
+
+// GenerateCtx is Generate under a context, checked between countries
+// in the per-country stages (the national tail and the candidate lists,
+// nearly all of generation's time): cancelling returns promptly with the
+// context's error and no world. A nil error
+// guarantees a world identical to Generate's.
+func GenerateCtx(ctx context.Context, cfg Config) (*World, error) {
 	w := &World{
 		Cfg:        cfg,
 		root:       NewRNG(cfg.Seed),
@@ -21,10 +32,14 @@ func Generate(cfg Config) *World {
 
 	w.buildAnchors()
 	w.buildLocals()
-	w.buildNationalTail()
+	if err := w.buildNationalTail(ctx); err != nil {
+		return nil, err
+	}
 	w.buildDrift()
-	w.buildCandidates()
-	return w
+	if err := w.buildCandidates(ctx); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 func (w *World) buildAnchors() {
@@ -97,9 +112,12 @@ func (w *World) buildLocals() {
 // buildNationalTail generates the per-country national site population
 // for every category: a within-category Zipf with per-site lognormal
 // noise. Site keys are deterministic pseudo-words.
-func (w *World) buildNationalTail() {
+func (w *World) buildNationalTail(ctx context.Context) error {
 	cats := taxonomy.GeneratedCategories()
 	for _, c := range w.countries {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		crng := w.root.Fork("tail|" + c.Code)
 		for _, cat := range cats {
 			tr := taxonomy.TraitsOf(cat)
@@ -136,6 +154,7 @@ func (w *World) buildNationalTail() {
 			}
 		}
 	}
+	return nil
 }
 
 // nationalNoSpill reports whether a category's national sites stay

@@ -1,6 +1,7 @@
 package world
 
 import (
+	"context"
 	"math"
 
 	"wwb/internal/taxonomy"
@@ -92,9 +93,13 @@ func (w *World) Affinity(s *Site, c Country) float64 {
 }
 
 // buildCandidates precomputes, per country, the sites that can surface
-// there with their affinities, dropping pairs below the cutoff.
-func (w *World) buildCandidates() {
+// there with their affinities, dropping pairs below the cutoff. It is
+// generation's dominant stage, so it checks ctx per country.
+func (w *World) buildCandidates(ctx context.Context) error {
 	for _, c := range w.countries {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		var list []Candidate
 		for _, s := range w.sites {
 			aff := w.Affinity(s, c)
@@ -105,6 +110,7 @@ func (w *World) buildCandidates() {
 		}
 		w.candidates[c.Code] = list
 	}
+	return nil
 }
 
 // Candidates returns the precomputed candidate list for a country.

@@ -1,8 +1,11 @@
 package world
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"wwb/internal/psl"
 	"wwb/internal/taxonomy"
@@ -368,6 +371,55 @@ func TestMonthByNameAndRange(t *testing.T) {
 	for _, bad := range []string{"2022-03", "2022-03..2022-01", "2020-01..2022-01", "2021-09..never"} {
 		if _, err := MonthRange(bad); err == nil {
 			t.Errorf("MonthRange(%q) accepted", bad)
+		}
+	}
+}
+
+// TestGenerateCtxCancels: a dead context yields no world, and a
+// deadline that lands mid-generation at default scale returns promptly
+// instead of finishing the candidate stage.
+func TestGenerateCtxCancels(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if w, err := GenerateCtx(ctx, SmallConfig()); w != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled GenerateCtx = %v, %v; want nil, context.Canceled", w, err)
+	}
+
+	ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	w, err := GenerateCtx(ctx, DefaultConfig())
+	if w != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("timed-out GenerateCtx = %v, %v; want nil, deadline exceeded", w, err)
+	}
+	// One country's candidate pass is the longest unchecked stretch.
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("timed-out GenerateCtx took %s to give up", elapsed)
+	}
+}
+
+func TestGenerateCtxMatchesGenerate(t *testing.T) {
+	w, err := GenerateCtx(context.Background(), SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w.Sites()) != len(smallWorld.Sites()) {
+		t.Fatalf("%d sites, want %d", len(w.Sites()), len(smallWorld.Sites()))
+	}
+	for i, s := range w.Sites() {
+		if ref := smallWorld.Sites()[i]; s.Key != ref.Key || s.BaseWeight != ref.BaseWeight || s.drift != ref.drift {
+			t.Fatalf("site %d: %s differs from Generate's %s", i, s.Key, ref.Key)
+		}
+	}
+	for _, c := range w.Countries() {
+		got, want := w.Candidates(c.Code), smallWorld.Candidates(c.Code)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d candidates, want %d", c.Code, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Site.Key != want[i].Site.Key || got[i].Affinity != want[i].Affinity {
+				t.Fatalf("%s candidate %d differs", c.Code, i)
+			}
 		}
 	}
 }
