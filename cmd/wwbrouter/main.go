@@ -1,10 +1,9 @@
 // Command wwbrouter fronts a fleet of wwbserve shard replicas and
-// re-exposes the single-server /v1 API. Single-cell queries are
-// proxied to the shard owning their (country, month) cell;
-// cross-shard queries (per-site rank profiles, the public bucket
-// export) fan out to every shard and merge in canonical order, so
-// every response is byte-identical to one unsharded wwbserve holding
-// the whole dataset. POST /admin/swap rolls the entire fleet to a new
+// re-exposes the single-server /v1 API. Single-cell queries (rank
+// lists, a country's public bucket export) are proxied to the shard
+// owning their (country, month) cell; per-site rank profiles fan out
+// to every shard and merge in canonical order, so every response is
+// byte-identical to one unsharded wwbserve holding the whole dataset. POST /admin/swap rolls the entire fleet to a new
 // dataset artifact with zero downtime.
 //
 // Topology comes from -shards: semicolon-separated shard groups, each

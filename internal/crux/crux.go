@@ -4,6 +4,11 @@
 // completed page loads, per country and globally. Exact ranks and
 // volumes are withheld; only the bucket survives, which is the
 // coarseness the paper points researchers to for reproducible work.
+//
+// Export runs only over a whole dataset. The serving fleet renders
+// every /v1/crux body from it: an unsharded server on the first
+// request of an epoch, a shard server when it builds an epoch, before
+// slicing. No caller reassembles an export from shard-sliced lists.
 package crux
 
 import (
@@ -38,29 +43,17 @@ type Record struct {
 // Export produces the public records for one month: every country's
 // page-load list bucketed, plus a global list built by summing load
 // volumes per domain across countries (Windows and Android combined,
-// like the public dataset's cross-platform aggregation).
+// like the public dataset's cross-platform aggregation). The global
+// volumes accumulate in roster order, platforms in canonical order —
+// float addition is not associative, so the export is only
+// reproducible over a whole dataset in that one order.
 func Export(ds *chrome.Dataset, month world.Month) []Record {
-	return ExportFrom(ds.Countries, func(country string, p world.Platform) chrome.RankList {
-		return ds.List(country, p, world.PageLoads, month)
-	})
-}
-
-// ExportFrom is Export over an arbitrary list source: countries are
-// visited in the given order, and each country's page-load lists come
-// from the list function (platforms in canonical order). The global
-// volumes accumulate entry by entry in exactly that visit order —
-// float addition is not associative, so a caller reassembling the
-// export from shard-fetched lists (the fleet router) reproduces
-// byte-identical buckets only by replaying this precise order, which
-// is why the accumulation loop lives here once rather than being
-// duplicated at the router.
-func ExportFrom(countries []string, list func(country string, p world.Platform) chrome.RankList) []Record {
 	var out []Record
 	globalVolume := map[string]float64{}
-	for _, country := range countries {
+	for _, country := range ds.Countries {
 		perCountry := map[string]float64{}
 		for _, p := range world.Platforms {
-			for _, e := range list(country, p) {
+			for _, e := range ds.List(country, p, world.PageLoads, month) {
 				perCountry[e.Domain] += e.Value
 				globalVolume[e.Domain] += e.Value
 			}

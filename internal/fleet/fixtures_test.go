@@ -8,8 +8,8 @@ import (
 
 // Shared read-only fixtures: one small world, assembled once, with two
 // months so the (country, month) partition varies along both axes.
-// TopN is kept shallow so cross-shard payloads (/shard/lists) stay
-// small and the equivalence diffs run fast.
+// TopN is kept shallow so every shard's boot-time crux export and the
+// equivalence diffs run fast.
 var (
 	fleetWorld = world.Generate(world.SmallConfig())
 	fleetOpts  = chrome.Options{

@@ -8,16 +8,20 @@
 //     router and the fleet tests can host shards in-process), extended
 //     with an atomically swappable dataset epoch (POST /admin/swap),
 //     shard-slice serving (a deterministic (country, month) partition
-//     of the snapshot), and the internal /shard endpoints the router
-//     merges from.
-//   - Router: a thin coordinator over N shards × R replicas. Single-
-//     cell queries (/v1/list) are proxied to the owning shard;
-//     cross-shard queries (/v1/site rank profiles, /v1/crux global
-//     buckets) fan out via internal/parallel and merge in canonical
-//     order, so every /v1 response is byte-identical to a single
-//     process serving the whole dataset. Replicas are health-gated
-//     with retry-on-failure, and fan-outs are epoch-checked so a
-//     response is never assembled from two dataset epochs.
+//     of the snapshot), and the internal /shard/info endpoint the
+//     router reads the fleet's epoch and rosters from. A shard renders
+//     its /v1/crux scopes (global, plus the countries it owns) from
+//     the whole dataset when it builds an epoch, before slicing.
+//   - Router: a thin coordinator over N shards × R replicas holding no
+//     dataset-derived state but the fleet info. Owned-cell queries
+//     (/v1/list, country /v1/crux) are proxied to the owning shard,
+//     shard-agnostic ones (/v1/dist, global /v1/crux, /v1/experiment)
+//     to any shard; only /v1/site rank profiles fan out, via
+//     internal/parallel, and merge in canonical order. Every /v1
+//     response is byte-identical to a single process serving the
+//     whole dataset. Replicas are health-gated with retry-on-failure,
+//     and the fan-out is epoch-checked so a response is never
+//     assembled from two dataset epochs.
 //   - LoadGen/RunLoad: a seed-deterministic zipfian query-mix
 //     generator and open-loop replay harness (cmd/wwbload) reporting
 //     p50/p99 latency and shed rate against SLOs.

@@ -76,7 +76,7 @@ func routeLabel(r *http.Request) string {
 	switch p {
 	case "/healthz", "/metrics",
 		"/v1/countries", "/v1/list", "/v1/dist", "/v1/site", "/v1/crux", "/v1/experiments",
-		"/admin/swap", "/shard/info", "/shard/lists":
+		"/admin/swap", "/shard/info":
 		return p
 	}
 	switch {
@@ -293,8 +293,9 @@ func (c *checksummedWriter) Write(p []byte) (int, error) {
 // body corruption (chaos garble, flaky proxy, bad NIC) into a
 // retryable transport failure instead of a silently wrong merge.
 // Ops endpoints are exempt: pprof streams for 30s and must not be
-// buffered. A pre-rendered response is written through with its stored
-// checksum, unbuffered.
+// buffered. A pre-rendered or proxied response is written through with
+// its known checksum, unbuffered. Content-Length is always set, so a
+// reader can size its buffer once and a short body is detectable.
 func checksumResponses(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if opsExempt(r) {
@@ -314,6 +315,7 @@ func checksumResponses(next http.Handler) http.Handler {
 			body = cw.body.Bytes()
 			w.Header().Set(ChecksumHeader, BodyChecksum(body))
 		}
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.WriteHeader(cw.status)
 		w.Write(body)
 	})

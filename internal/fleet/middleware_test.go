@@ -234,7 +234,7 @@ func TestRouteLabelBoundsCardinality(t *testing.T) {
 		"/debug/pprof/profile":  "/debug/pprof",
 		"/admin/swap":           "/admin/swap",
 		"/shard/info":           "/shard/info",
-		"/shard/lists":          "/shard/lists",
+		"/shard/lists":          "other",
 		"/random/path":          "other",
 		"/v1/unknown":           "other",
 	}

@@ -34,17 +34,22 @@ func render(v any) *rendered {
 	return &rendered{body: body, sum: BodyChecksum(body)}
 }
 
-// writeRendered sends a pre-rendered 200 response. Under the checksum
-// middleware the body and checksum are handed over as they are, not
-// copied into the response buffer and hashed again.
+// writeRendered sends a pre-rendered 200 JSON response.
 func writeRendered(w http.ResponseWriter, r *rendered) {
 	w.Header().Set("Content-Type", "application/json")
+	writeSummed(w, http.StatusOK, r)
+}
+
+// writeSummed sends status and a body whose checksum is already known.
+// Under the checksum middleware the body and checksum are handed over
+// as they are, not copied into the response buffer and hashed again.
+func writeSummed(w http.ResponseWriter, status int, r *rendered) {
 	if cw, ok := w.(*checksummedWriter); ok && cw.status == 0 {
-		cw.status, cw.pre = http.StatusOK, r
+		cw.status, cw.pre = status, r
 		return
 	}
 	w.Header().Set(ChecksumHeader, r.sum)
-	w.WriteHeader(http.StatusOK)
+	w.WriteHeader(status)
 	w.Write(r.body)
 }
 
@@ -58,12 +63,15 @@ type cruxBodies struct {
 // scope the export holds no records for.
 var nullBody = render(nil)
 
-// renderCrux renders every scope of an export in one pass. Each body
-// is the encoding of crux.Filter(recs, scope).
-func renderCrux(recs []crux.Record) *cruxBodies {
+// renderCrux renders the scopes of an export that keep accepts (every
+// scope when keep is nil) in one pass. Each body is the encoding of
+// crux.Filter(recs, scope).
+func renderCrux(recs []crux.Record, keep func(scope string) bool) *cruxBodies {
 	byScope := map[string][]crux.Record{}
 	for _, r := range recs {
-		byScope[r.Country] = append(byScope[r.Country], r)
+		if keep == nil || keep(r.Country) {
+			byScope[r.Country] = append(byScope[r.Country], r)
+		}
 	}
 	out := &cruxBodies{byScope: make(map[string]*rendered, len(byScope))}
 	for scope, rs := range byScope {

@@ -161,10 +161,11 @@ func appendLink(t *testing.T, dir, basePath, name string, month world.Month) str
 }
 
 // TestRenderedBodiesMatchPerRequestEncoding: on a fresh server, on a
-// 2-shard router, and after a swap onto a 2-link .wwbd chain, every
-// rendered response is byte-identical to the per-request encoding, and
-// the swapped epoch serves exactly what a fresh server over the full
-// rebuild serves.
+// 2-shard router (whose crux bodies are the shards' own, rendered when
+// they built the epoch), and after a swap onto a 2-link .wwbd chain,
+// every rendered response is byte-identical to the per-request
+// encoding, and the swapped epoch serves exactly what a fresh server
+// over the full rebuild serves.
 func TestRenderedBodiesMatchPerRequestEncoding(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(prevWriter())
@@ -214,8 +215,9 @@ func TestRenderedBodiesMatchPerRequestEncoding(t *testing.T) {
 
 // TestCruxRendersOnceUnderConcurrentFirstRequests: concurrent first
 // /v1/crux requests of one epoch, for one scope or several, run the
-// export and render exactly once — on a server, and on a router, which
-// fans out for the shards' lists exactly once.
+// export and render exactly once on a server. Through a router, the
+// shard servers run none: they rendered their scopes when they built
+// the epoch.
 func TestCruxRendersOnceUnderConcurrentFirstRequests(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(prevWriter())
@@ -252,27 +254,19 @@ func TestCruxRendersOnceUnderConcurrentFirstRequests(t *testing.T) {
 		t.Fatalf("server export ran %d times for one epoch, want 1", n)
 	}
 
-	var lists atomic.Int32
+	var shardExports atomic.Int32
 	var groups [][]string
 	for i := 0; i < 2; i++ {
-		shard := NewServer(fleetDS, ServerConfig{Shard: Assignment{Index: i, Count: 2}, Month: fleetDS.Opts.DistMonth}).
-			Routes(MiddlewareConfig{})
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/shard/lists" {
-				lists.Add(1)
-			}
-			shard.ServeHTTP(w, r)
-		}))
+		shard := NewServer(fleetDS, ServerConfig{Shard: Assignment{Index: i, Count: 2}, Month: fleetDS.Opts.DistMonth})
+		shard.SetCruxExport(func(ds *chrome.Dataset, m world.Month) []crux.Record {
+			shardExports.Add(1)
+			return crux.Export(ds, m)
+		})
+		ts := httptest.NewServer(shard.Routes(MiddlewareConfig{}))
 		t.Cleanup(ts.Close)
 		groups = append(groups, []string{ts.URL})
 	}
-	// No hedging: a hedge would be a second, legitimate sub-request.
-	rt, err := NewRouter(RouterConfig{Shards: groups, HedgeMax: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	router := httptest.NewServer(rt.Routes(MiddlewareConfig{}))
-	defer router.Close()
+	router := startRouter(t, groups)
 	race(func(path string) int {
 		resp, err := http.Get(router.URL + path)
 		if err != nil {
@@ -283,8 +277,8 @@ func TestCruxRendersOnceUnderConcurrentFirstRequests(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	})
-	if n := lists.Load(); n != 2 {
-		t.Fatalf("router fetched /shard/lists %d times from 2 shards for one epoch, want 2", n)
+	if n := shardExports.Load(); n != 0 {
+		t.Fatalf("shard servers ran the export %d times at request time, want 0", n)
 	}
 }
 

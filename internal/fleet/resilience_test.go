@@ -151,58 +151,3 @@ func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 		t.Error("hedge win not counted")
 	}
 }
-
-// TestCruxCacheEvictedOnEpochAdvance: the router's per-(epoch, month)
-// /v1/crux export is dropped as soon as the router learns the fleet
-// moved to a newer epoch — via a fleet swap it orchestrated or an epoch
-// observed on any sub-response — so a superseded export never pins its
-// memory.
-func TestCruxCacheEvictedOnEpochAdvance(t *testing.T) {
-	log.SetOutput(io.Discard)
-	defer log.SetOutput(prevWriter())
-
-	groups := startShards(t, fleetDS, 2, testLoader)
-	rt, err := NewRouter(RouterConfig{Shards: groups})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(rt.Routes(MiddlewareConfig{}))
-	defer ts.Close()
-
-	cached := func() (bool, uint64) {
-		ex := rt.crux.Load()
-		if ex == nil {
-			return false, 0
-		}
-		return true, ex.epoch
-	}
-
-	if status, _, _ := fetch(t, ts.URL, "/v1/crux"); status != http.StatusOK {
-		t.Fatalf("crux: status %d", status)
-	}
-	if ok, epoch := cached(); !ok || epoch != 1 {
-		t.Fatalf("crux cache not populated at epoch 1 (ok=%v epoch=%d)", ok, epoch)
-	}
-
-	// A fleet swap advances the epoch; the stale export must be gone
-	// the moment the swap completes, not at the next /v1/crux request.
-	if status, body := postSwap(t, ts.URL, "data=B.wwb"); status != http.StatusOK {
-		t.Fatalf("fleet swap: status %d (%s)", status, body)
-	}
-	if ok, _ := cached(); ok {
-		t.Fatal("superseded crux export still cached after the swap")
-	}
-
-	// Repopulate at epoch 2, then let noteEpoch observe a newer epoch
-	// on an ordinary sub-response path.
-	if status, _, _ := fetch(t, ts.URL, "/v1/crux"); status != http.StatusOK {
-		t.Fatal("crux after swap failed")
-	}
-	if ok, epoch := cached(); !ok || epoch != 2 {
-		t.Fatalf("crux cache not repopulated at epoch 2 (ok=%v epoch=%d)", ok, epoch)
-	}
-	rt.noteEpoch(3)
-	if ok, _ := cached(); ok {
-		t.Fatal("crux export outlived a noteEpoch advance")
-	}
-}

@@ -153,7 +153,7 @@ func TestFleetDeltaSwapByteEquivalence(t *testing.T) {
 	groups := startShards(t, fleetDS, 2, fileLoader)
 	router := startRouter(t, groups)
 	if status, _, _ := fetch(t, router.URL, "/v1/crux"); status != http.StatusOK {
-		t.Fatal("warming crux cache failed")
+		t.Fatal("pre-swap crux failed")
 	}
 	if status, _, body := fetch(t, router.URL, "/v1/list?country="+fleetDS.Countries[0]+"&month=2022-03"); status != http.StatusNotFound {
 		t.Fatalf("pre-swap March list: status %d (%s), want 404", status, body)
@@ -195,12 +195,12 @@ func TestFleetDeltaSwapByteEquivalence(t *testing.T) {
 }
 
 // TestRouterCruxFreshAfterOutOfBandSwap is the regression test for the
-// stale crux export: the router's /v1/crux cache used to decide
-// validity by comparing the cached epoch against the cached fleet
-// info — which the cache itself had populated — so a swap performed
-// behind the router's back (a supervisor posting /admin/swap straight
-// to the replicas) left the old epoch's full export serving forever.
-// The cache must probe a shard live.
+// stale crux export: the router once kept its own /v1/crux export and
+// judged it current against fleet info it had cached itself, so a swap
+// performed behind the router's back (a supervisor posting /admin/swap
+// straight to the replicas) left the old epoch's export serving. The
+// router now keeps no export; /v1/crux must still follow the shards'
+// epoch through an out-of-band swap and through the router's own.
 func TestRouterCruxFreshAfterOutOfBandSwap(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(prevWriter())
@@ -220,7 +220,7 @@ func TestRouterCruxFreshAfterOutOfBandSwap(t *testing.T) {
 	groups := startShards(t, fleetDS, 2, testLoader)
 	router := startRouter(t, groups)
 
-	// Warm both the info cache and the crux cache on epoch 1.
+	// Warm the router's fleet info on epoch 1.
 	if _, _, got := fetch(t, router.URL, "/v1/crux"); !bytes.Equal(got, wantA) {
 		t.Fatal("pre-swap crux differs from the epoch-1 oracle")
 	}
@@ -250,8 +250,8 @@ func TestRouterCruxFreshAfterOutOfBandSwap(t *testing.T) {
 		t.Fatalf("post-swap crux matches neither oracle: %.120s", got)
 	}
 
-	// And a swap through the router itself must evict the cache the
-	// same way: back to A at a strictly newer epoch.
+	// And a swap through the router itself: back to A at a strictly
+	// newer epoch.
 	if status, body := postSwap(t, router.URL, "data=A.wwb"); status != http.StatusOK {
 		t.Fatalf("router swap back: status %d (%s)", status, body)
 	}

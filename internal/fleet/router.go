@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,8 +15,6 @@ import (
 	"time"
 
 	"wwb/internal/chaos"
-	"wwb/internal/chrome"
-	"wwb/internal/crux"
 	"wwb/internal/endemicity"
 	"wwb/internal/metrics"
 	"wwb/internal/parallel"
@@ -255,12 +252,13 @@ type fleetInfo struct {
 }
 
 // Router fronts a fleet of shard servers and re-exposes the /v1 API.
-// Single-cell queries are proxied to the owning shard; cross-shard
-// queries fan out and merge in canonical order, so every response is
-// byte-identical to one unsharded server holding the whole dataset
-// (DESIGN.md §9 states the merge ordering rule). Fan-outs are
-// epoch-checked: a merged response is never assembled from two dataset
-// epochs, even mid-swap.
+// Single-cell queries are proxied to the owning shard, shard-agnostic
+// ones to any shard; /v1/site fans out and merges in canonical order,
+// so every response is byte-identical to one unsharded server holding
+// the whole dataset (DESIGN.md §9 states the merge ordering rule). The
+// fan-out is epoch-checked: a merged response is never assembled from
+// two dataset epochs, even mid-swap. The router holds no
+// dataset-derived state but the fleet info.
 type Router struct {
 	client      *http.Client
 	shards      []*shardGroup
@@ -273,29 +271,6 @@ type Router struct {
 	// country roster); invalidated on swap or observed epoch change.
 	infoMu sync.Mutex
 	info   *fleetInfo
-
-	// crux is the reassembled /v1/crux export, rendered: a full
-	// cross-shard merge, far too heavy to redo per request. It is one
-	// immutable value per (epoch, month), not per epoch alone — a delta
-	// swap rolls the analysis month forward, and the export is
-	// month-dependent. cruxBuild single-flights the reassembly; the
-	// serving path takes no lock.
-	crux      atomic.Pointer[cruxExport]
-	cruxBuild sync.Mutex
-}
-
-// cruxExport is the router's /v1/crux export: every scope's rendered
-// body, and the (epoch, month) the shards that answered served it from.
-type cruxExport struct {
-	epoch  uint64
-	month  string
-	bodies *cruxBodies
-}
-
-// current reports whether the export was assembled from the epoch and
-// month a live probe reports.
-func (ex *cruxExport) current(info *fleetInfo) bool {
-	return ex != nil && ex.epoch == info.Epoch && ex.month == info.Month
 }
 
 // NewRouter builds a router over the configured shard fleet.
@@ -383,7 +358,7 @@ func (rt *Router) doReplica(ctx context.Context, rep *replica, method, uri strin
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -399,6 +374,26 @@ func (rt *Router) doReplica(ctx context.Context, rep *replica, method, uri strin
 		epoch:   epoch,
 		replica: rep.base,
 	}, nil
+}
+
+// maxPresized caps the body buffer doReplica sizes from a declared
+// Content-Length; a larger declared body is read into a growing buffer
+// instead, so a bogus header cannot make one sub-request allocate it.
+const maxPresized = 32 << 20
+
+// readBody reads a sub-response body into one buffer of its declared
+// length. A body cut short fails with the reader's own error (an
+// unexpected EOF), never as a silently short success.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxPresized {
+		return io.ReadAll(resp.Body)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, body); err != nil {
+		return nil, err
+	}
+	return body, nil
 }
 
 // retriable reports whether a sub-response warrants trying another
@@ -569,7 +564,9 @@ func (rt *Router) doHedged(ctx context.Context, shard int, uri string, b *retryB
 	return last.resp, last.err
 }
 
-// forward replays a sub-response to the client verbatim.
+// forward replays a sub-response to the client verbatim. A body that
+// arrived with a checksum was verified against it in doReplica, so
+// both go to the checksum middleware as they are, like a stored body.
 func forward(w http.ResponseWriter, resp *shardResp) {
 	if ct := resp.header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
@@ -579,6 +576,10 @@ func forward(w http.ResponseWriter, resp *shardResp) {
 	}
 	if resp.epoch != 0 {
 		w.Header().Set(EpochHeader, strconv.FormatUint(resp.epoch, 10))
+	}
+	if sum := resp.header.Get(ChecksumHeader); sum != "" {
+		writeSummed(w, resp.status, &rendered{body: resp.body, sum: sum})
+		return
 	}
 	w.WriteHeader(resp.status)
 	w.Write(resp.body)
@@ -669,16 +670,6 @@ func (rt *Router) getInfo(ctx context.Context) (*fleetInfo, error) {
 		return info, nil
 	}
 	rt.infoMu.Unlock()
-	return rt.probeInfo(ctx)
-}
-
-// probeInfo fetches /shard/info live from a shard, bypassing the info
-// cache, and refreshes the cache with the answer. Callers that must
-// observe out-of-band swaps — epoch bumps performed by a supervisor
-// directly against the replicas, which this router never sees as a
-// request — use this instead of getInfo: the cached epoch cannot
-// vouch for itself. probeInfo only stores the fresh info.
-func (rt *Router) probeInfo(ctx context.Context) (*fleetInfo, error) {
 	resp, err := rt.do(ctx, 0, http.MethodGet, "/shard/info", rt.budgetFor(false))
 	if err != nil {
 		return nil, err
@@ -732,8 +723,9 @@ func (rt *Router) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleProxyAny proxies a query every shard answers identically
-// (/v1/dist global curves, /v1/experiment) to one shard, chosen by
-// URI hash so identical requests reuse the same shard's caches.
+// (/v1/dist global curves, the global /v1/crux scope, /v1/experiment)
+// to one shard, chosen by URI hash so identical requests reuse the
+// same shard's caches.
 func (rt *Router) handleProxyAny(w http.ResponseWriter, r *http.Request) {
 	shard := 0
 	if n := len(rt.shards); n > 1 {
@@ -753,9 +745,7 @@ func (rt *Router) handleProxyAny(w http.ResponseWriter, r *http.Request) {
 }
 
 // noteEpoch invalidates the info cache when a sub-response reveals the
-// fleet has moved past the cached epoch, and drops the superseded crux
-// export so an old epoch's full export never lingers in memory after a
-// swap.
+// fleet has moved past the cached epoch.
 func (rt *Router) noteEpoch(epoch uint64) {
 	if epoch == 0 {
 		return
@@ -765,16 +755,7 @@ func (rt *Router) noteEpoch(epoch uint64) {
 		rt.info = nil
 	}
 	rt.infoMu.Unlock()
-	rt.dropCruxBefore(epoch)
 	mRouterEpoch.Set(int64(epoch))
-}
-
-// dropCruxBefore drops the crux export if it was assembled from an
-// epoch older than epoch.
-func (rt *Router) dropCruxBefore(epoch uint64) {
-	if ex := rt.crux.Load(); ex != nil && ex.epoch < epoch {
-		rt.crux.CompareAndSwap(ex, nil)
-	}
 }
 
 // handleList proxies the list query to the shard owning its
@@ -795,9 +776,16 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Two passes at most: if the proxied response reveals a new epoch
-	// (the default month may have changed with the dataset), refresh
-	// the info cache and re-route once. One budget covers both passes.
+	rt.proxyOwner(w, r, country, q.Get("month"), "list proxy failed")
+}
+
+// proxyOwner proxies r to the shard owning the (country, month) cell,
+// month being the raw ?month= value or, when empty, the fleet's
+// analysis month. Two passes at most: if the proxied response reveals
+// a new epoch (the analysis month, and with it the owner, may have
+// changed with the dataset), it refreshes the info cache and re-routes
+// once. One budget covers both passes.
+func (rt *Router) proxyOwner(w http.ResponseWriter, r *http.Request, country, rawMonth, what string) {
 	b := rt.budgetFor(false)
 	for attempt := 0; ; attempt++ {
 		def, epoch, err := rt.analysisMonth(r.Context())
@@ -805,7 +793,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 			degrade(w, err, "fleet info unavailable")
 			return
 		}
-		month, err := ParseMonth(q.Get("month"), def)
+		month, err := ParseMonth(rawMonth, def)
 		if err != nil {
 			HTTPError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -813,7 +801,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		shard := ShardOf(country, month, len(rt.shards))
 		resp, err := rt.do(chaos.WithAttempt(r.Context(), attempt+1), shard, http.MethodGet, r.URL.RequestURI(), b)
 		if err != nil {
-			degrade(w, err, "list proxy failed")
+			degrade(w, err, what)
 			return
 		}
 		if gatewayish(resp.status) {
@@ -927,83 +915,22 @@ func shed(w http.ResponseWriter, format string, args ...any) {
 	HTTPError(w, http.StatusServiceUnavailable, format, args...)
 }
 
-// handleCrux serves the public bucket export, reassembled from every
-// shard's raw page-load lists by replaying crux.ExportFrom in the
-// canonical roster order (the merge ordering rule: country order,
-// then platform order, then entry order — float accumulation is
-// order-sensitive, so the router replays the single-process order
-// rather than summing shard-local partials).
+// handleCrux routes the public bucket export. Every shard renders its
+// scopes from the whole dataset when it builds an epoch: the global
+// scope, which any shard serves, and the countries it owns at the
+// analysis month. So the global scope is proxied like any other
+// shard-agnostic query, and a country scope goes to its owner.
 func (rt *Router) handleCrux(w http.ResponseWriter, r *http.Request) {
 	country := strings.ToUpper(r.URL.Query().Get("country"))
-	if country != "" {
-		if _, ok := world.CountryByCode(country); !ok {
-			HTTPError(w, http.StatusBadRequest, "unknown country %q", country)
-			return
-		}
-	}
-	ex, err := rt.cruxData(r.Context())
-	if err != nil {
-		degrade(w, err, "crux reassembly failed")
+	if country == "" {
+		rt.handleProxyAny(w, r)
 		return
 	}
-	w.Header().Set(EpochHeader, strconv.FormatUint(ex.epoch, 10))
-	writeRendered(w, ex.bodies.scope(country))
-}
-
-// cruxData returns the fleet-wide export, merging /shard/lists from
-// every shard on first use per (epoch, month).
-func (rt *Router) cruxData(ctx context.Context) (*cruxExport, error) {
-	// A cheap single-shard LIVE probe decides whether the export is
-	// current; the expensive full fan-out only runs when the epoch or
-	// month moved. The probe must be live, not the cached getInfo: a
-	// supervisor swapping replicas out of band leaves this router's
-	// info cache at the old epoch, and a cached epoch comparing equal
-	// to itself would pin the superseded export forever.
-	info, err := rt.probeInfo(ctx)
-	if err != nil {
-		return nil, err
+	if _, ok := world.CountryByCode(country); !ok {
+		HTTPError(w, http.StatusBadRequest, "unknown country %q", country)
+		return
 	}
-	if ex := rt.crux.Load(); ex.current(info) {
-		return ex, nil
-	}
-	rt.cruxBuild.Lock()
-	defer rt.cruxBuild.Unlock()
-	if ex := rt.crux.Load(); ex.current(info) {
-		return ex, nil // built while this request waited
-	}
-	resps, err := rt.fanout(ctx, "/shard/lists", rt.budgetFor(true))
-	if err != nil {
-		return nil, err
-	}
-	var roster []string
-	month := ""
-	byCountry := map[string]map[string]chrome.RankList{}
-	for i, resp := range resps {
-		if resp.status != http.StatusOK {
-			return nil, fmt.Errorf("shard %d: status %d fetching lists", i, resp.status)
-		}
-		var sl shardLists
-		if err := json.Unmarshal(resp.body, &sl); err != nil {
-			return nil, fmt.Errorf("shard %d: bad lists payload: %v", i, err)
-		}
-		if roster == nil {
-			roster = sl.Countries
-			month = sl.Month
-		}
-		for c, perPlatform := range sl.Lists {
-			byCountry[c] = perPlatform
-		}
-	}
-	recs := crux.ExportFrom(roster, func(country string, p world.Platform) chrome.RankList {
-		return byCountry[country][PlatformParam(p)]
-	})
-	// Key the export by what the shards actually answered (the fan-out
-	// is epoch-checked, so all legs agree), not by the probe: a swap
-	// landing between probe and fan-out must not file the new export
-	// under the old key.
-	ex := &cruxExport{epoch: resps[0].epoch, month: month, bodies: renderCrux(recs)}
-	rt.crux.Store(ex)
-	return ex, nil
+	rt.proxyOwner(w, r, country, "", "crux proxy failed")
 }
 
 // handleInfo reports the router's view of the fleet.
@@ -1023,78 +950,27 @@ func (rt *Router) handleInfo(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// swapResult is one replica's outcome during a fleet swap.
-type swapResult struct {
-	Shard   int    `json:"shard"`
-	Replica string `json:"replica"`
-	Status  int    `json:"status"`
-	Error   string `json:"error,omitempty"`
-}
-
-// handleSwap orchestrates a fleet-wide epoch swap: it reads the
-// current maximum epoch across replicas, picks max+1 as the target,
-// and POSTs /admin/swap?data=…&epoch=target to every replica of every
-// shard in parallel. The fixed target makes the operation idempotent —
-// a replica that already swapped answers 200 again — so a partially
-// failed swap is safely retried until the whole fleet converges.
+// handleSwap orchestrates a fleet-wide epoch swap (swapFleet) over
+// every replica of every shard and reports each replica's outcome.
 func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
 	path := r.FormValue("data")
 	if path == "" {
 		HTTPError(w, http.StatusBadRequest, "missing data parameter (path to the new artifact)")
 		return
 	}
-	type target struct {
-		shard int
-		rep   *replica
-	}
-	var targets []target
+	var targets []swapTarget
 	for i, g := range rt.shards {
 		for _, rep := range g.replicas {
-			targets = append(targets, target{shard: i, rep: rep})
+			targets = append(targets, swapTarget{shard: i, base: rep.base, name: rep.base})
 		}
 	}
-	// Discover the fleet's max epoch so the target epoch is strictly
-	// newer everywhere, even after a previous partial swap.
-	var maxEpoch atomic.Uint64
-	parallel.ForEach(len(targets), func(i int) {
-		resp, err := rt.doReplica(r.Context(), targets[i].rep, http.MethodGet, "/shard/info")
-		if err != nil {
-			return
-		}
-		for {
-			cur := maxEpoch.Load()
-			if resp.epoch <= cur || maxEpoch.CompareAndSwap(cur, resp.epoch) {
-				break
-			}
-		}
-	})
-	if maxEpoch.Load() == 0 {
-		HTTPError(w, http.StatusBadGateway, "no replica reachable to establish current epoch")
+	epoch, results, err := swapFleet(r.Context(), rt.client, targets, path)
+	if err != nil {
+		HTTPError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	epoch := maxEpoch.Load() + 1
-	uri := "/admin/swap?data=" + url.QueryEscape(path) + "&epoch=" + strconv.FormatUint(epoch, 10)
-	results := parallel.Map(len(targets), func(i int) swapResult {
-		res := swapResult{Shard: targets[i].shard, Replica: targets[i].rep.base}
-		resp, err := rt.doReplica(r.Context(), targets[i].rep, http.MethodPost, uri)
-		if err != nil {
-			res.Error = err.Error()
-			return res
-		}
-		res.Status = resp.status
-		if resp.status != http.StatusOK {
-			res.Error = strings.TrimSpace(string(resp.body))
-		}
-		return res
-	})
 	rt.invalidate()
-	rt.dropCruxBefore(epoch)
-	ok := true
-	for _, res := range results {
-		if res.Status != http.StatusOK {
-			ok = false
-		}
-	}
+	ok := countFailed(results) == 0
 	status := http.StatusOK
 	if !ok {
 		status = http.StatusBadGateway

@@ -64,11 +64,12 @@ type epochState struct {
 	// rendered when the epoch is built.
 	dist map[distKey]*rendered
 
-	// crux holds the /v1/crux bodies of every scope once the export has
-	// succeeded; cruxMu guards it and single-flights the export. A
-	// failed export is NOT kept — the next request retries — so a
-	// one-off panic (e.g. under chaos) cannot poison the endpoint for
-	// the life of the epoch.
+	// crux holds the /v1/crux bodies. A sliced server renders them
+	// when it builds the epoch (see Server.newEpoch). A whole server
+	// renders every scope on first use, under cruxMu, which guards the
+	// field and single-flights the export. A failed export is NOT kept
+	// — the next request retries — so a one-off panic (e.g. under
+	// chaos) cannot poison the endpoint for the life of the epoch.
 	cruxMu sync.Mutex
 	crux   *cruxBodies
 }
@@ -82,20 +83,6 @@ type distKey struct {
 // defaultDistN is the /v1/dist depth when ?n= is absent.
 const defaultDistN = 1000
 
-// newEpoch builds an epoch over a (sliced) dataset and renders its
-// default-n /v1/dist bodies.
-func newEpoch(ds *chrome.Dataset, epoch uint64, path string, month world.Month) *epochState {
-	st := &epochState{ds: ds, epoch: epoch, path: path, month: month, dist: map[distKey]*rendered{}}
-	for _, p := range world.Platforms {
-		for _, m := range world.Metrics {
-			if curve := ds.Dist(p, m); curve != nil {
-				st.dist[distKey{p, m}] = render(distResponse(curve, min(defaultDistN, curve.Len())))
-			}
-		}
-	}
-	return st
-}
-
 // Server serves a dataset (or a shard slice of one) over the /v1 HTTP
 // API, with an atomically swappable dataset epoch. It is the serving
 // core of wwbserve and of every fleet shard.
@@ -106,30 +93,46 @@ type Server struct {
 	// swapMu serialises swaps; reads never take it.
 	swapMu sync.Mutex
 
-	// cruxExport computes the public records (a hook so tests can
-	// inject a failing first attempt).
-	cruxExport func(*chrome.Dataset, world.Month) []crux.Record
+	// exportCrux computes the public records (a hook so tests can
+	// inject a failing first attempt or count exports).
+	exportCrux func(*chrome.Dataset, world.Month) []crux.Record
 }
 
 // NewServer builds a server over ds at epoch 1, sliced per cfg.Shard.
 func NewServer(ds *chrome.Dataset, cfg ServerConfig) *Server {
-	s := &Server{cfg: cfg, cruxExport: crux.Export}
-	s.install(newEpoch(s.slice(ds), 1, "", cfg.Month))
+	s := &Server{cfg: cfg, exportCrux: crux.Export}
+	s.install(s.newEpoch(ds, 1, "", cfg.Month))
 	return s
 }
 
 // SetCruxExport replaces the /v1/crux export function. Test hook;
 // call before serving.
 func (s *Server) SetCruxExport(fn func(*chrome.Dataset, world.Month) []crux.Record) {
-	s.cruxExport = fn
+	s.exportCrux = fn
 }
 
-// slice applies the shard assignment to a freshly loaded dataset.
-func (s *Server) slice(ds *chrome.Dataset) *chrome.Dataset {
-	if s.cfg.Shard.Whole() {
-		return ds
+// newEpoch builds an epoch over a freshly loaded, whole dataset: it
+// slices the dataset per the shard assignment and renders the
+// default-n /v1/dist bodies. A sliced server also renders its /v1/crux
+// bodies here, while the whole dataset is still in hand: the global
+// scope and the countries it owns at the analysis month. A crux scope
+// is an export over every country, so no slice can compute it later.
+func (s *Server) newEpoch(ds *chrome.Dataset, epoch uint64, path string, month world.Month) *epochState {
+	st := &epochState{ds: ds, epoch: epoch, path: path, month: month, dist: map[distKey]*rendered{}}
+	if !s.cfg.Shard.Whole() {
+		st.ds = ds.ShardView(s.cfg.Shard.Owns)
+		st.crux = renderCrux(s.exportCrux(ds, month), func(scope string) bool {
+			return scope == "" || s.cfg.Shard.Owns(scope, month)
+		})
 	}
-	return ds.ShardView(s.cfg.Shard.Owns)
+	for _, p := range world.Platforms {
+		for _, m := range world.Metrics {
+			if curve := ds.Dist(p, m); curve != nil {
+				st.dist[distKey{p, m}] = render(distResponse(curve, min(defaultDistN, curve.Len())))
+			}
+		}
+	}
+	return st
 }
 
 func (s *Server) install(st *epochState) {
@@ -180,7 +183,7 @@ func (s *Server) SwapTo(path string, epoch uint64) (*epochState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("loading %s: %w", path, err)
 	}
-	st := newEpoch(s.slice(ds), epoch, path, ds.Opts.DistMonth)
+	st := s.newEpoch(ds, epoch, path, ds.Opts.DistMonth)
 	s.install(st)
 	mServeSwaps.Inc()
 	return st, nil
@@ -212,7 +215,6 @@ func (s *Server) Routes(mcfg MiddlewareConfig) http.Handler {
 	mux.HandleFunc("GET /v1/experiment/{id}", s.handleExperiment)
 	mux.HandleFunc("POST /admin/swap", s.handleSwap)
 	mux.HandleFunc("GET /shard/info", s.handleShardInfo)
-	mux.HandleFunc("GET /shard/lists", s.handleShardLists)
 	// Catch-all: unknown paths get the same JSON error envelope as
 	// every other failure, not net/http's plain-text 404 page.
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -415,6 +417,10 @@ func (s *Server) handleCrux(w http.ResponseWriter, r *http.Request) {
 			HTTPError(w, http.StatusBadRequest, "unknown country %q", country)
 			return
 		}
+		if !s.cfg.Shard.Owns(country, st.month) {
+			HTTPError(w, http.StatusNotFound, "no crux scope %s on shard %s", country, s.cfg.Shard)
+			return
+		}
 	}
 	bodies, err := s.renderedCrux(st)
 	if err != nil {
@@ -424,9 +430,10 @@ func (s *Server) handleCrux(w http.ResponseWriter, r *http.Request) {
 	writeRendered(w, bodies.scope(country))
 }
 
-// renderedCrux exports and renders the epoch's public records once,
-// under single-flight, and keeps only a successful result; a failure
-// is reported and the next request retries.
+// renderedCrux returns the epoch's rendered crux bodies. On a whole
+// server it exports and renders them once, under single-flight, and
+// keeps only a successful result; a failure is reported and the next
+// request retries. A sliced server's epoch was built holding them.
 func (s *Server) renderedCrux(st *epochState) (bodies *cruxBodies, err error) {
 	st.cruxMu.Lock()
 	defer st.cruxMu.Unlock()
@@ -438,7 +445,7 @@ func (s *Server) renderedCrux(st *epochState) (bodies *cruxBodies, err error) {
 			bodies, err = nil, fmt.Errorf("%v", v)
 		}
 	}()
-	st.crux = renderCrux(s.cruxExport(st.ds, st.month))
+	st.crux = renderCrux(s.exportCrux(st.ds, st.month), nil)
 	return st.crux, nil
 }
 
@@ -527,46 +534,4 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, _ *http.Request) {
 		// dataset) — the supervisor reads it to attribute rollbacks.
 		"data": st.path,
 	})
-}
-
-// shardLists is the /shard/lists response: the raw page-load rank
-// lists of every (country, month) cell this shard owns, keyed by
-// country then canonical platform param. The router replays
-// crux.ExportFrom over the union in roster order, reproducing the
-// exact float accumulation order of a single process.
-type shardLists struct {
-	Epoch     uint64                                `json:"epoch"`
-	Month     string                                `json:"month"`
-	Countries []string                              `json:"countries"`
-	Lists     map[string]map[string]chrome.RankList `json:"lists"`
-}
-
-func (s *Server) handleShardLists(w http.ResponseWriter, r *http.Request) {
-	st := s.begin(w)
-	month, err := ParseMonth(r.URL.Query().Get("month"), st.month)
-	if err != nil {
-		HTTPError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	out := shardLists{
-		Epoch:     st.epoch,
-		Month:     month.String(),
-		Countries: st.ds.Countries,
-		Lists:     make(map[string]map[string]chrome.RankList),
-	}
-	for _, c := range st.ds.Countries {
-		if !s.cfg.Shard.Owns(c, month) {
-			continue
-		}
-		perPlatform := make(map[string]chrome.RankList, len(world.Platforms))
-		for _, p := range world.Platforms {
-			if l := st.ds.List(c, p, world.PageLoads, month); l != nil {
-				perPlatform[PlatformParam(p)] = l
-			}
-		}
-		if len(perPlatform) > 0 {
-			out.Lists[c] = perPlatform
-		}
-	}
-	WriteJSON(w, http.StatusOK, out)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/url"
@@ -395,11 +396,12 @@ type SwapOutcome struct {
 //  1. Gate: scratch-load the artifact here first. A corrupt snapshot
 //     is quarantined (renamed .bad, provenance logged) and no replica
 //     ever sees it.
-//  2. Roll out: POST /admin/swap?data=…&epoch=target (current fleet
-//     max + 1) to every replica in parallel — the fixed target keeps
-//     the operation idempotent per replica.
-//  3. On any replica failing, roll back: re-swap every replica to the
-//     previous artifact at epoch target+1. Rolling forward to a new
+//  2. Roll out (swapFleet): POST /admin/swap?data=…&epoch=target
+//     (current fleet max + 1) to every replica in parallel — the fixed
+//     target keeps the operation idempotent per replica.
+//  3. On any replica failing, roll back: swapFleet again, every
+//     replica to the previous artifact at a fresh max + 1, newer than
+//     any replica's epoch, swapped or not. Rolling forward to a new
 //     epoch (rather than reusing old numbers) preserves the epoch
 //     monotonicity the stale-409 protection depends on.
 func (s *Supervisor) Swap(ctx context.Context, path string) (*SwapOutcome, error) {
@@ -435,18 +437,11 @@ func (s *Supervisor) Swap(ctx context.Context, path string) (*SwapOutcome, error
 		}
 	}
 
-	epoch, err := s.maxEpoch(ctx)
+	target, results, err := swapFleet(ctx, s.client, s.targets(), path)
 	if err != nil {
 		return nil, err
 	}
-	target := epoch + 1
-	results := s.swapAll(ctx, path, target)
-	out := &SwapOutcome{Epoch: target, Data: path, Complete: true, Replicas: results}
-	for _, r := range results {
-		if r.Status != http.StatusOK {
-			out.Complete = false
-		}
-	}
+	out := &SwapOutcome{Epoch: target, Data: path, Complete: countFailed(results) == 0, Replicas: results}
 	if out.Complete {
 		s.setCurrentData(path)
 		mSupSwapsOK.Inc()
@@ -458,7 +453,11 @@ func (s *Supervisor) Swap(ctx context.Context, path string) (*SwapOutcome, error
 		return out, fmt.Errorf("swap to %s failed on %d replica(s) and no previous artifact is available to roll back to",
 			path, countFailed(results))
 	}
-	rbResults := s.swapAll(ctx, prev, target+1)
+	rbEpoch, rbResults, err := swapFleet(ctx, s.client, s.targets(), prev)
+	if err != nil {
+		return out, fmt.Errorf("swap to %s failed AND rollback to %s did not start: %w: fleet needs attention",
+			path, prev, err)
+	}
 	mSupRollbacks.Inc()
 	out.RolledBack = true
 	for _, r := range rbResults {
@@ -468,7 +467,7 @@ func (s *Supervisor) Swap(ctx context.Context, path string) (*SwapOutcome, error
 		}
 	}
 	log.Printf("swap to %s failed on %d replica(s); fleet rolled back to %s at epoch %d",
-		path, countFailed(results), prev, target+1)
+		path, countFailed(results), prev, rbEpoch)
 	return out, fmt.Errorf("swap to %s failed on %d replica(s); rolled back to %s", path, countFailed(results), prev)
 }
 
@@ -482,21 +481,51 @@ func countFailed(results []swapResult) int {
 	return n
 }
 
-// maxEpoch discovers the fleet's maximum serving epoch so swap targets
-// stay strictly monotonic even after partial rollouts.
-func (s *Supervisor) maxEpoch(ctx context.Context) (uint64, error) {
+// targets lists every supervised replica for swapFleet.
+func (s *Supervisor) targets() []swapTarget {
+	out := make([]swapTarget, len(s.slots))
+	for i, sl := range s.slots {
+		out[i] = swapTarget{shard: sl.spec.Shard, base: "http://" + sl.spec.Addr, name: sl.spec.Addr}
+	}
+	return out
+}
+
+// swapTarget is one replica a fleet swap posts to: its shard, its base
+// URL, and the name its swapResult reports.
+type swapTarget struct {
+	shard      int
+	base, name string
+}
+
+// swapResult is one replica's outcome during a fleet swap.
+type swapResult struct {
+	Shard   int    `json:"shard"`
+	Replica string `json:"replica"`
+	Status  int    `json:"status"`
+	Error   string `json:"error,omitempty"`
+}
+
+// swapFleet is the fleet swap both the router and the supervisor run:
+// it reads the fleet's maximum serving epoch over /shard/info, picks
+// max+1 as the target, and POSTs /admin/swap?data=…&epoch=target to
+// every replica in parallel, returning the target and one result per
+// replica. The target is strictly newer everywhere, even after a
+// previous partial swap, and fixing it makes the operation idempotent
+// per replica — a replica that already swapped answers 200 again — so
+// a partially failed swap is safely retried until the fleet converges.
+func swapFleet(ctx context.Context, client *http.Client, targets []swapTarget, path string) (uint64, []swapResult, error) {
 	var maxE atomic.Uint64
-	parallel.ForEach(len(s.slots), func(i int) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-			"http://"+s.slots[i].spec.Addr+"/shard/info", nil)
+	parallel.ForEach(len(targets), func(i int) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, targets[i].base+"/shard/info", nil)
 		if err != nil {
 			return
 		}
-		resp, err := s.client.Do(req)
+		resp, err := client.Do(req)
 		if err != nil {
 			return
 		}
-		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 		epoch, _ := strconv.ParseUint(resp.Header.Get(EpochHeader), 10, 64)
 		for {
 			cur := maxE.Load()
@@ -506,24 +535,18 @@ func (s *Supervisor) maxEpoch(ctx context.Context) (uint64, error) {
 		}
 	})
 	if maxE.Load() == 0 {
-		return 0, fmt.Errorf("no replica reachable to establish the current epoch")
+		return 0, nil, fmt.Errorf("no replica reachable to establish the current epoch")
 	}
-	return maxE.Load(), nil
-}
-
-// swapAll posts the swap to every replica in parallel and reports one
-// result per replica.
-func (s *Supervisor) swapAll(ctx context.Context, path string, epoch uint64) []swapResult {
+	epoch := maxE.Load() + 1
 	uri := "/admin/swap?data=" + url.QueryEscape(path) + "&epoch=" + strconv.FormatUint(epoch, 10)
-	return parallel.Map(len(s.slots), func(i int) swapResult {
-		sl := s.slots[i]
-		res := swapResult{Shard: sl.spec.Shard, Replica: sl.spec.Addr}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+sl.spec.Addr+uri, nil)
+	results := parallel.Map(len(targets), func(i int) swapResult {
+		res := swapResult{Shard: targets[i].shard, Replica: targets[i].name}
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, targets[i].base+uri, nil)
 		if err != nil {
 			res.Error = err.Error()
 			return res
 		}
-		resp, err := s.client.Do(req)
+		resp, err := client.Do(req)
 		if err != nil {
 			res.Error = err.Error()
 			return res
@@ -542,6 +565,7 @@ func (s *Supervisor) swapAll(ctx context.Context, path string, epoch uint64) []s
 		}
 		return res
 	})
+	return epoch, results, nil
 }
 
 // Routes is the supervisor's own admin surface: health, metrics, fleet

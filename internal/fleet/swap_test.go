@@ -241,8 +241,9 @@ func TestHotSwapHammerSingleServer(t *testing.T) {
 }
 
 // TestHotSwapHammerFleet runs the same discipline through a router
-// over two shards: cross-shard merges (/v1/site, /v1/crux) must never
-// combine epochs even while the whole fleet rolls over repeatedly.
+// over two shards: neither the cross-shard /v1/site merge nor the
+// routed /v1/list and /v1/crux may combine or confuse epochs, even
+// while the whole fleet rolls over repeatedly.
 func TestHotSwapHammerFleet(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(prevWriter())
