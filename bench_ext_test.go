@@ -11,7 +11,6 @@ import (
 	"wwb/internal/analysis"
 	"wwb/internal/chrome"
 	"wwb/internal/crux"
-	"wwb/internal/session"
 	"wwb/internal/weblist"
 	"wwb/internal/world"
 )
@@ -119,17 +118,6 @@ func BenchmarkExtSummerAssembly(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = chrome.Assemble(s.World, s.Cfg.Telemetry, opts)
-	}
-}
-
-func BenchmarkSubstrateSessionSampling(b *testing.B) {
-	s := study(b)
-	us, _ := world.CountryByCode("US")
-	rng := world.NewRNG(5).Fork("bench-session")
-	model := session.NewModel(rng, s.World, session.DefaultConfig(), us, world.Windows, world.Feb2022)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = model.Sample()
 	}
 }
 

@@ -3,7 +3,7 @@ package wwb
 // Snapshot benchmarks: the cold-start story (ROADMAP item 1). The
 // baseline is BenchmarkAssembleSmall*/the full default-scale assembly
 // implied by study(b); the snapshot path must load the same dataset in
-// milliseconds. BENCH_3.json records the measured trajectory.
+// milliseconds; wwbbench's cold_start_ms is the end-to-end figure.
 
 import (
 	"bytes"

@@ -5,7 +5,7 @@
 // same query sequence, so a failing run is replayable bit for bit.
 //
 //	wwbload -target http://127.0.0.1:8080 -rps 200 -duration 30s \
-//	  -slo-p99 250 -slo-shed 0.01 -out BENCH_5.json
+//	  -slo-p99 250 -slo-shed 0.01 -out load.json
 //
 // Exit status is non-zero when any SLO is violated, which is what
 // lets CI gate on serving performance.
@@ -42,7 +42,7 @@ func main() {
 		sloErrs   = flag.Int("slo-errors", 0, "max tolerated transport/5xx errors")
 		chaosSeed = flag.Uint64("chaos-seed", 0, "fault-injection seed for the client transport (only with -chaos-rate > 0)")
 		chaosRate = flag.Float64("chaos-rate", 0, "fault-injection rate in [0,1] on client requests; injected failures are reported apart from real errors")
-		out       = flag.String("out", "", "write the JSON report here (e.g. BENCH_5.json)")
+		out       = flag.String("out", "", "write the JSON report here (e.g. load.json)")
 	)
 	flag.Parse()
 

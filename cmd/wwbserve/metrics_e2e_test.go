@@ -68,24 +68,27 @@ func metricValue(text, prefix string) float64 {
 // TestMetricsEndToEndChaos drives a chaos-seeded study through the
 // full serving stack and asserts /metrics reflects what happened:
 // requests served per route, limiter sheds, and the categorisation
-// client's retries and degradations.
+// client's retries and degradations. The study labels its domains
+// while it is built, so the first scrape comes before core.New.
 func TestMetricsEndToEndChaos(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(prevWriter())
+	ms := httptest.NewServer(fleet.WithMiddleware(metrics.Handler(metrics.Default), fleet.MiddlewareConfig{}))
+	before := scrape(t, ms.URL)
+	ms.Close()
+
 	cfg := core.SmallConfig().FebOnly()
 	// Full-rate chaos: attempts succeed only via Slow faults, so most
 	// lookups exhaust their budget and degrade.
 	cfg.Chaos = chaos.Flaky(7, 1.0)
 	study := core.New(cfg)
 
-	log.SetOutput(io.Discard)
-	defer log.SetOutput(prevWriter())
 	srv := httptest.NewServer(newServer(study).Routes(fleet.MiddlewareConfig{MaxInFlight: 8}))
 	defer srv.Close()
 
-	before := scrape(t, srv.URL)
-
-	// Serve a categorising request: every entry resolves through the
-	// resilient client under injected faults.
+	// Serve a categorising request: every entry's label was resolved
+	// through the resilient client under injected faults.
 	resp, err := http.Get(srv.URL + "/v1/list?country=US&platform=windows&metric=loads&n=100")
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +127,7 @@ func TestMetricsEndToEndChaos(t *testing.T) {
 	}
 
 	// The chaos traffic must be visible: degradations and retries
-	// beyond the pre-request scrape.
+	// beyond the scrape taken before the study was built.
 	for _, series := range []string{
 		"catapi_degraded_total",
 		"catapi_retries_total",

@@ -84,33 +84,6 @@ func (s *Service) accuracyFor(cat taxonomy.Category) float64 {
 	return s.cfg.DefaultAccuracy
 }
 
-// Knows reports whether domain is one of the world's own domains: a
-// site's canonical domain, or a multi-TLD site's domain under some
-// country's suffix. The set is finite, so a memo keyed by the domains
-// Knows accepts stays bounded whatever domains clients send.
-func (s *Service) Knows(domain string) bool {
-	site, ok := s.world.SiteByKey(psl.Default.SiteKey(domain))
-	if !ok {
-		return false
-	}
-	k := len(site.Key)
-	if len(domain) <= k || domain[:k] != site.Key || domain[k] != '.' {
-		return false
-	}
-	suffix := domain[k+1:]
-	if suffix == site.TLD {
-		return true
-	}
-	if site.MultiTLD {
-		for _, c := range s.world.Countries() {
-			if suffix == c.Suffix {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Lookup returns the API's category label for a domain. Labels are
 // deterministic per domain: repeated queries agree, as with the real
 // API. Unknown is returned for domains the API has never seen.

@@ -1,6 +1,7 @@
 package catapi
 
 import (
+	"context"
 	"testing"
 
 	"wwb/internal/taxonomy"
@@ -11,6 +12,18 @@ var (
 	testWorld = world.Generate(world.SmallConfig())
 	testSvc   = NewService(testWorld, DefaultServiceConfig())
 )
+
+// testLabels labels every test-world domain through an infallible
+// client, as a study does.
+func testLabels(t *testing.T) (*Client, map[string]taxonomy.Category) {
+	t.Helper()
+	c := NewClient(NewServiceTransport(testSvc))
+	labels, err := c.Label(context.Background(), testWorld.Domains())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, labels
+}
 
 func TestLookupDeterministic(t *testing.T) {
 	for _, d := range []string{"google.com", "netflix.com", "naver.com"} {
@@ -131,7 +144,8 @@ func TestCategorizerPipeline(t *testing.T) {
 	for d, c := range VerifyDomains(testSvc, []string{"facebook.com", "vk.com"}, taxonomy.SocialNetworks) {
 		verified[d] = c
 	}
-	cat := NewCategorizer(testSvc, v, verified)
+	client, labels := testLabels(t)
+	cat := NewCategorizer(client, labels, v, verified)
 
 	if got := cat.Category("google.com"); got != taxonomy.SearchEngines {
 		t.Errorf("google.com = %q, want verified Search Engines", got)
@@ -155,9 +169,26 @@ func TestCategorizerPipeline(t *testing.T) {
 }
 
 func TestCategorizerNilVerified(t *testing.T) {
-	cat := NewCategorizer(testSvc, nil, nil)
+	client, labels := testLabels(t)
+	cat := NewCategorizer(client, labels, nil, nil)
 	if got := cat.Category("unknown.example"); got != taxonomy.Unknown {
 		t.Errorf("unknown domain = %q, want Unknown", got)
+	}
+}
+
+// TestCategorizerTableMatchesFreshLookups: a domain read from the
+// table gets the category it gets when resolved afresh, as a domain
+// outside the labels is.
+func TestCategorizerTableMatchesFreshLookups(t *testing.T) {
+	v := Validate(testSvc, 10)
+	verified := VerifyDomains(testSvc, []string{"google.com", "naver.com"}, taxonomy.SearchEngines)
+	client, labels := testLabels(t)
+	table := NewCategorizer(client, labels, v, verified)
+	fresh := NewCategorizer(client, nil, v, verified)
+	for _, d := range testWorld.Domains() {
+		if a, b := table.Category(d), fresh.Category(d); a != b {
+			t.Fatalf("%s: table %q, fresh lookup %q", d, a, b)
+		}
 	}
 }
 
@@ -165,7 +196,8 @@ func TestCategorizerMostSitesKeepTrueCategory(t *testing.T) {
 	// End to end, the categorizer should agree with ground truth for
 	// the bulk of non-flagship sites.
 	v := Validate(testSvc, 10)
-	cat := NewCategorizer(testSvc, v, nil)
+	client, labels := testLabels(t)
+	cat := NewCategorizer(client, labels, v, nil)
 	agree, total := 0, 0
 	for _, s := range testWorld.Sites() {
 		if taxonomy.ManuallyVerified(s.Category) || v.IsDropped(s.Category) {

@@ -1,6 +1,8 @@
 package catapi
 
 import (
+	"context"
+
 	"wwb/internal/taxonomy"
 )
 
@@ -8,11 +10,14 @@ import (
 // Section 3.2 workflow: API labels for kept categories, Unknown for
 // dropped ones, and hand-verified sets for Search Engines and Social
 // Networks.
+//
+// The category of every labelled domain is computed once, when the
+// categorizer is built, so Category is a table read for them. A domain
+// outside the labels (a client-supplied /v1/site probe) is resolved
+// afresh through the client on every call and leaves nothing behind.
 type Categorizer struct {
-	// lookup queries the API for a domain's label. It is the
-	// service's Lookup in the direct path, or a resilient Client's
-	// LookupFunc when the transport can fail.
-	lookup func(domain string) taxonomy.Category
+	table  map[string]taxonomy.Category
+	client *Client
 
 	validation *Validation
 	// verified maps domains to their manually confirmed category; it
@@ -20,29 +25,37 @@ type Categorizer struct {
 	verified map[string]taxonomy.Category
 }
 
-// NewCategorizer wires a service, its validation outcome, and the
-// manually verified domain sets.
-func NewCategorizer(svc *Service, v *Validation, verified map[string]taxonomy.Category) *Categorizer {
-	return NewCategorizerFunc(svc.Lookup, v, verified)
-}
-
-// NewCategorizerFunc is NewCategorizer with an arbitrary lookup
-// function — typically a resilient Client's LookupFunc, so degraded
-// lookups surface as taxonomy.Uncategorized instead of blocking the
-// study.
-func NewCategorizerFunc(lookup func(domain string) taxonomy.Category, v *Validation, verified map[string]taxonomy.Category) *Categorizer {
-	if verified == nil {
-		verified = map[string]taxonomy.Category{}
+// NewCategorizer builds the study categories of the labelled domains
+// from their API labels, the validation outcome and the manually
+// verified domain sets; client resolves every other domain.
+func NewCategorizer(client *Client, labels map[string]taxonomy.Category, v *Validation, verified map[string]taxonomy.Category) *Categorizer {
+	c := &Categorizer{
+		table:      make(map[string]taxonomy.Category, len(labels)),
+		client:     client,
+		validation: v,
+		verified:   verified,
 	}
-	return &Categorizer{lookup: lookup, validation: v, verified: verified}
+	for d, label := range labels {
+		c.table[d] = c.category(d, label)
+	}
+	return c
 }
 
 // Category returns the study category for a domain.
 func (c *Categorizer) Category(domain string) taxonomy.Category {
+	if cat, ok := c.table[domain]; ok {
+		return cat
+	}
+	// A background context never ends, so the lookup cannot fail.
+	label, _ := c.client.Category(context.Background(), domain)
+	return c.category(domain, label)
+}
+
+// category applies the workflow to one domain's API label.
+func (c *Categorizer) category(domain string, label taxonomy.Category) taxonomy.Category {
 	if cat, ok := c.verified[domain]; ok {
 		return cat
 	}
-	label := c.lookup(domain)
 	// Degraded lookups pass through: the transport never answered, so
 	// neither the flagship discard nor the validation bar applies.
 	if label == taxonomy.Uncategorized {

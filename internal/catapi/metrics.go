@@ -10,7 +10,7 @@ import "wwb/internal/metrics"
 var (
 	mLookups = metrics.Default.Counter(
 		"catapi_lookups_total",
-		"Distinct domain resolutions performed (memo hits excluded).")
+		"Domain resolutions performed.")
 	mAttempts = metrics.Default.Counter(
 		"catapi_attempts_total",
 		"Transport calls issued, including retries.")

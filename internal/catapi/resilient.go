@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"wwb/internal/chaos"
+	"wwb/internal/parallel"
 	"wwb/internal/taxonomy"
 	"wwb/internal/world"
 )
@@ -16,17 +16,18 @@ import (
 // The retry policy mirrors the paper's workflow pragmatics: a few
 // quick retries with small backoffs (the simulated API answers in
 // microseconds), a tight total budget, and a generous per-attempt
-// timeout as a hang guard. The values that decide *outcomes*
-// (attempts, sleep budget) are logical, not wall-clock, so a lookup's
-// result is a pure function of the chaos seed and the domain; the
-// wall-clock values (per-attempt timeout, caller context) are safety
-// nets for genuinely hung transports.
+// timeout as a hang guard. Backoff is logical: the client plans,
+// budgets and jitters each wait and counts it, but does not wait it
+// out, so a lookup's result is a pure function of the chaos seed and
+// the domain, and retries cost no wall-clock time. The wall-clock
+// values (per-attempt timeout, caller context) are safety nets for
+// genuinely hung transports.
 const (
 	// maxAttempts is the total number of transport calls per lookup.
 	maxAttempts = 4
 	// baseBackoff seeds the exponential backoff: before attempt k+1
 	// the client plans baseBackoff*2^(k-1), capped at maxBackoff, and
-	// sleeps a full-jitter fraction of it.
+	// counts a full-jitter fraction of it as slept.
 	baseBackoff = time.Millisecond
 	maxBackoff  = 20 * time.Millisecond
 	// sleepBudget caps the cumulative *planned* backoff across a
@@ -43,9 +44,7 @@ const (
 // ClientStats counts the resilient client's traffic. All fields are
 // monotonic; read them with Stats.
 type ClientStats struct {
-	// Lookups is the number of domain resolutions performed (memo hits
-	// excluded; a domain the client does not memoize counts every
-	// time).
+	// Lookups is the number of domain resolutions performed.
 	Lookups int64
 	// Attempts is the total transport calls issued.
 	Attempts int64
@@ -69,37 +68,19 @@ func (e *errAttemptPanic) Error() string {
 	return fmt.Sprintf("catapi: transport panic recovered: %v", e.val)
 }
 
-// lookupEntry is a single-flight memo slot for one domain.
-type lookupEntry struct {
-	once sync.Once
-	cat  taxonomy.Category
-	err  error
-}
-
 // Client is the resilient categorisation client: bounded retries with
 // exponential backoff and deterministic full jitter, per-attempt and
 // total budgets, and graceful degradation to taxonomy.Uncategorized
 // when the budget is exhausted.
 //
-// Outcomes are memoized per domain with single-flight, which matches
-// the real API's repeated-queries-agree behaviour. The memo is bounded
-// by the memoize predicate: a domain it rejects (a client-supplied
-// domain the world does not know) is resolved afresh on every call, to
-// the same label, and leaves nothing behind. Each lookup numbers
-// its attempts from 1 and passes the number to the transport, which
-// keys the FlakyTransport's fault schedule: for a given chaos seed, a
-// domain's label is the same in every run, at every worker count, in
-// any lookup order.
+// The client keeps no per-domain state: every call resolves afresh.
+// Each lookup numbers its attempts from 1 and passes the number to the
+// transport, which keys the FlakyTransport's fault schedule: for a
+// given chaos seed, a domain's label is the same on every call, in
+// every run, at every worker count, in any lookup order.
 type Client struct {
 	transport Transport
 	jitter    *world.RNG
-	// sleep waits out a backoff; in-package tests shrink it.
-	sleep func(context.Context, time.Duration) error
-
-	memo sync.Map // domain -> *lookupEntry
-	// memoize reports whether a domain's outcome is kept in memo; nil
-	// keeps every domain's.
-	memoize func(domain string) bool
 
 	lookups  atomic.Int64
 	attempts atomic.Int64
@@ -108,10 +89,9 @@ type Client struct {
 	panics   atomic.Int64
 }
 
-// NewClient builds a resilient client over transport that memoizes the
-// outcomes of the domains memoize accepts (every domain when nil).
-func NewClient(transport Transport, memoize func(domain string) bool) *Client {
-	return &Client{transport: transport, jitter: world.NewRNG(jitterSeed), sleep: chaos.Sleep, memoize: memoize}
+// NewClient builds a resilient client over transport.
+func NewClient(transport Transport) *Client {
+	return &Client{transport: transport, jitter: world.NewRNG(jitterSeed)}
 }
 
 // Stats returns a snapshot of the client's counters.
@@ -125,35 +105,23 @@ func (c *Client) Stats() ClientStats {
 	}
 }
 
-// Category resolves a domain's label, degrading to Uncategorized when
-// the transport stays unavailable past the retry budget. The error is
-// non-nil only when the caller's context ended before the lookup
-// resolved; such aborted lookups are not memoized, so a later call
-// with a live context retries cleanly.
-func (c *Client) Category(ctx context.Context, domain string) (taxonomy.Category, error) {
-	for {
-		v, ok := c.memo.Load(domain)
-		if !ok {
-			if c.memoize != nil && !c.memoize(domain) {
-				return c.resolve(ctx, domain)
-			}
-			v, _ = c.memo.LoadOrStore(domain, new(lookupEntry))
-		}
-		e := v.(*lookupEntry)
-		e.once.Do(func() {
-			e.cat, e.err = c.resolve(ctx, domain)
-		})
-		if e.err == nil {
-			return e.cat, nil
-		}
-		// The winning resolver was cancelled. Drop the poisoned entry;
-		// if our own context is also done, report that, otherwise loop
-		// and resolve afresh.
-		c.memo.CompareAndDelete(domain, e)
-		if ctx.Err() != nil {
-			return taxonomy.Uncategorized, ctx.Err()
-		}
+// Label resolves each of domains once, in parallel, and returns their
+// labels by domain. It fails only when ctx ends first.
+func (c *Client) Label(ctx context.Context, domains []string) (map[string]taxonomy.Category, error) {
+	cats := make([]taxonomy.Category, len(domains))
+	err := parallel.ForEachCtx(ctx, len(domains), func(ctx context.Context, i int) error {
+		var err error
+		cats[i], err = c.Category(ctx, domains[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
+	labels := make(map[string]taxonomy.Category, len(domains))
+	for i, d := range domains {
+		labels[d] = cats[i]
+	}
+	return labels, nil
 }
 
 // retryable reports whether an attempt error is worth retrying.
@@ -166,9 +134,11 @@ func retryable(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// resolve runs the retry loop for one domain. It returns a non-nil
-// error only on caller-context cancellation.
-func (c *Client) resolve(ctx context.Context, domain string) (taxonomy.Category, error) {
+// Category resolves a domain's label, degrading to Uncategorized when
+// the transport stays unavailable past the retry budget. The error is
+// non-nil only when the caller's context ended before the lookup
+// resolved.
+func (c *Client) Category(ctx context.Context, domain string) (taxonomy.Category, error) {
 	if err := ctx.Err(); err != nil {
 		// Don't start work on a dead context.
 		return taxonomy.Uncategorized, err
@@ -203,15 +173,11 @@ func (c *Client) resolve(ctx context.Context, domain string) (taxonomy.Category,
 		planned += next
 		c.retries.Add(1)
 		mRetries.Inc()
-		// Full jitter: sleep uniform [0, next), drawn from a stream
-		// keyed by (jitter seed, domain, attempt) so the duration — and
-		// with it the sleep budget arithmetic above, which uses the
-		// pre-jitter plan — never depends on scheduling.
+		// Full jitter: the logical sleep is uniform [0, next), drawn
+		// from a stream keyed by (jitter seed, domain, attempt), so it
+		// never depends on scheduling.
 		d := time.Duration(c.jitter.Fork(fmt.Sprintf("backoff|%s|%d", domain, attempt)).Float64() * float64(next))
 		mSleepSeconds.Add(d.Seconds())
-		if err := c.sleep(ctx, d); err != nil {
-			return taxonomy.Uncategorized, err
-		}
 	}
 	c.degraded.Add(1)
 	mDegraded.Inc()
@@ -243,18 +209,4 @@ func (c *Client) attemptOnce(ctx context.Context, domain string, attempt int) (c
 		}
 	}()
 	return c.transport.Lookup(actx, domain, attempt)
-}
-
-// LookupFunc adapts the client to the plain func(domain) Category
-// shape the Categorizer and the analyses consume. It resolves under
-// context.Background(): study analyses never abandon a categorisation
-// mid-flight, they degrade instead.
-func (c *Client) LookupFunc() func(domain string) taxonomy.Category {
-	return func(domain string) taxonomy.Category {
-		cat, err := c.Category(context.Background(), domain)
-		if err != nil {
-			return taxonomy.Uncategorized
-		}
-		return cat
-	}
 }

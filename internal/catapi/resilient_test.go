@@ -50,17 +50,9 @@ func (t *scriptedTransport) callCount(domain string) int {
 	return t.calls[domain]
 }
 
-// fastClient is NewClient with every backoff sleep shrunk a
-// hundredfold; the retry arithmetic is unchanged.
-func fastClient(tr Transport) *Client {
-	c := NewClient(tr, nil)
-	c.sleep = func(ctx context.Context, d time.Duration) error { return chaos.Sleep(ctx, d/100) }
-	return c
-}
-
 func TestClientRetriesTransientThenSucceeds(t *testing.T) {
 	tr := newScripted(2, chaos.ErrTransient)
-	c := fastClient(tr)
+	c := NewClient(tr)
 	cat, err := c.Category(context.Background(), "a.com")
 	if err != nil || cat != taxonomy.Gaming {
 		t.Fatalf("Category = %v, %v", cat, err)
@@ -76,7 +68,7 @@ func TestClientRetriesTransientThenSucceeds(t *testing.T) {
 
 func TestClientDegradesWhenBudgetExhausted(t *testing.T) {
 	tr := newScripted(-1, chaos.ErrTransient)
-	c := fastClient(tr)
+	c := NewClient(tr)
 	cat, err := c.Category(context.Background(), "down.com")
 	if err != nil {
 		t.Fatal(err)
@@ -92,23 +84,72 @@ func TestClientDegradesWhenBudgetExhausted(t *testing.T) {
 	}
 }
 
-func TestClientMemoizesPerDomain(t *testing.T) {
-	tr := newScripted(0, nil)
-	c := fastClient(tr)
-	for i := 0; i < 5; i++ {
-		if cat, _ := c.Category(context.Background(), "memo.com"); cat != taxonomy.Gaming {
-			t.Fatalf("lookup %d: %v", i, cat)
+// TestClientLabelsEachDomainOnce: Label resolves every domain it is
+// given exactly once and returns each one's label.
+func TestClientLabelsEachDomainOnce(t *testing.T) {
+	tr := newScripted(1, chaos.ErrTransient)
+	c := NewClient(tr)
+	domains := make([]string, 100)
+	for i := range domains {
+		domains[i] = "d" + strconv.Itoa(i) + ".com"
+	}
+	labels, err := c.Label(context.Background(), domains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(labels) != len(domains) {
+		t.Fatalf("%d labels for %d domains", len(labels), len(domains))
+	}
+	for _, d := range domains {
+		if labels[d] != taxonomy.Gaming {
+			t.Errorf("%s = %v, want Gaming", d, labels[d])
+		}
+		if got := tr.callCount(d); got != 2 {
+			t.Errorf("%s: transport calls = %d, want 2 (one failure, one answer)", d, got)
 		}
 	}
-	if got := tr.callCount("memo.com"); got != 1 {
-		t.Errorf("transport calls = %d, want 1 (memoized)", got)
+	if st := c.Stats(); st.Lookups != int64(len(domains)) {
+		t.Errorf("lookups = %d, want %d", st.Lookups, len(domains))
+	}
+}
+
+// TestClientLabelStopsOnCancel: labelling under a context that has
+// ended returns its error and no labels.
+func TestClientLabelStopsOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	labels, err := NewClient(newScripted(0, nil)).Label(ctx, []string{"a.com", "b.com"})
+	if !errors.Is(err, context.Canceled) || labels != nil {
+		t.Fatalf("Label = %v, %v; want no labels and context.Canceled", labels, err)
+	}
+}
+
+// TestBackoffIsLogical: the client counts its jittered backoff as
+// slept but never waits it out, so retrying lookups take less wall
+// time than the sleep they report.
+func TestBackoffIsLogical(t *testing.T) {
+	c := NewClient(newScripted(-1, chaos.ErrTransient))
+	before := mSleepSeconds.Value()
+	start := time.Now()
+	for i := 0; i < 200; i++ {
+		if cat, _ := c.Category(context.Background(), "down"+strconv.Itoa(i)+".com"); cat != taxonomy.Uncategorized {
+			t.Fatalf("lookup %d = %v, want Uncategorized", i, cat)
+		}
+	}
+	elapsed := time.Since(start)
+	slept := time.Duration((mSleepSeconds.Value() - before) * float64(time.Second))
+	if slept < 200*time.Millisecond {
+		t.Fatalf("200 exhausted lookups counted %s of backoff; the retry plan changed", slept)
+	}
+	if elapsed >= slept {
+		t.Errorf("lookups took %s against %s of logical backoff: the client waited", elapsed, slept)
 	}
 }
 
 func TestClientDoesNotRetryUnknownErrors(t *testing.T) {
 	fatal := errors.New("schema mismatch")
 	tr := newScripted(-1, fatal)
-	c := fastClient(tr)
+	c := NewClient(tr)
 	cat, err := c.Category(context.Background(), "weird.com")
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +165,7 @@ func TestClientDoesNotRetryUnknownErrors(t *testing.T) {
 func TestClientHonoursRateLimitRetryAfter(t *testing.T) {
 	// A Retry-After larger than the sleep budget must stop retries.
 	tr := newScripted(-1, &chaos.RateLimitError{RetryAfter: time.Hour})
-	c := fastClient(tr)
+	c := NewClient(tr)
 	start := time.Now()
 	cat, err := c.Category(context.Background(), "limited.com")
 	if err != nil {
@@ -157,7 +198,7 @@ func (t *panicTransport) Lookup(_ context.Context, _ string, _ int) (taxonomy.Ca
 func TestClientRecoversTransportPanics(t *testing.T) {
 	tr := &panicTransport{answer: taxonomy.Music}
 	tr.remaining.Store(2)
-	c := fastClient(tr)
+	c := NewClient(tr)
 	cat, err := c.Category(context.Background(), "panicky.com")
 	if err != nil || cat != taxonomy.Music {
 		t.Fatalf("Category = %v, %v", cat, err)
@@ -169,14 +210,14 @@ func TestClientRecoversTransportPanics(t *testing.T) {
 
 func TestClientContextCancellationNotMemoized(t *testing.T) {
 	tr := newScripted(0, nil)
-	c := fastClient(tr)
+	c := NewClient(tr)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := c.Category(ctx, "late.com"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled lookup err = %v", err)
 	}
-	// A live context must succeed afterwards: the aborted entry is
-	// dropped, not poisoned.
+	// A live context must succeed afterwards: nothing of the aborted
+	// lookup is kept.
 	cat, err := c.Category(context.Background(), "late.com")
 	if err != nil || cat != taxonomy.Gaming {
 		t.Fatalf("retry after cancellation = %v, %v", cat, err)
@@ -202,9 +243,9 @@ func TestCancelledLookupKeepsFaultSchedule(t *testing.T) {
 	w := world.Generate(world.SmallConfig())
 	svc := NewService(w, DefaultServiceConfig())
 	ccfg := chaos.Flaky(99, 0.6)
-	fresh := fastClient(NewFlakyTransport(NewServiceTransport(svc), ccfg))
+	fresh := NewClient(NewFlakyTransport(NewServiceTransport(svc), ccfg))
 	tr := &cancelAfter{next: NewFlakyTransport(NewServiceTransport(svc), ccfg)}
-	c := fastClient(tr)
+	c := NewClient(tr)
 	cancelled := 0
 	for i, s := range w.Sites() {
 		if i == 200 {
@@ -244,7 +285,7 @@ func TestFlakyClientDeterministicAcrossRunsAndOrder(t *testing.T) {
 
 	run := func(order []string) map[string]taxonomy.Category {
 		tr := NewFlakyTransport(NewServiceTransport(svc), ccfg)
-		c := fastClient(tr)
+		c := NewClient(tr)
 		out := map[string]taxonomy.Category{}
 		for _, d := range order {
 			cat, err := c.Category(context.Background(), d)
@@ -285,7 +326,7 @@ func TestFlakyClientDeterministicAcrossRunsAndOrder(t *testing.T) {
 func TestFlakyClientOffMatchesServiceExactly(t *testing.T) {
 	w := world.Generate(world.SmallConfig())
 	svc := NewService(w, DefaultServiceConfig())
-	c := NewClient(NewServiceTransport(svc), svc.Knows)
+	c := NewClient(NewServiceTransport(svc))
 	for i, s := range w.Sites() {
 		if i == 200 {
 			break
@@ -318,7 +359,7 @@ func TestFlakyClientConcurrentLookupsDeterministic(t *testing.T) {
 
 	run := func() map[string]taxonomy.Category {
 		tr := NewFlakyTransport(NewServiceTransport(svc), ccfg)
-		c := fastClient(tr)
+		c := NewClient(tr)
 		out := make([]taxonomy.Category, len(domains))
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
@@ -350,33 +391,20 @@ func TestFlakyClientConcurrentLookupsDeterministic(t *testing.T) {
 	}
 }
 
-func TestServiceKnowsExactlyTheWorldsDomains(t *testing.T) {
-	for _, s := range testWorld.Sites() {
-		if !testSvc.Knows(s.Domain()) {
-			t.Fatalf("%s not known", s.Domain())
-		}
-		for _, c := range testWorld.Countries() {
-			if d := s.DomainIn(c); !testSvc.Knows(d) {
-				t.Fatalf("%s (in %s) not known", d, c.Code)
-			}
-		}
-	}
-	for _, d := range []string{"", "com", "probe1.co.uk", "www.google.com", "google.zz", "google.com.evil"} {
-		if testSvc.Knows(d) {
-			t.Errorf("%q known", d)
-		}
-	}
-}
-
 // TestUnknownDomainLookupsRetainNoHeap: the serving path categorises
-// client-supplied domains, so the client's memo may keep only domains
-// the world knows. 100K lookups of never-seen domains, under chaos,
-// must leave the heap retained after a collection where it was, and a
-// repeated unknown domain must resolve to the same label.
+// client-supplied domains, so the client may keep nothing per domain.
+// 100K lookups of never-seen domains, under chaos, must leave the heap
+// retained after a collection where it was, and a repeated unknown
+// domain must resolve to the same label.
 func TestUnknownDomainLookupsRetainNoHeap(t *testing.T) {
-	c := fastClient(NewFlakyTransport(NewServiceTransport(testSvc), chaos.Flaky(7, 0.2)))
-	c.memoize = testSvc.Knows
-	lookup := c.LookupFunc()
+	c := NewClient(NewFlakyTransport(NewServiceTransport(testSvc), chaos.Flaky(7, 0.2)))
+	lookup := func(d string) taxonomy.Category {
+		cat, err := c.Category(context.Background(), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cat
+	}
 	retained := func() uint64 {
 		runtime.GC()
 		runtime.GC()

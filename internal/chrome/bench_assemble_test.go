@@ -10,8 +10,7 @@ import (
 
 // Assembly benchmarks: streaming vs the legacy materialise-and-sort
 // reference, run with -benchmem so the allocs/op delta from bounded
-// selection and pooled scratch is visible in the bench log (the
-// numbers land in BENCH_4.json).
+// selection and pooled scratch is visible in the bench log.
 //
 //	go test ./internal/chrome -run=NONE -bench=Assemble -benchmem
 

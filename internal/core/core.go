@@ -74,9 +74,12 @@ type Study struct {
 	Validation  *catapi.Validation
 	Categorizer *catapi.Categorizer
 	// Client is the resilient categorisation client behind the
-	// Categorizer: retries, backoff, degradation.
-	// Its Stats expose how much chaos the study absorbed.
+	// Categorizer: retries, backoff, degradation. It labels every
+	// world domain once, in NewCtx; its Stats expose how much chaos
+	// the study absorbed.
 	Client *catapi.Client
+	// labels is the API label of every domain the world can produce.
+	labels map[string]taxonomy.Category
 
 	// Month is the analysis month (the paper uses February 2022).
 	Month world.Month
@@ -126,15 +129,22 @@ func NewCtx(ctx context.Context, cfg Config) (*Study, error) {
 	verified := verifyTopDomains(svc, ds, month)
 	metrics.ObserveStage("catapi.verify", time.Since(verifyStart))
 
-	// The categorisation serving path always runs through the
-	// resilient client; with chaos off the transport is infallible and
-	// the client is a transparent memoized pass-through, so labels are
-	// byte-identical to the direct service path.
+	// Label every domain the world can produce once, as the paper
+	// labels each domain once. Labelling always runs through the
+	// resilient client; with chaos off the transport is infallible, so
+	// the labels are the service's own. Every dataset domain, in any
+	// month, is a world domain, so the analyses only read the table.
 	transport := catapi.NewServiceTransport(svc)
 	if cfg.Chaos.Enabled() {
 		transport = catapi.NewFlakyTransport(transport, cfg.Chaos)
 	}
-	client := catapi.NewClient(transport, svc.Knows)
+	client := catapi.NewClient(transport)
+	labelStart := time.Now()
+	labels, err := client.Label(ctx, w.Domains())
+	if err != nil {
+		return nil, err
+	}
+	metrics.ObserveStage("catapi.label", time.Since(labelStart))
 
 	return &Study{
 		Cfg:         cfg,
@@ -142,8 +152,9 @@ func NewCtx(ctx context.Context, cfg Config) (*Study, error) {
 		Dataset:     ds,
 		Service:     svc,
 		Validation:  validation,
-		Categorizer: catapi.NewCategorizerFunc(client.LookupFunc(), validation, verified),
+		Categorizer: catapi.NewCategorizer(client, labels, validation, verified),
 		Client:      client,
+		labels:      labels,
 		Month:       month,
 		cache:       map[string]*memoEntry{},
 	}, nil
@@ -241,13 +252,13 @@ func (s *Study) AppendMonth(ctx context.Context, aopts chrome.AppendOptions) (*c
 		// The analysis month moved: the Section 3.2 verification pass
 		// is bound to it, so the categorizer is rebuilt from the new
 		// month's top-100 lists — exactly what a fresh study over the
-		// extended window would verify. The resilient client and its
-		// per-domain memo are month-independent and carry over.
+		// extended window would verify. The labels are
+		// month-independent and carry over.
 		s.Month = aopts.Month
 		verifyStart := time.Now()
 		verified := verifyTopDomains(s.Service, s.Dataset, s.Month)
 		metrics.ObserveStage("catapi.verify", time.Since(verifyStart))
-		s.Categorizer = catapi.NewCategorizerFunc(s.Client.LookupFunc(), s.Validation, verified)
+		s.Categorizer = catapi.NewCategorizer(s.Client, s.labels, s.Validation, verified)
 	}
 	return inc, nil
 }

@@ -27,6 +27,43 @@ func TestStudyPipelineAssembled(t *testing.T) {
 	}
 }
 
+// TestLabelTableHoldsExactlyTheWorldsDomains: the study labels every
+// domain the world can produce (each site's canonical domain and each
+// multi-TLD site's domain in every country) and nothing else, and every
+// domain of every dataset list is among them.
+func TestLabelTableHoldsExactlyTheWorldsDomains(t *testing.T) {
+	w := testStudy.World
+	for _, s := range w.Sites() {
+		if _, ok := testStudy.labels[s.Domain()]; !ok {
+			t.Fatalf("%s not labelled", s.Domain())
+		}
+		for _, c := range w.Countries() {
+			if _, ok := testStudy.labels[s.DomainIn(c)]; !ok {
+				t.Fatalf("%s (in %s) not labelled", s.DomainIn(c), c.Code)
+			}
+		}
+	}
+	for _, d := range []string{"", "com", "probe1.co.uk", "www.google.com", "google.zz", "google.com.evil"} {
+		if _, ok := testStudy.labels[d]; ok {
+			t.Errorf("%q labelled", d)
+		}
+	}
+	ds := testStudy.Dataset
+	for _, c := range ds.Countries {
+		for _, p := range world.Platforms {
+			for _, m := range world.Metrics {
+				for _, month := range ds.Months {
+					for _, e := range ds.List(c, p, m, month) {
+						if _, ok := testStudy.labels[e.Domain]; !ok {
+							t.Fatalf("dataset domain %s (%s %s) not labelled", e.Domain, c, month)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestStudyCategorizeVerifiedSearch(t *testing.T) {
 	// The manual-verification pass must label the top search engines
 	// correctly even though the API is unreliable for them.

@@ -36,7 +36,11 @@ func TestRunUnknown(t *testing.T) {
 	}
 }
 
+// TestEveryExperimentRenders also checks that no analysis categorises
+// a domain outside the study's label table: the resilient client makes
+// no lookup while every experiment, ext-summer included, renders.
 func TestEveryExperimentRenders(t *testing.T) {
+	lookups := testRunner.Study.Client.Stats().Lookups
 	for _, id := range IDs() {
 		out, err := testRunner.Run(id)
 		if err != nil {
@@ -48,6 +52,9 @@ func TestEveryExperimentRenders(t *testing.T) {
 		if strings.Contains(out, "NaN") {
 			t.Errorf("%s: output contains NaN:\n%s", id, out)
 		}
+	}
+	if got := testRunner.Study.Client.Stats().Lookups; got != lookups {
+		t.Errorf("rendering every experiment made %d categorisation lookups, want 0", got-lookups)
 	}
 }
 

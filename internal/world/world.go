@@ -40,6 +40,29 @@ func (w *World) Countries() []Country { return w.countries }
 // Sites returns every site in the universe in generation order.
 func (w *World) Sites() []*Site { return w.sites }
 
+// Domains returns, each once, every domain under which the world's
+// sites appear in rank lists: each site's canonical domain and, for
+// multi-TLD sites, its domain in every country.
+func (w *World) Domains() []string {
+	seen := make(map[string]struct{}, len(w.sites))
+	var out []string
+	add := func(d string) {
+		if _, ok := seen[d]; !ok {
+			seen[d] = struct{}{}
+			out = append(out, d)
+		}
+	}
+	for _, s := range w.sites {
+		add(s.Domain())
+		if s.MultiTLD {
+			for _, c := range w.countries {
+				add(s.DomainIn(c))
+			}
+		}
+	}
+	return out
+}
+
 // SiteByKey looks a site up by its merged key.
 func (w *World) SiteByKey(key string) (*Site, bool) {
 	s, ok := w.byKey[key]
