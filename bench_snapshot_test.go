@@ -31,7 +31,7 @@ func benchSnapshotBytes(b *testing.B) []byte {
 }
 
 // BenchmarkSnapshotEncode measures writing the default-scale dataset
-// (lists + curves + interned index + per-cell views) as a .wwb file.
+// (domain table, lists, coverage, curves) as a .wwb file.
 func BenchmarkSnapshotEncode(b *testing.B) {
 	ds := study(b).Dataset
 	b.ResetTimer()
@@ -44,7 +44,7 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 
 // BenchmarkSnapshotLoad is the serving cold start: read a .wwb
 // snapshot file and decode it into a fully queryable dataset with its
-// interned index restored. Compare against the assembly benchmarks
+// interned index derived. Compare against the assembly benchmarks
 // (the no-artifact path).
 func BenchmarkSnapshotLoad(b *testing.B) {
 	snap := benchSnapshotBytes(b)
@@ -76,7 +76,7 @@ func BenchmarkSnapshotLoadBytes(b *testing.B) {
 }
 
 // BenchmarkSnapshotLoadPlusFirstQuery decodes and then touches the
-// restored index the way /v1/site does, so the number includes the
+// derived index the way /v1/site does, so the number includes the
 // first query's index lookup.
 func BenchmarkSnapshotLoadPlusFirstQuery(b *testing.B) {
 	snap := benchSnapshotBytes(b)
@@ -89,7 +89,7 @@ func BenchmarkSnapshotLoadPlusFirstQuery(b *testing.B) {
 		}
 		ix := ds.Index()
 		if _, ok := ix.ID(psl.Default.SiteKey("google.us")); !ok {
-			b.Fatal("google missing from restored index")
+			b.Fatal("google missing from derived index")
 		}
 	}
 }

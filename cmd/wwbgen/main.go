@@ -46,7 +46,7 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "world generation seed")
 		months    = flag.String("months", "all", "months to assemble: all, feb, or an inclusive range like 2021-09..2022-03")
 		out       = flag.String("o", "-", "output path (- for stdout)")
-		format    = flag.String("format", "wwb", "output format: wwb (lossless binary snapshot with interned index, near-instant load) or csv (rank lists only)")
+		format    = flag.String("format", "wwb", "output format: wwb (lossless binary snapshot, near-instant load) or csv (rank lists only)")
 		threshold = flag.Int64("privacy-threshold", 50, "minimum unique clients per site per month")
 		topN      = flag.Int("topn", 10000, "rank list depth")
 		appendM   = flag.String("append", "", "append mode: month to roll the -base snapshot forward by, e.g. 2022-03")

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -21,6 +22,12 @@ var (
 	testStudyForDataset = core.New(core.SmallConfig().FebOnly())
 	testSrv             = httptest.NewServer(newServer(testStudyForDataset).Routes(fleet.MiddlewareConfig{}))
 )
+
+// prevWriter returns the process's default log destination for
+// restoring after tests that silence or capture it.
+func prevWriter() io.Writer { return logDefaultWriter }
+
+var logDefaultWriter = log.Writer()
 
 func get(t *testing.T, path string) (*http.Response, []byte) {
 	t.Helper()

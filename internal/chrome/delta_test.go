@@ -73,6 +73,7 @@ func TestDeltaChainResolvesByteIdentical(t *testing.T) {
 	if !bytes.Equal(snapshotBytes(t, ds), snapshotBytes(t, oracle)) {
 		t.Error("base+delta snapshot bytes differ from full rebuild's")
 	}
+	checkSameIndex(t, "base+delta index", ds.Index(), oracle.Index())
 
 	// Delta 2 stacks on delta 1 and rolls DistMonth to April.
 	incApr, err := AppendMonthCtx(context.Background(), work, testWorld, tcfg, AppendOptions{Month: world.Apr2022, RollDist: true})
@@ -96,6 +97,7 @@ func TestDeltaChainResolvesByteIdentical(t *testing.T) {
 	if !bytes.Equal(snapshotBytes(t, ds2), snapshotBytes(t, oracle2)) {
 		t.Error("two-link chain snapshot bytes differ from full rebuild's")
 	}
+	checkSameIndex(t, "two-link chain index", ds2.Index(), oracle2.Index())
 
 	// A plain .wwb path still decodes through DecodeAnyPath.
 	ds3, info3, err := DecodeAnyPath(filepath.Join(dir, "study.wwb"))
@@ -108,6 +110,7 @@ func TestDeltaChainResolvesByteIdentical(t *testing.T) {
 	if !bytes.Equal(snapshotBytes(t, ds3), snapshotBytes(t, base)) {
 		t.Error("plain artifact decode differs from original")
 	}
+	checkSameIndex(t, "plain artifact index", ds3.Index(), base.Index())
 }
 
 // TestDeltaRoundTrip: encode → decode preserves the increment exactly.
@@ -145,6 +148,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 	if !bytes.Equal(snapshotBytes(t, clone), snapshotBytes(t, work)) {
 		t.Error("decoded increment applies differently from the original")
 	}
+	checkSameIndex(t, "decoded increment index", clone.Index(), work.Index())
 }
 
 func TestDeltaRejectsWrongBase(t *testing.T) {

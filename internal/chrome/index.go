@@ -82,9 +82,9 @@ func (d *Dataset) Index() *KeyIndex {
 
 // growIndex returns old extended with views of the given new cells,
 // preserving the canonical invariant that IDs numerically sorted equal
-// keys lexically sorted — the property every ID-path analysis (and the
-// snapshot INDX section) relies on for byte-identity with a full
-// rebuild. buildIndex is growIndex over an empty index.
+// keys lexically sorted — the property every ID-path analysis relies
+// on for byte-identity with a full rebuild. buildIndex is growIndex
+// over an empty index.
 //
 // The new cells' domains are interned first, so each distinct domain
 // is parsed into its site key once. One sorted merge then places the
@@ -95,12 +95,7 @@ func growIndex(old *KeyIndex, lists map[string]RankList) *KeyIndex {
 	cells := sortedKeys(lists)
 
 	doms, refs := internDomains(cells, lists)
-
-	// One PSL parse per distinct domain.
-	domKeys := make([]string, len(doms))
-	parallel.ForEach(len(doms), func(i int) { domKeys[i] = psl.Default.SiteKey(doms[i]) })
-
-	keys, remap, domID := mergeKeys(old.keys, domKeys)
+	keys, remap, domID := mergeKeys(old.keys, domainKeys(doms))
 
 	nx := &KeyIndex{keys: keys, cells: make(map[string]*cellKeys, len(old.cells)+len(cells))}
 	for k, c := range old.cells {
@@ -117,31 +112,62 @@ func growIndex(old *KeyIndex, lists map[string]RankList) *KeyIndex {
 		nx.cells[k] = c
 	}
 
-	// Dedup by generation stamp: seen[id] == gen marks a key already
-	// taken in the current cell, so no per-cell set is allocated or
-	// cleared. All views share two backing blocks sized for the
-	// no-duplicates worst case.
-	seen := make([]int32, len(keys))
+	// All views share two backing blocks sized for the no-duplicates
+	// worst case.
+	vs := newViewScratch(len(keys))
 	idBlock := make([]KeyID, 0, len(refs))
 	posBlock := make([]int32, 0, len(refs))
-	off := 0
-	for gen, k := range cells {
+	for _, k := range cells {
 		n := len(lists[k])
-		start := len(idBlock)
-		for pos, di := range refs[off : off+n] {
-			id := domID[di]
-			if seen[id] == int32(gen+1) {
-				continue
-			}
-			seen[id] = int32(gen + 1)
-			idBlock = append(idBlock, id)
-			posBlock = append(posBlock, int32(pos))
-		}
-		off += n
-		end := len(idBlock)
-		nx.cells[k] = &cellKeys{ids: idBlock[start:end:end], firstPos: posBlock[start:end:end]}
+		nx.cells[k] = vs.view(&idBlock, &posBlock, refs[:n], domID)
+		refs = refs[n:]
 	}
 	return nx
+}
+
+// domainKeys parses each domain's site key: one PSL parse per distinct
+// domain, fanned out across CPUs.
+func domainKeys(doms []string) []string {
+	keys := make([]string, len(doms))
+	parallel.ForEach(len(doms), func(i int) { keys[i] = psl.Default.SiteKey(doms[i]) })
+	return keys
+}
+
+// viewScratch builds cell views one cell at a time. Dedup is by
+// generation stamp: seen[id] == gen marks a key already taken in the
+// current cell, so no per-cell set is allocated or cleared.
+type viewScratch struct {
+	seen []int32
+	gen  int32
+	refs []int32 // a decoding worker's domain refs for the current cell
+}
+
+func newViewScratch(numKeys int) *viewScratch {
+	return &viewScratch{seen: make([]int32, numKeys)}
+}
+
+// view builds the view of one cell whose entries reference the domains
+// refs, whose key IDs domID holds: the deduped IDs in rank order and
+// each one's first position. Both slices are appended to *ids and *pos,
+// whose capacity must hold len(refs) more, and returned clamped to the
+// cell — the one view builder that assembly, append and snapshot
+// decode share.
+func (vs *viewScratch) view(ids *[]KeyID, pos *[]int32, refs []int32, domID []KeyID) *cellKeys {
+	vs.gen++
+	gen, seen, is, ps := vs.gen, vs.seen, *ids, *pos
+	start := len(is)
+	for p, di := range refs {
+		id := domID[di]
+		if seen[id] == gen {
+			continue
+		}
+		seen[id] = gen
+		is = append(is, id)
+		ps = append(ps, int32(p))
+	}
+	*ids, *pos = is, ps
+	end := len(is)
+	return &cellKeys{ids: is[start:end:end], firstPos: ps[start:end:end]}
 }
 
 // internDomains interns the domains of the given cells' rank lists in
@@ -250,13 +276,7 @@ func (ix *KeyIndex) ID(key string) (KeyID, bool) {
 // cell returns the interned view of one cell. Cells absent from the
 // dataset yield an empty view.
 func (ix *KeyIndex) cell(country string, p world.Platform, m world.Metric, month world.Month) *cellKeys {
-	return ix.cellByKey(listKey(country, p, m, month))
-}
-
-// cellByKey is cell keyed by the raw list-key string — the snapshot
-// encoder walks the dataset's list keys directly.
-func (ix *KeyIndex) cellByKey(k string) *cellKeys {
-	if c, ok := ix.cells[k]; ok {
+	if c, ok := ix.cells[listKey(country, p, m, month)]; ok {
 		return c
 	}
 	return emptyCell

@@ -17,8 +17,8 @@ import (
 // site key on its own, the universe is the sorted set of those keys,
 // and each cell's view is deduped through a fresh per-cell set. It is
 // the plain statement of what the interned index holds, so the tests
-// here hold the per-domain build, its growth on append, the decoded
-// INDX section and shard views to it, cell for cell.
+// here hold the per-domain build, its growth on append, the index
+// derived at snapshot decode and shard views to it, cell for cell.
 
 // refView is one cell's view in the reference index.
 type refView struct {
@@ -72,7 +72,10 @@ func checkIndexAgainstOracle(t *testing.T, name string, ds *Dataset, refKeys []s
 	}
 	for k, list := range ds.lists {
 		want := refCellView(refKeys, list)
-		got := ix.cellByKey(k)
+		got, ok := ix.cells[k]
+		if !ok {
+			t.Fatalf("%s: cell %q has no view", name, k)
+		}
 		if len(got.ids) != len(want.ids) || len(got.firstPos) != len(want.firstPos) {
 			t.Fatalf("%s: cell %q: %d ids / %d positions, oracle %d / %d", name, k, len(got.ids), len(got.firstPos), len(want.ids), len(want.firstPos))
 		}
@@ -80,6 +83,26 @@ func checkIndexAgainstOracle(t *testing.T, name string, ds *Dataset, refKeys []s
 			if got.ids[i] != want.ids[i] || got.firstPos[i] != want.firstPos[i] {
 				t.Fatalf("%s: cell %q entry %d: (id %d, pos %d), oracle (%d, %d)", name, k, i, got.ids[i], got.firstPos[i], want.ids[i], want.firstPos[i])
 			}
+		}
+	}
+}
+
+// checkSameIndex asserts that got holds want's key universe and, for
+// every cell, want's view — the direct comparison for two indexes of
+// the same lists built different ways (decoded, grown by an append,
+// built under another GOMAXPROCS).
+func checkSameIndex(t *testing.T, name string, got, want *KeyIndex) {
+	t.Helper()
+	if !reflect.DeepEqual(got.keys, want.keys) {
+		t.Fatalf("%s: key universe differs: %d keys vs %d", name, len(got.keys), len(want.keys))
+	}
+	if len(got.cells) != len(want.cells) {
+		t.Fatalf("%s: %d cell views, want %d", name, len(got.cells), len(want.cells))
+	}
+	for k, w := range want.cells {
+		g, ok := got.cells[k]
+		if !ok || !reflect.DeepEqual(g.ids, w.ids) || !reflect.DeepEqual(g.firstPos, w.firstPos) {
+			t.Fatalf("%s: cell %q: view differs", name, k)
 		}
 	}
 }
@@ -115,7 +138,7 @@ func TestIndexMatchesPerEntryOracle(t *testing.T) {
 			name = "append-rolldist"
 		}
 		t.Run(name, func(t *testing.T) {
-			ds := cloneDataset(t, base) // restored index, grown by the append
+			ds := cloneDataset(t, base) // derived index, grown by the append
 			if _, err := AppendMonthCtx(context.Background(), ds, testWorld, tcfg, AppendOptions{Month: world.Mar2022, RollDist: roll}); err != nil {
 				t.Fatal(err)
 			}

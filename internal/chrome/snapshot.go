@@ -1,14 +1,16 @@
 package chrome
 
-// Binary dataset snapshots (.wwb). The snapshot persists everything a
-// serving process needs — the assembled dataset, its interned KeyIndex,
-// and every per-cell view — so `wwbserve -data study.wwb`
-// answers its first query without re-assembling or re-interning. It
-// is the only lossless dataset format; .wwbd deltas (delta.go) extend
-// it a month at a time. The layout (DESIGN.md §7):
+// Binary dataset snapshots (.wwb). The snapshot persists the assembled
+// dataset once — the domain table and each cell's rank list as
+// references into it — so `wwbserve -data study.wwb` answers its first
+// query without re-assembling. The interned KeyIndex is not stored: the
+// decoder derives it from what it holds, one PSL parse per domain-table
+// entry and a pass over integers per cell, so it cannot disagree with
+// the lists. It is the only lossless dataset format; .wwbd deltas
+// (delta.go) extend it a month at a time. The layout (DESIGN.md §7):
 //
 //	magic[8]  version:u32
-//	six sections in fixed order: META DOMS LSTS COVR DIST INDX
+//	five sections in fixed order: META DOMS LSTS COVR DIST
 //	  each: tag[4]  length:u64  crc:u32  payload[length]
 //	EOF (trailing bytes are an error)
 //
@@ -16,9 +18,9 @@ package chrome
 // (encoding/binary Uvarint/Varint). Strings are uvarint length + UTF-8
 // bytes. Slices whose nil-ness is observable carry a leading presence
 // byte, so a decoded dataset re-encodes to the same bytes. Rank-list
-// entries and index arrays are fixed-width (u32/f64) rather than
-// varint so a decoder can locate every cell's byte span in O(1) and
-// decode cells in parallel. Checksums are CRC-32C (Castagnoli) over each section
+// entries are fixed-width (u32/f64) rather than varint so a decoder
+// can locate every cell's byte span in O(1) and decode cells in
+// parallel. Checksums are CRC-32C (Castagnoli) over each section
 // payload.
 //
 // Decoding runs over the whole file held in memory and is defensive
@@ -27,9 +29,8 @@ package chrome
 // its section — is checked against the real input size before anything
 // is sliced or allocated, so a corrupt header declaring an absurd
 // length cannot OOM the process. The decoded structure then passes
-// validateDataset plus index-specific invariants: a corrupt or
-// truncated file yields a descriptive error, never a dataset that
-// panics under queries.
+// validateDataset: a corrupt or truncated file yields a descriptive
+// error, never a dataset that panics under queries.
 
 import (
 	"bufio"
@@ -39,6 +40,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -48,7 +50,7 @@ import (
 )
 
 // SnapshotVersion is the format version this build reads and writes.
-const SnapshotVersion = 1
+const SnapshotVersion = 2
 
 // Dataset artifact formats, as reported in SnapshotInfo.
 const (
@@ -210,9 +212,7 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // EncodeSnapshot writes the dataset as a versioned, checksummed binary
-// snapshot: the rank lists, coverage, and distribution curves plus the
-// interned KeyIndex and its per-cell views (the index is built here if
-// it is not already), so a decoding process never re-interns. Output
+// snapshot: the rank lists, coverage, and distribution curves. Output
 // is deterministic: all maps are serialised in sorted key order, so
 // byte-identical datasets produce byte-identical snapshots regardless
 // of assembly worker count.
@@ -226,8 +226,6 @@ func (d *Dataset) EncodeSnapshot(w io.Writer, prov SnapshotProvenance) error {
 	if _, err := e.w.Write(ver[:]); err != nil {
 		return fmt.Errorf("chrome: snapshot: writing version: %w", err)
 	}
-
-	listKeys := sortedKeys(d.lists)
 
 	// META: dimensions, assembly options, provenance.
 	e.strSlice(d.Countries)
@@ -244,39 +242,8 @@ func (d *Dataset) EncodeSnapshot(w io.Writer, prov SnapshotProvenance) error {
 		return fmt.Errorf("chrome: snapshot: writing META: %w", err)
 	}
 
-	if err := encodeDataSections(e, listKeys, d.lists, d.coverage, d.dist); err != nil {
+	if err := encodeDataSections(e, sortedKeys(d.lists), d.lists, d.coverage, d.dist); err != nil {
 		return err
-	}
-
-	// INDX: the interned key universe plus the index's view of every
-	// rank-list cell, so a decoded dataset serves /v1/site point
-	// lookups and the comparison kernels without a single PSL parse.
-	ix := d.Index()
-	e.uvarint(uint64(len(ix.keys)))
-	for _, k := range ix.keys {
-		e.str(k)
-	}
-	size := 0
-	for _, k := range listKeys {
-		size += 2*binary.MaxVarintLen64 + len(k) + 8*len(ix.cellByKey(k).ids)
-	}
-	e.sec.Grow(size) // one allocation for the whole section
-	e.uvarint(uint64(len(listKeys)))
-	for _, k := range listKeys {
-		c := ix.cellByKey(k)
-		e.str(k)
-		e.uvarint(uint64(len(c.ids)))
-		b := e.reserve(8 * len(c.ids))
-		for _, id := range c.ids {
-			b = binary.LittleEndian.AppendUint32(b, uint32(id))
-		}
-		for _, fp := range c.firstPos {
-			b = binary.LittleEndian.AppendUint32(b, uint32(fp))
-		}
-		e.sec.Write(b)
-	}
-	if err := e.flushSection("INDX"); err != nil {
-		return fmt.Errorf("chrome: snapshot: writing INDX: %w", err)
 	}
 	return e.w.Flush()
 }
@@ -641,8 +608,10 @@ type snapDecoded struct {
 	lists     map[string]RankList
 	coverage  map[string]float64
 	dist      map[string]*DistCurve
-	keys      []string
-	cells     map[string]*cellKeys
+	// index, when set before LSTS is decoded, receives a view of every
+	// rank list; domID holds each DOMS entry's key ID in its universe.
+	index *KeyIndex
+	domID []KeyID
 }
 
 func (sd *snapDecoded) decodeMeta(c *snapCursor) error {
@@ -685,51 +654,35 @@ func (sd *snapDecoded) decodeMeta(c *snapCursor) error {
 	return err
 }
 
-// strTable decodes n length-prefixed strings, required to be strictly
-// sorted. The strings are sliced out of one shared backing copy of the
-// cursor's remaining bytes instead of allocated individually — for the
-// domain table and key universe (tens of thousands of entries) this
-// removes one allocation and one GC-tracked object per string.
-func (c *snapCursor) strTable(n int, what string) ([]string, error) {
-	// First pass: measure the table's byte extent, so the shared copy
-	// holds exactly the table and not the rest of the section.
-	base := c.off
-	for i := 0; i < n; i++ {
-		ln, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := c.take(int(ln)); err != nil {
-			return nil, err
-		}
-	}
-	blob := string(c.b[base:c.off])
-	c.off = base
-	out := make([]string, n)
-	for i := range out {
-		ln, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		start := c.off - base
-		if _, err := c.take(int(ln)); err != nil {
-			return nil, err
-		}
-		out[i] = blob[start : start+int(ln)]
-		if i > 0 && out[i] <= out[i-1] {
-			return nil, c.errf("%s not strictly sorted at entry %d (%q after %q)", what, i, out[i], out[i-1])
-		}
-	}
-	return out, nil
-}
-
+// decodeDoms decodes the domain table: length-prefixed strings,
+// required to be strictly sorted. The table is the whole section after
+// its count, so the strings are sliced out of one shared copy of it
+// instead of allocated individually — for tens of thousands of domains
+// this removes one allocation and one GC-tracked object per string.
 func (sd *snapDecoded) decodeDoms(c *snapCursor) error {
 	n, err := c.count(1)
 	if err != nil {
 		return err
 	}
-	sd.doms, err = c.strTable(n, "domain table")
-	return err
+	base := c.off
+	blob := string(c.b[base:])
+	sd.doms = make([]string, n)
+	for i := range sd.doms {
+		ln, err := c.uvarint()
+		if err != nil {
+			return err
+		}
+		start := c.off - base
+		if _, err := c.take(int(ln)); err != nil {
+			return err
+		}
+		d := blob[start : start+int(ln)]
+		if i > 0 && d <= sd.doms[i-1] {
+			return c.errf("domain table not strictly sorted at entry %d (%q after %q)", i, d, sd.doms[i-1])
+		}
+		sd.doms[i] = d
+	}
+	return nil
 }
 
 // listEntrySize is the fixed encoded size of one rank-list entry:
@@ -737,11 +690,14 @@ func (sd *snapDecoded) decodeDoms(c *snapCursor) error {
 const listEntrySize = 12
 
 // listSpan is one cell's raw entry bytes, located during the O(1)
-// sequential walk and decoded in parallel afterwards.
+// sequential walk and decoded in parallel afterwards; off is the
+// cell's first entry in the backing blocks.
 type listSpan struct {
 	key  string
 	raw  []byte
+	off  int
 	list RankList
+	view *cellKeys
 }
 
 func (sd *snapDecoded) decodeLists(c *snapCursor) error {
@@ -751,7 +707,11 @@ func (sd *snapDecoded) decodeLists(c *snapCursor) error {
 		return err
 	}
 	sd.lists = make(map[string]RankList, n)
+	if sd.index != nil {
+		sd.index.cells = make(map[string]*cellKeys, n)
+	}
 	spans := make([]listSpan, 0, n)
+	total := 0
 	prevKey := ""
 	for i := 0; i < n; i++ {
 		key, err := c.str()
@@ -768,6 +728,9 @@ func (sd *snapDecoded) decodeLists(c *snapCursor) error {
 		}
 		if !ok {
 			sd.lists[key] = nil
+			if sd.index != nil {
+				sd.index.cells[key] = &cellKeys{ids: []KeyID{}, firstPos: []int32{}}
+			}
 			continue
 		}
 		entries, err := c.count(listEntrySize)
@@ -778,28 +741,28 @@ func (sd *snapDecoded) decodeLists(c *snapCursor) error {
 		if err != nil {
 			return err
 		}
-		spans = append(spans, listSpan{key: key, raw: raw})
+		spans = append(spans, listSpan{key: key, raw: raw, off: total})
+		total += entries
 	}
 	// Entry decode dominates snapshot load; cells are independent, so
 	// fan them out. All lists live in one backing block (sub-sliced
 	// per cell with full capacity clamps) — far fewer allocations and
-	// GC objects than one slice per cell. Each goroutine writes only
-	// its own span.
-	total := 0
-	for i := range spans {
-		total += len(spans[i].raw) / listEntrySize
-	}
+	// GC objects than one slice per cell — and so do the index views,
+	// sized for the no-duplicates worst case. Each goroutine writes
+	// only its own span, and builds its view with a scratch of its own.
 	block := make([]Entry, total)
-	off := 0
-	for i := range spans {
-		n := len(spans[i].raw) / listEntrySize
-		spans[i].list = block[off : off+n : off+n]
-		off += n
+	var idBlock []KeyID
+	var posBlock []int32
+	// Free view scratches: no more are made than workers run at once.
+	free := make(chan *viewScratch, runtime.GOMAXPROCS(0))
+	if sd.index != nil {
+		idBlock, posBlock = make([]KeyID, total), make([]int32, total)
 	}
 	errs := make([]error, len(spans))
 	parallel.ForEach(len(spans), func(i int) {
 		sp := &spans[i]
-		list := sp.list
+		lo, hi := sp.off, sp.off+len(sp.raw)/listEntrySize
+		list := block[lo:hi:hi]
 		for j := range list {
 			rec := sp.raw[j*listEntrySize:]
 			di := binary.LittleEndian.Uint32(rec)
@@ -812,6 +775,10 @@ func (sd *snapDecoded) decodeLists(c *snapCursor) error {
 				Value:  math.Float64frombits(binary.LittleEndian.Uint64(rec[4:])),
 			}
 		}
+		sp.list = list
+		if sd.index != nil {
+			sp.view = sd.cellView(sp.raw, idBlock[lo:lo:hi], posBlock[lo:lo:hi], free)
+		}
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -820,8 +787,35 @@ func (sd *snapDecoded) decodeLists(c *snapCursor) error {
 	}
 	for i := range spans {
 		sd.lists[spans[i].key] = spans[i].list
+		if sd.index != nil {
+			sd.index.cells[spans[i].key] = spans[i].view
+		}
 	}
 	return nil
+}
+
+// cellView builds the index view of one cell from its raw LSTS
+// entries, whose domain indexes are already range-checked, into ids
+// and pos. It takes a scratch from free, or makes one when every
+// scratch is in use, and returns it after.
+func (sd *snapDecoded) cellView(raw []byte, ids []KeyID, pos []int32, free chan *viewScratch) *cellKeys {
+	var vs *viewScratch
+	select {
+	case vs = <-free:
+	default:
+		vs = newViewScratch(len(sd.index.keys))
+	}
+	refs := vs.refs[:0]
+	for j := 0; j < len(raw); j += listEntrySize {
+		refs = append(refs, int32(binary.LittleEndian.Uint32(raw[j:])))
+	}
+	vs.refs = refs
+	view := vs.view(&ids, &pos, refs, sd.domID)
+	select {
+	case free <- vs:
+	default:
+	}
+	return view
 }
 
 func (sd *snapDecoded) decodeCoverage(c *snapCursor) error {
@@ -881,125 +875,9 @@ func (sd *snapDecoded) decodeDist(c *snapCursor) error {
 	return nil
 }
 
-func (sd *snapDecoded) decodeIndex(c *snapCursor) error {
-	numKeys, err := c.count(1)
-	if err != nil {
-		return err
-	}
-	if sd.keys, err = c.strTable(numKeys, "index keys"); err != nil {
-		return err
-	}
-	numCells, err := c.count(2)
-	if err != nil {
-		return err
-	}
-	sd.cells = make(map[string]*cellKeys, numCells)
-	type cellSpan struct {
-		key  string
-		raw  []byte
-		cell *cellKeys
-	}
-	spans := make([]cellSpan, 0, numCells)
-	prevKey := ""
-	for i := 0; i < numCells; i++ {
-		key, err := c.str()
-		if err != nil {
-			return err
-		}
-		if i > 0 && key <= prevKey {
-			return c.errf("index cell keys not strictly sorted (%q after %q)", key, prevKey)
-		}
-		prevKey = key
-		// ≥8 bytes per element: 4-byte id + 4-byte first position.
-		n, err := c.count(8)
-		if err != nil {
-			return err
-		}
-		raw, err := c.take(n * 8)
-		if err != nil {
-			return err
-		}
-		spans = append(spans, cellSpan{key: key, raw: raw})
-	}
-	// Bulk-convert both u32 arrays per cell, cells in parallel — the
-	// index half of the decode hot path. As with the rank lists, all
-	// cells share backing blocks.
-	total := 0
-	for i := range spans {
-		total += len(spans[i].raw) / 8
-	}
-	idBlock := make([]KeyID, total)
-	posBlock := make([]int32, total)
-	cellBlock := make([]cellKeys, len(spans))
-	off := 0
-	for i := range spans {
-		n := len(spans[i].raw) / 8
-		cellBlock[i].ids = idBlock[off : off+n : off+n]
-		cellBlock[i].firstPos = posBlock[off : off+n : off+n]
-		spans[i].cell = &cellBlock[i]
-		off += n
-	}
-	parallel.ForEach(len(spans), func(i int) {
-		sp := &spans[i]
-		n := len(sp.raw) / 8
-		cell := sp.cell
-		for j := range cell.ids {
-			cell.ids[j] = KeyID(binary.LittleEndian.Uint32(sp.raw[j*4:]))
-		}
-		rawPos := sp.raw[n*4:]
-		for j := range cell.firstPos {
-			cell.firstPos[j] = int32(binary.LittleEndian.Uint32(rawPos[j*4:]))
-		}
-	})
-	for i := range spans {
-		sd.cells[spans[i].key] = spans[i].cell
-	}
-	return nil
-}
-
-// validateIndex checks the decoded index against the decoded lists:
-// there must be exactly one cell view per rank list, and every view
-// must stay inside the key universe and keep first-occurrence
-// positions strictly increasing within the list bounds — the
-// invariants buildIndex guarantees, so a decoded index behaves exactly
-// like a built one.
-func validateIndex(lists map[string]RankList, keys []string, cells map[string]*cellKeys) error {
-	if len(cells) != len(lists) {
-		return fmt.Errorf("index holds %d cell views, dataset %d rank lists", len(cells), len(lists))
-	}
-	for key, cell := range cells {
-		if err := parseCellKey(key); err != nil {
-			return err
-		}
-		list, ok := lists[key]
-		if !ok {
-			return fmt.Errorf("index cell %q has no rank list", key)
-		}
-		if len(cell.ids) != len(cell.firstPos) {
-			return fmt.Errorf("index cell %q: %d ids but %d positions", key, len(cell.ids), len(cell.firstPos))
-		}
-		if len(cell.ids) > len(list) {
-			return fmt.Errorf("index cell %q: %d merged keys exceed list length %d", key, len(cell.ids), len(list))
-		}
-		prev := int32(-1)
-		for i, id := range cell.ids {
-			if id < 0 || int(id) >= len(keys) {
-				return fmt.Errorf("index cell %q entry %d: key id %d outside universe [0,%d)", key, i, id, len(keys))
-			}
-			fp := cell.firstPos[i]
-			if fp <= prev || int(fp) >= len(list) {
-				return fmt.Errorf("index cell %q entry %d: first position %d invalid (prev %d, list length %d)",
-					key, i, fp, prev, len(list))
-			}
-			prev = fp
-		}
-	}
-	return nil
-}
-
 // DecodeSnapshotBytes decodes a .wwb snapshot held fully in memory (a
-// read or mmapped file), restoring the dataset's interned KeyIndex and
-// per-cell views without re-interning. Section payloads are sliced out
+// read or mmapped file) and derives the dataset's interned KeyIndex
+// from its domain table and rank lists. Section payloads are sliced out
 // of data without copying; everything the returned Dataset references
 // is freshly allocated, so the caller may release (e.g. munmap) data
 // as soon as the call returns. A .wwbd delta is refused with a
@@ -1017,16 +895,31 @@ func DecodeSnapshotBytes(data []byte) (*Dataset, *SnapshotInfo, error) {
 	if err := w.decode(section{"META", sd.decodeMeta}, section{"DOMS", sd.decodeDoms}); err != nil {
 		return nil, nil, err
 	}
-	// LSTS is the largest section; decode it concurrently with the
-	// sections after it (only DOMS is an input to it). Both big
-	// sections additionally fan their cells out across CPUs.
+	// The key universe is the site keys of the domain table: one PSL
+	// parse per domain, overlapped with the LSTS checksum and the
+	// sections after LSTS.
+	keysDone := make(chan struct{})
+	go func() {
+		defer close(keysDone)
+		var keys []string
+		keys, _, sd.domID = mergeKeys(nil, domainKeys(sd.doms))
+		sd.index = &KeyIndex{keys: keys}
+	}()
 	lstsCur, err := w.next("LSTS")
 	if err != nil {
+		<-keysDone
 		return nil, nil, err
 	}
+	// LSTS is the largest section; once the keys are placed, decode it
+	// and each cell's index view concurrently with the sections after
+	// it (DOMS and the keys are its only inputs). It additionally fans
+	// its cells out across CPUs.
 	lstsErr := make(chan error, 1)
-	go func() { lstsErr <- w.decodeAll(lstsCur, sd.decodeLists) }()
-	restErr := w.decode(section{"COVR", sd.decodeCoverage}, section{"DIST", sd.decodeDist}, section{"INDX", sd.decodeIndex})
+	go func() {
+		<-keysDone
+		lstsErr <- w.decodeAll(lstsCur, sd.decodeLists)
+	}()
+	restErr := w.decode(section{"COVR", sd.decodeCoverage}, section{"DIST", sd.decodeDist})
 	// Report errors in section order: LSTS before anything after it.
 	if err := <-lstsErr; err != nil {
 		return nil, nil, err
@@ -1041,9 +934,6 @@ func DecodeSnapshotBytes(data []byte) (*Dataset, *SnapshotInfo, error) {
 	if err := validateDataset(sd.months, sd.lists, sd.coverage, sd.dist); err != nil {
 		return nil, nil, fmt.Errorf("chrome: invalid dataset: %w", err)
 	}
-	if err := validateIndex(sd.lists, sd.keys, sd.cells); err != nil {
-		return nil, nil, fmt.Errorf("chrome: snapshot: invalid index: %w", err)
-	}
 
 	ds := &Dataset{
 		Opts:      sd.opts,
@@ -1054,6 +944,6 @@ func DecodeSnapshotBytes(data []byte) (*Dataset, *SnapshotInfo, error) {
 		coverage:  sd.coverage,
 	}
 	// Freshly built dataset: generation 0 == indexGen 0.
-	ds.index = &KeyIndex{keys: sd.keys, cells: sd.cells}
+	ds.index = sd.index
 	return ds, &SnapshotInfo{Format: FormatWWB, Version: SnapshotVersion, Provenance: sd.prov}, nil
 }

@@ -3,21 +3,22 @@ package chrome
 import (
 	"bytes"
 	"encoding/binary"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"wwb/internal/telemetry"
-	"wwb/internal/world"
 )
 
 var testProvenance = SnapshotProvenance{Tool: "wwbgen", WorldSeed: 42, Scale: "small"}
 
 // snapshotBytes encodes ds as a snapshot with a fixed provenance: the
-// byte-level fingerprint every equivalence test in this package
-// compares. It carries each value's raw float bits and the interned
-// index, so equal bytes mean equal datasets down to the last bit.
+// byte-level fingerprint of the dataset every equivalence test in this
+// package compares. It carries each value's raw float bits, so equal
+// bytes mean equal datasets down to the last bit. It does not carry
+// the interned index, which decode derives from the lists: tests that
+// must prove two indexes equal compare them with checkSameIndex or
+// checkIndexAgainstOracle.
 func snapshotBytes(t testing.TB, ds *Dataset) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -29,7 +30,8 @@ func snapshotBytes(t testing.TB, ds *Dataset) []byte {
 
 // TestSnapshotRoundTrip is the acceptance bar: a dataset decoded from
 // a .wwb snapshot must be byte-identical to the in-memory one — same
-// interned index, same per-cell views, same re-encoding.
+// re-encoding — and its derived index must be the one buildIndex
+// computes: same interned keys, same per-cell views.
 func TestSnapshotRoundTrip(t *testing.T) {
 	snap := snapshotBytes(t, testDataset)
 	ds, info, err := DecodeSnapshotBytes(snap)
@@ -43,19 +45,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("provenance = %+v, want %+v", info.Provenance, testProvenance)
 	}
 
-	// The restored index must match what buildIndex would compute from
+	// The derived index must match what buildIndex would compute from
 	// scratch: same key universe, same per-cell views.
-	restored := ds.Index()
-	fresh := buildIndex(ds.lists)
-	if !reflect.DeepEqual(restored.keys, fresh.keys) {
-		t.Fatalf("restored key universe differs: %d keys vs %d", len(restored.keys), len(fresh.keys))
-	}
-	for _, k := range sortedKeys(ds.lists) {
-		got, want := restored.cellByKey(k), fresh.cellByKey(k)
-		if !reflect.DeepEqual(got.ids, want.ids) || !reflect.DeepEqual(got.firstPos, want.firstPos) {
-			t.Fatalf("cell %q: restored view differs from rebuilt view", k)
-		}
-	}
+	checkSameIndex(t, "derived", ds.Index(), buildIndex(ds.lists))
 
 	// Re-encoding the decoded dataset must reproduce the snapshot.
 	if !bytes.Equal(snap, snapshotBytes(t, ds)) {
@@ -67,11 +59,21 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // for any GOMAXPROCS, and so must be the snapshot serialisation.
 func TestSnapshotBytesIdenticalAcrossWorkers(t *testing.T) {
 	opts := testDataset.Opts
-	var snaps [][]byte
+	var (
+		snaps [][]byte
+		ixs   []*KeyIndex
+	)
 	for _, procs := range []int{1, 8} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			snaps = append(snaps, snapshotBytes(t, Assemble(testWorld, telemetry.DefaultConfig(), opts)))
+			ds := Assemble(testWorld, telemetry.DefaultConfig(), opts)
+			snaps = append(snaps, snapshotBytes(t, ds))
+			ixs = append(ixs, ds.Index())
+			ds, _, err := DecodeSnapshotBytes(snaps[len(snaps)-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ixs = append(ixs, ds.Index())
 		}()
 	}
 	if !bytes.Equal(snaps[0], snaps[1]) {
@@ -80,6 +82,11 @@ func TestSnapshotBytesIdenticalAcrossWorkers(t *testing.T) {
 	ref := snapshotBytes(t, testDataset)
 	if !bytes.Equal(snaps[0], ref) {
 		t.Error("worker-pinned snapshot differs from default-worker snapshot")
+	}
+	// The index, built at assembly or derived at decode, must not
+	// depend on GOMAXPROCS either.
+	for i, name := range []string{"built/1", "decoded/1", "built/8", "decoded/8"} {
+		checkSameIndex(t, name, ixs[i], testDataset.Index())
 	}
 }
 
@@ -171,35 +178,25 @@ func TestSnapshotRejectsWrongMagicAndVersion(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsVersion1: a version-1 file, which stored the
+// index in a sixth section, is refused by its header with an error that
+// names both versions, before any section is read.
+func TestSnapshotRejectsVersion1(t *testing.T) {
+	old := append([]byte(nil), snapshotBytes(t, testDataset)...)
+	binary.LittleEndian.PutUint32(old[8:12], 1)
+	_, _, err := DecodeSnapshotBytes(old)
+	const want = "unsupported version 1 (this build reads version 2)"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("version-1 header: err = %v, want %q", err, want)
+	}
+}
+
 // TestSnapshotRejectsTrailingData: bytes after the final section mean
 // the file was not produced by EncodeSnapshot.
 func TestSnapshotRejectsTrailingData(t *testing.T) {
 	snap := append(snapshotBytes(t, testDataset), 0xFF)
 	if _, _, err := DecodeSnapshotBytes(snap); err == nil {
 		t.Error("trailing data accepted")
-	}
-}
-
-// TestSnapshotRejectsPartialIndex: a snapshot's INDX must hold a view
-// of every rank list. Here the INDX of a shard view (the same key
-// universe, half the cells, a valid checksum) is spliced onto the
-// whole dataset's other sections.
-func TestSnapshotRejectsPartialIndex(t *testing.T) {
-	indx := func(snap []byte) int {
-		for off := 12; off+16 <= len(snap); off += 16 + int(binary.LittleEndian.Uint64(snap[off+4:])) {
-			if string(snap[off:off+4]) == "INDX" {
-				return off
-			}
-		}
-		t.Fatal("no INDX section")
-		return 0
-	}
-	whole := snapshotBytes(t, testDataset)
-	half := snapshotBytes(t, testDataset.ShardView(func(c string, _ world.Month) bool { return c < "M" }))
-	spliced := append(append([]byte(nil), whole[:indx(whole)]...), half[indx(half):]...)
-	_, _, err := DecodeSnapshotBytes(spliced)
-	if err == nil || !strings.Contains(err.Error(), "cell views") {
-		t.Errorf("INDX covering part of the lists: err = %v, want an index coverage error", err)
 	}
 }
 

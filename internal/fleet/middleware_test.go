@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -268,6 +270,109 @@ func TestOpsEndpointsExempt(t *testing.T) {
 			t.Errorf("opsExempt(%s) = %v, want %v", path, got, want)
 		}
 	}
+}
+
+// routesServer serves fleetDS through the full route and middleware
+// stack, with an experiment renderer that knows no IDs.
+func routesServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(NewServer(fleetDS, ServerConfig{
+		Month:      fleetDS.Opts.DistMonth,
+		Experiment: func(id string) (string, error) { return "", fmt.Errorf("unknown experiment %q", id) },
+	}).Routes(MiddlewareConfig{}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// get fetches path from srv, returning the response and its body.
+func get(t *testing.T, srv *httptest.Server, path string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Get(srv.URL + path)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
+
+func TestRequestIDsAssignedAndUnique(t *testing.T) {
+	srv := routesServer(t)
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(prevWriter())
+	resp1, _ := get(t, srv, "/healthz")
+	resp2, _ := get(t, srv, "/healthz")
+	id1, id2 := resp1.Header.Get("X-Request-ID"), resp2.Header.Get("X-Request-ID")
+	if id1 == "" || id2 == "" {
+		t.Fatalf("missing X-Request-ID: %q, %q", id1, id2)
+	}
+	if id1 == id2 {
+		t.Errorf("request IDs collide: %q", id1)
+	}
+}
+
+func TestLogLineHasStatusDurationAndID(t *testing.T) {
+	srv := routesServer(t)
+	var buf bytes.Buffer
+	log.SetOutput(&buf)
+	defer log.SetOutput(prevWriter())
+
+	resp, _ := get(t, srv, "/v1/countries")
+	line := buf.String()
+	if !strings.Contains(line, "200") {
+		t.Errorf("log line missing status: %q", line)
+	}
+	if !strings.Contains(line, resp.Header.Get("X-Request-ID")) {
+		t.Errorf("log line missing request ID %q: %q", resp.Header.Get("X-Request-ID"), line)
+	}
+	if !strings.Contains(line, "µs") && !strings.Contains(line, "ms") && !strings.Contains(line, "s ") {
+		t.Errorf("log line missing duration: %q", line)
+	}
+}
+
+func TestUnknownPathIsJSON404(t *testing.T) {
+	srv := routesServer(t)
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(prevWriter())
+	resp, body := get(t, srv, "/nope/nothing")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("status %d, want 404", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
+		t.Errorf("content type %q", ct)
+	}
+	if msg := errorEnvelope(t, body); !strings.Contains(msg, "/nope/nothing") {
+		t.Errorf("envelope %q does not name the path", msg)
+	}
+}
+
+func TestErrorEnvelopesOnBadParams(t *testing.T) {
+	srv := routesServer(t)
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(prevWriter())
+	for _, path := range []string{
+		"/v1/list?country=XX",
+		"/v1/list?country=US&platform=ios",
+		"/v1/list?country=US&metric=clicks",
+		"/v1/list?country=US&n=zero",
+		"/v1/crux?country=ZZ",
+		"/v1/site",
+	} {
+		resp, body := get(t, srv, path)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", path, resp.StatusCode)
+			continue
+		}
+		errorEnvelope(t, body)
+	}
+	resp, body := get(t, srv, "/v1/experiment/fig99")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown experiment: status %d, want 404", resp.StatusCode)
+	}
+	errorEnvelope(t, body)
 }
 
 // prevWriter returns the process's default log destination for
