@@ -96,7 +96,7 @@ func BenchmarkFig3CategoryPrevalenceByRank(b *testing.B) {
 	thresholds := []int{10, 30, 50, 100, 300, 1000, 3000, 10000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = analysis.PrevalenceByRank(s.Dataset, s.Categorize, taxonomy.Business,
+		_ = analysis.PrevalenceByRank(s.Dataset, s.Categorize, []taxonomy.Category{taxonomy.Business},
 			world.Windows, world.PageLoads, s.Month, thresholds)
 	}
 }
@@ -107,7 +107,7 @@ func BenchmarkFig14PrevalenceSplitByMetric(b *testing.B) {
 	thresholds := []int{10, 100, 1000, 10000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = analysis.PrevalenceByRank(s.Dataset, s.Categorize, taxonomy.VideoStreaming,
+		_ = analysis.PrevalenceByRank(s.Dataset, s.Categorize, []taxonomy.Category{taxonomy.VideoStreaming},
 			world.Windows, world.TimeOnPage, s.Month, thresholds)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wwb/internal/chrome"
+	"wwb/internal/dist"
 	"wwb/internal/endemicity"
 	"wwb/internal/psl"
 	"wwb/internal/taxonomy"
@@ -139,8 +140,12 @@ func TestTopTenPresence(t *testing.T) {
 }
 
 func TestPrevalenceByRank(t *testing.T) {
-	pts := PrevalenceByRank(testDataset, trueCat, taxonomy.Business, world.Windows, world.PageLoads, feb,
+	all := PrevalenceByRank(testDataset, trueCat, []taxonomy.Category{taxonomy.Business}, world.Windows, world.PageLoads, feb,
 		[]int{10, 100, 1000, 10000})
+	if len(all) != 1 {
+		t.Fatalf("series = %d", len(all))
+	}
+	pts := all[0]
 	if len(pts) != 4 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -153,6 +158,34 @@ func TestPrevalenceByRank(t *testing.T) {
 	// of the top-10K exceeds its share of the top-10.
 	if pts[3].Median <= pts[0].Median {
 		t.Errorf("business should grow with rank: top10=%.3f top10K=%.3f", pts[0].Median, pts[3].Median)
+	}
+}
+
+// TestPrevalenceByRankMatchesCountShare checks the one-pass sweep
+// against its definition: per threshold, the median and quartiles of
+// dist.CountShare over the countries with a list. Thresholds are
+// unsorted and include 0 and one past every list's length; a category
+// is requested twice.
+func TestPrevalenceByRankMatchesCountShare(t *testing.T) {
+	cats := []taxonomy.Category{taxonomy.VideoStreaming, taxonomy.Business, taxonomy.NewsMedia, taxonomy.Business}
+	thresholds := []int{1000, 10, 0, 1 << 30, 30, 10}
+	for _, m := range []world.Metric{world.PageLoads, world.TimeOnPage} {
+		got := PrevalenceByRank(testDataset, trueCat, cats, world.Android, m, feb, thresholds)
+		for c, cat := range cats {
+			for i, n := range thresholds {
+				var shares []float64
+				for _, country := range testDataset.Countries {
+					if list := testDataset.List(country, world.Android, m, feb); len(list) > 0 {
+						shares = append(shares, dist.CountShare(list, n, trueCat)[cat])
+					}
+				}
+				q1, med, q3 := stQuartiles(shares)
+				want := PrevalencePoint{N: n, Median: med, Q1: q1, Q3: q3}
+				if got[c][i] != want {
+					t.Errorf("%s %s N=%d: got %+v, want %+v", m, cat, n, got[c][i], want)
+				}
+			}
+		}
 	}
 }
 

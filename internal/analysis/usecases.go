@@ -97,21 +97,61 @@ type PrevalencePoint struct {
 	Median, Q1, Q3 float64
 }
 
-// PrevalenceByRank sweeps rank thresholds for one category, producing
-// the Figure 3 series (median and quartiles across countries).
-func PrevalenceByRank(ds *chrome.Dataset, categorize dist.Categorize, cat taxonomy.Category, p world.Platform, m world.Metric, month world.Month, thresholds []int) []PrevalencePoint {
-	out := make([]PrevalencePoint, 0, len(thresholds))
-	for _, n := range thresholds {
-		var shares []float64
-		for _, country := range ds.Countries {
-			list := ds.List(country, p, m, month)
-			if len(list) == 0 {
-				continue
-			}
-			shares = append(shares, dist.CountShare(list, n, categorize)[cat])
+// PrevalenceByRank sweeps rank thresholds for each requested category,
+// producing the Figure 3 series (median and quartiles across countries):
+// out[i] is cats[i]'s series, one point per threshold. Each country's
+// list is walked once, up to the largest threshold, keeping a running
+// count per category and reading the counts off at each threshold.
+func PrevalenceByRank(ds *chrome.Dataset, categorize dist.Categorize, cats []taxonomy.Category, p world.Platform, m world.Metric, month world.Month, thresholds []int) [][]PrevalencePoint {
+	// Threshold positions in ascending order, so one walk passes each.
+	order := make([]int, len(thresholds))
+	for t := range order {
+		order[t] = t
+	}
+	sort.SliceStable(order, func(i, j int) bool { return thresholds[order[i]] < thresholds[order[j]] })
+
+	// shares[c][t] holds cats[c]'s share of each country's top
+	// thresholds[t] sites.
+	shares := make([][][]float64, len(cats))
+	for c := range shares {
+		shares[c] = make([][]float64, len(thresholds))
+	}
+	counts := make([]int, len(cats))
+	for _, country := range ds.Countries {
+		list := ds.List(country, p, m, month)
+		if len(list) == 0 {
+			continue
 		}
-		q1, med, q3 := stQuartiles(shares)
-		out = append(out, PrevalencePoint{N: n, Median: med, Q1: q1, Q3: q3})
+		clear(counts)
+		walked := 0
+		for _, t := range order {
+			top := list.TopN(thresholds[t])
+			for _, e := range top[walked:] {
+				cat := categorize(e.Domain)
+				for c := range cats {
+					if cats[c] == cat {
+						counts[c]++
+					}
+				}
+			}
+			walked = len(top)
+			for c, k := range counts {
+				var share float64
+				if len(top) > 0 {
+					share = float64(k) / float64(len(top))
+				}
+				shares[c][t] = append(shares[c][t], share)
+			}
+		}
+	}
+
+	out := make([][]PrevalencePoint, len(cats))
+	for c := range cats {
+		out[c] = make([]PrevalencePoint, len(thresholds))
+		for t, n := range thresholds {
+			q1, med, q3 := stQuartiles(shares[c][t])
+			out[c][t] = PrevalencePoint{N: n, Median: med, Q1: q1, Q3: q3}
+		}
 	}
 	return out
 }

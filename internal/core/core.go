@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"sync"
 	"time"
@@ -286,9 +287,13 @@ func (s *Study) TopTenPresence(p world.Platform, m world.Metric) map[taxonomy.Ca
 	})
 }
 
-// PrevalenceByRank runs the Figure 3 sweep for one category.
-func (s *Study) PrevalenceByRank(cat taxonomy.Category, p world.Platform, m world.Metric, thresholds []int) []analysis.PrevalencePoint {
-	return analysis.PrevalenceByRank(s.Dataset, s.Categorize, cat, p, m, s.Month, thresholds)
+// PrevalenceByRank runs the Figure 3 sweep for the given categories:
+// out[i] is cats[i]'s series. The result is shared; do not modify it.
+func (s *Study) PrevalenceByRank(cats []taxonomy.Category, p world.Platform, m world.Metric, thresholds []int) [][]analysis.PrevalencePoint {
+	key := fmt.Sprintf("prev|%s|%s|%q|%v", p, m, cats, thresholds)
+	return memo(s, key, func() [][]analysis.PrevalencePoint {
+		return analysis.PrevalenceByRank(s.Dataset, s.Categorize, cats, p, m, s.Month, thresholds)
+	})
 }
 
 // PlatformDiff runs Figure 4 (PageLoads) / Figure 15 (TimeOnPage).

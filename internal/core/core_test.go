@@ -148,8 +148,8 @@ func TestStudyMetricAnalyses(t *testing.T) {
 	if len(diffs) == 0 {
 		t.Error("no platform diffs")
 	}
-	pts := testStudy.PrevalenceByRank(taxonomy.Business, world.Windows, world.PageLoads, []int{10, 1000})
-	if len(pts) != 2 {
+	pts := testStudy.PrevalenceByRank([]taxonomy.Category{taxonomy.Business}, world.Windows, world.PageLoads, []int{10, 1000})
+	if len(pts) != 1 || len(pts[0]) != 2 {
 		t.Error("prevalence points missing")
 	}
 	pres := testStudy.TopTenPresence(world.Windows, world.PageLoads)

@@ -95,10 +95,10 @@ func (r Runner) Fig10SVG() FigureSVG {
 // Fig3SVG plots category prevalence by rank, the paper's Figure 3.
 func (r Runner) Fig3SVG() FigureSVG {
 	var series []plot.Series
-	for _, cat := range fig3Categories {
-		pts := r.Study.PrevalenceByRank(cat, world.Windows, world.PageLoads, fig3Thresholds)
+	all := r.Study.PrevalenceByRank(fig3Categories, world.Windows, world.PageLoads, fig3Thresholds)
+	for i, cat := range fig3Categories {
 		var xs, ys []float64
-		for _, p := range pts {
+		for _, p := range all[i] {
 			xs = append(xs, float64(p.N))
 			ys = append(ys, p.Median)
 		}

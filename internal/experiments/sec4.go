@@ -117,10 +117,10 @@ func (r Runner) prevalence(m world.Metric) string {
 		t := report.NewTable(
 			fmt.Sprintf("%% of top-N sites per category, %s / %s (median [q1,q3])", p, m),
 			append([]string{"category"}, nLabels(fig3Thresholds)...)...)
-		for _, cat := range fig3Categories {
-			pts := r.Study.PrevalenceByRank(cat, p, m, fig3Thresholds)
+		all := r.Study.PrevalenceByRank(fig3Categories, p, m, fig3Thresholds)
+		for i, cat := range fig3Categories {
 			row := []string{string(cat)}
-			for _, pt := range pts {
+			for _, pt := range all[i] {
 				row = append(row, fmt.Sprintf("%s [%s,%s]",
 					report.Pct(pt.Median), report.Pct(pt.Q1), report.Pct(pt.Q3)))
 			}

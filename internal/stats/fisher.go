@@ -9,103 +9,77 @@ import "math"
 //	hit       a       b
 //	miss      c       d
 //
-// using the hypergeometric distribution evaluated in log space so very
-// large counts (weighted traffic volumes rounded to integers) remain
-// numerically stable. The two-sided p-value sums the probabilities of
-// all tables, with the same margins, that are no more probable than the
-// observed table (the standard "sum of small p" definition).
+// The two-sided p-value sums the probabilities of all tables, with the
+// same margins, that are no more probable than the observed table (the
+// standard "sum of small p" definition, with a 1e-7 relative tolerance
+// for ties).
+//
+// The hypergeometric terms are never evaluated absolutely. The walk
+// starts at the mode with relative weight 1 and moves outward by the
+// closed-form ratio of consecutive terms,
+//
+//	f(x+1)/f(x) = (r1-x)(c1-x) / ((x+1)(r2-c1+x+1)),
+//
+// so each term costs one multiply and one divide, and the p-value is the
+// small-term sum over the walked total. The distribution is unimodal, so
+// a side stops once its terms underflow or, in the tail, fall below
+// 2^-60 of the running tail sum: huge weighted-count tables cost O(sd)
+// terms, not O(support).
 func FisherExact(a, b, c, d int) float64 {
 	if a < 0 || b < 0 || c < 0 || d < 0 {
 		return math.NaN()
 	}
-	r1 := a + b // margin: hits
-	r2 := c + d // margin: misses
-	c1 := a + c // margin: group1
+	r1, r2, c1 := a+b, c+d, a+c // hits, misses, group1
 	n := r1 + r2
 	if n == 0 {
 		return 1
 	}
-
-	// Support of a given the margins.
-	lo := 0
-	if c1-r2 > 0 {
-		lo = c1 - r2
+	lo, hi := max(0, c1-r2), min(c1, r1) // support of a given the margins
+	mode := min(max(int(float64(c1+1)*float64(r1+1)/float64(n+2)), lo), hi)
+	// up(x) = f(x+1)/f(x); down(x) = f(x-1)/f(x).
+	up := func(x int) float64 {
+		return float64(r1-x) * float64(c1-x) / (float64(x+1) * float64(r2-c1+x+1))
 	}
-	hi := c1
-	if r1 < hi {
-		hi = r1
-	}
-
-	logpObs := logHypergeomPMF(a, r1, r2, c1)
-	// Tolerance absorbs floating-point noise when comparing tail
-	// probabilities against the observed one.
-	const eps = 1e-7
-
-	// Restrict the scan to the window where the PMF is numerically
-	// non-zero: the hypergeometric concentrates within a few dozen
-	// standard deviations of its mean, and terms beyond ~60 sd are
-	// below 1e-300. This turns huge-count tables (weighted traffic
-	// volumes) from O(support) into O(sd).
-	mean := float64(c1) * float64(r1) / float64(n)
-	sd := math.Sqrt(mean * float64(r2) / float64(n) * float64(n-c1) / float64(maxInt(n-1, 1)))
-	winLo, winHi := lo, hi
-	if sd > 0 {
-		if v := int(mean - 60*sd); v > winLo {
-			winLo = v
-		}
-		if v := int(mean + 60*sd + 1); v < winHi {
-			winHi = v
-		}
-	}
-	// The observed cell always participates.
-	if a < winLo {
-		winLo = a
-	}
-	if a > winHi {
-		winHi = a
+	down := func(x int) float64 {
+		return float64(x) * float64(r2-c1+x) / (float64(r1-x+1) * float64(c1-x+1))
 	}
 
-	var p float64
-	for x := winLo; x <= winHi; x++ {
-		lp := logHypergeomPMF(x, r1, r2, c1)
-		if lp <= logpObs+eps {
-			p += math.Exp(lp)
-		}
+	// The observed cell's weight, by the same products the sweep below
+	// repeats, so the sweep meets it bit for bit.
+	obs := 1.0
+	for x := mode; x < a && obs > 0; x++ {
+		obs *= up(x)
 	}
-	if p > 1 {
+	for x := mode; x > a && obs > 0; x-- {
+		obs *= down(x)
+	}
+	if obs == 0 {
+		return 0 // underflowed: the observed table is ~1e-308 of the mode's or less
+	}
+	tail := obs * (1 + 1e-7)
+
+	total, p := 1.0, 0.0
+	if 1 <= tail {
 		p = 1
 	}
-	return p
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+	sweep := func(x, end, step int, ratio func(int) float64) {
+		for t := 1.0; x != end; x += step {
+			t *= ratio(x)
+			if t == 0 {
+				return
+			}
+			total += t
+			if t <= tail {
+				p += t
+				if t < 0x1p-60*p {
+					return
+				}
+			}
+		}
 	}
-	return b
-}
-
-// logHypergeomPMF returns log P[X = x] where X is hypergeometric with
-// r1 "successes", r2 "failures" and c1 draws:
-//
-//	P[X=x] = C(r1, x) * C(r2, c1-x) / C(r1+r2, c1)
-func logHypergeomPMF(x, r1, r2, c1 int) float64 {
-	if x < 0 || x > r1 || c1-x < 0 || c1-x > r2 {
-		return math.Inf(-1)
-	}
-	return logChoose(r1, x) + logChoose(r2, c1-x) - logChoose(r1+r2, c1)
-}
-
-// logChoose returns log C(n, k) via log-gamma.
-func logChoose(n, k int) float64 {
-	if k < 0 || k > n {
-		return math.Inf(-1)
-	}
-	lg := func(v int) float64 {
-		r, _ := math.Lgamma(float64(v + 1))
-		return r
-	}
-	return lg(n) - lg(k) - lg(n-k)
+	sweep(mode, lo, -1, down)
+	sweep(mode, hi, +1, up)
+	return min(p/total, 1)
 }
 
 // BonferroniAlpha returns the per-test significance threshold for a

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -271,6 +273,226 @@ func TestFisherExactPValueRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// fisherLogGammaOracle is an independent log-space implementation of
+// FisherExact, kept as an oracle: every term of a ±60 sd window is
+// evaluated from three logChoose calls. Its own relative error on
+// weighted tables (n ≈ 400,000) is about 2e-9, from cancellation between
+// log-gamma values near 4.7e6.
+func fisherLogGammaOracle(a, b, c, d int) float64 {
+	if a < 0 || b < 0 || c < 0 || d < 0 {
+		return math.NaN()
+	}
+	r1 := a + b // margin: hits
+	r2 := c + d // margin: misses
+	c1 := a + c // margin: group1
+	n := r1 + r2
+	if n == 0 {
+		return 1
+	}
+
+	// Support of a given the margins.
+	lo := 0
+	if c1-r2 > 0 {
+		lo = c1 - r2
+	}
+	hi := c1
+	if r1 < hi {
+		hi = r1
+	}
+
+	logpObs := logHypergeomPMF(a, r1, r2, c1)
+	// Tolerance absorbs floating-point noise when comparing tail
+	// probabilities against the observed one.
+	const eps = 1e-7
+
+	// Restrict the scan to the window where the PMF is numerically
+	// non-zero: the hypergeometric concentrates within a few dozen
+	// standard deviations of its mean, and terms beyond ~60 sd are
+	// below 1e-300. This turns huge-count tables (weighted traffic
+	// volumes) from O(support) into O(sd).
+	mean := float64(c1) * float64(r1) / float64(n)
+	sd := math.Sqrt(mean * float64(r2) / float64(n) * float64(n-c1) / float64(max(n-1, 1)))
+	winLo, winHi := lo, hi
+	if sd > 0 {
+		if v := int(mean - 60*sd); v > winLo {
+			winLo = v
+		}
+		if v := int(mean + 60*sd + 1); v < winHi {
+			winHi = v
+		}
+	}
+	// The observed cell always participates.
+	if a < winLo {
+		winLo = a
+	}
+	if a > winHi {
+		winHi = a
+	}
+
+	var p float64
+	for x := winLo; x <= winHi; x++ {
+		lp := logHypergeomPMF(x, r1, r2, c1)
+		if lp <= logpObs+eps {
+			p += math.Exp(lp)
+		}
+	}
+	if p > 1 {
+		p = 1
+	}
+	return p
+}
+
+// logHypergeomPMF returns log P[X = x] where X is hypergeometric with
+// r1 "successes", r2 "failures" and c1 draws:
+//
+//	P[X=x] = C(r1, x) * C(r2, c1-x) / C(r1+r2, c1)
+func logHypergeomPMF(x, r1, r2, c1 int) float64 {
+	if x < 0 || x > r1 || c1-x < 0 || c1-x > r2 {
+		return math.Inf(-1)
+	}
+	return logChoose(r1, x) + logChoose(r2, c1-x) - logChoose(r1+r2, c1)
+}
+
+// logChoose returns log C(n, k) via log-gamma.
+func logChoose(n, k int) float64 {
+	if k < 0 || k > n {
+		return math.Inf(-1)
+	}
+	lg := func(v int) float64 {
+		r, _ := math.Lgamma(float64(v + 1))
+		return r
+	}
+	return lg(n) - lg(k) - lg(n-k)
+}
+
+// fisherBig is the whole-support reference: it walks every table with
+// the observed margins, outward from the observed one (weight 1), by the
+// exact integer ratio of consecutive terms in 256-bit floats (whose
+// exponent never underflows), and sums the terms no larger than 1+1e-7
+// over all of them.
+func fisherBig(a, b, c, d int) float64 {
+	r1, r2, c1 := a+b, c+d, a+c
+	if r1+r2 == 0 {
+		return 1
+	}
+	lo, hi := max(0, c1-r2), min(c1, r1)
+	newF := func() *big.Float { return new(big.Float).SetPrec(256) }
+	tail := newF().SetFloat64(1 + 1e-7)
+	total, p := newF().SetInt64(1), newF().SetInt64(1)
+	t, num, den := newF(), newF(), newF()
+	walk := func(end, step int, ratio func(x int) (int64, int64)) {
+		t.SetInt64(1)
+		for x := a; x != end; x += step {
+			n, d := ratio(x)
+			t.Mul(t, num.SetInt64(n)).Quo(t, den.SetInt64(d))
+			addRounded(total, t)
+			if t.Cmp(tail) <= 0 {
+				addRounded(p, t)
+			}
+		}
+	}
+	walk(hi, +1, func(x int) (int64, int64) {
+		return int64(r1-x) * int64(c1-x), int64(x+1) * int64(r2-c1+x+1)
+	})
+	walk(lo, -1, func(x int) (int64, int64) {
+		return int64(x) * int64(r2-c1+x), int64(r1-x+1) * int64(c1-x+1)
+	})
+	v, _ := p.Quo(p, total).Float64()
+	return v
+}
+
+// addRounded sets sum += t, as sum.Add would round it. big.Float aligns
+// the operands by shifting one mantissa by their exponent gap, which
+// costs time and memory linear in the gap (millions of bits across a
+// weighted table's support); an operand more than 300 binary orders
+// below the other is under half an ulp at 256 bits and cannot change
+// the rounded sum, so it is dropped instead.
+func addRounded(sum, t *big.Float) {
+	if sum.Sign() == 0 {
+		sum.Set(t)
+		return
+	}
+	switch gap := sum.MantExp(nil) - t.MantExp(nil); {
+	case gap < -300:
+		sum.Set(t)
+	case gap <= 300:
+		sum.Add(sum, t)
+	}
+}
+
+// relClose reports whether got is within tol of want, relatively;
+// references below 1e-250 only require got to be as small.
+func relClose(got, want, tol float64) bool {
+	if want < 1e-250 {
+		return got < 1e-240
+	}
+	return math.Abs(got-want) <= tol*want
+}
+
+func TestFisherExactSmallTablesMatchBig(t *testing.T) {
+	grid := []int{0, 1, 2, 3, 5, 8, 12, 17, 23, 29}
+	for _, a := range grid {
+		for _, b := range grid {
+			for _, c := range grid {
+				for _, d := range grid {
+					got, want := FisherExact(a, b, c, d), fisherBig(a, b, c, d)
+					if !relClose(got, want, 1e-12) {
+						t.Errorf("FisherExact(%d,%d,%d,%d) = %.17g, big reference %.17g", a, b, c, d, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// weightedTables draws tables shaped like AnalyzePlatformDiff's: each
+// column is 200,000 pseudo-counts split by a category's share in
+// (0, 0.6). Half the pairs are independent shares; the other half put
+// the Windows share within ±6 sd of the Android one, so the p-values
+// cover the range where Bonferroni decisions are made.
+func weightedTables(n int) [][4]int {
+	const pseudo = 200000
+	rng := rand.New(rand.NewSource(7))
+	out := make([][4]int, 0, n)
+	for i := 0; i < n; i++ {
+		sA := 0.6 * (1 - rng.Float64()) // (0, 0.6]
+		sW := 0.6 * (1 - rng.Float64())
+		if i%2 == 1 {
+			sd := math.Sqrt(2 * sA * (1 - sA) / pseudo)
+			sW = min(max(sA+(12*rng.Float64()-6)*sd, 1e-6), 0.6)
+		}
+		a, b := int(sA*pseudo), int(sW*pseudo)
+		out = append(out, [4]int{a, b, pseudo - a, pseudo - b})
+	}
+	return out
+}
+
+func TestFisherExactWeightedTablesMatchBigAndOracle(t *testing.T) {
+	// The big reference walks ~10^5 terms per table (~40 ms), so the
+	// tables run as parallel subtests.
+	for _, tb := range weightedTables(50) {
+		a, b, c, d := tb[0], tb[1], tb[2], tb[3]
+		t.Run(fmt.Sprint(tb), func(t *testing.T) {
+			t.Parallel()
+			got := FisherExact(a, b, c, d)
+			want := fisherBig(a, b, c, d)
+			oracle := fisherLogGammaOracle(a, b, c, d)
+			if !relClose(got, want, 1e-12) {
+				t.Errorf("FisherExact = %.17g, big reference %.17g", got, want)
+			}
+			if !relClose(got, oracle, 1e-8) {
+				t.Errorf("FisherExact = %.17g, log-gamma oracle %.17g", got, oracle)
+			}
+			for k := 1; k <= 80; k++ {
+				alpha := BonferroniAlpha(0.05, k)
+				if (got < alpha) != (oracle < alpha) {
+					t.Errorf("FisherExact = %.17g and oracle %.17g decide differently at alpha/%d", got, oracle, k)
+				}
+			}
+		})
 	}
 }
 
