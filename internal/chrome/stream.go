@@ -3,6 +3,7 @@ package chrome
 import (
 	"context"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,27 +95,18 @@ func watchHeapPeak() (stop func()) {
 // distKeyIndex interns every merged PSL site key the universe can
 // produce into a dense u32, assigned in site-generation order. The
 // merged key of a site is PSL-derived from the domain it surfaces
-// under, which for MultiTLD sites varies by country — those few sites
-// get a per-country index row; everything else resolves through one
-// map lookup. Interning once up front moves all string work out of
-// the per-cell hot path: cells emit (u32, loads, time) triples only.
+// under, which for MultiTLD sites varies by country. Each country gets
+// a row aligned with its candidate list, so the per-cell hot path
+// resolves a sampled site's key index by its candidate position and
+// emits (u32, loads, time) triples only.
 type distKeyIndex struct {
-	n          int
-	countryPos map[string]int
-	bySite     map[*world.Site]uint32
-	multi      map[*world.Site][]uint32
+	n    int
+	rows map[string][]uint32 // country code -> index per candidate
 }
 
 func buildDistKeyIndex(w *world.World) *distKeyIndex {
 	countries := w.Countries()
-	di := &distKeyIndex{
-		countryPos: make(map[string]int, len(countries)),
-		bySite:     make(map[*world.Site]uint32, len(w.Sites())),
-		multi:      make(map[*world.Site][]uint32),
-	}
-	for i, c := range countries {
-		di.countryPos[c.Code] = i
-	}
+	di := &distKeyIndex{rows: make(map[string][]uint32, len(countries))}
 	byKey := make(map[string]uint32, len(w.Sites()))
 	intern := func(key string) uint32 {
 		if idx, ok := byKey[key]; ok {
@@ -125,27 +117,32 @@ func buildDistKeyIndex(w *world.World) *distKeyIndex {
 		di.n++
 		return idx
 	}
+	bySite := make(map[*world.Site]uint32, len(w.Sites()))
+	multi := make(map[*world.Site][]uint32)
 	for _, s := range w.Sites() {
 		if !s.MultiTLD {
-			di.bySite[s] = intern(psl.Default.SiteKey(s.Domain()))
+			bySite[s] = intern(psl.Default.SiteKey(s.Domain()))
 			continue
 		}
 		row := make([]uint32, len(countries))
 		for i, c := range countries {
 			row[i] = intern(psl.Default.SiteKey(s.DomainIn(c)))
 		}
-		di.multi[s] = row
+		multi[s] = row
+	}
+	for ci, c := range countries {
+		cands := w.Candidates(c.Code)
+		row := make([]uint32, len(cands))
+		for k, cand := range cands {
+			if m, ok := multi[cand.Site]; ok {
+				row[k] = m[ci]
+			} else {
+				row[k] = bySite[cand.Site]
+			}
+		}
+		di.rows[c.Code] = row
 	}
 	return di
-}
-
-// indexFor resolves a site's interned key index as seen from the
-// country at position cPos.
-func (di *distKeyIndex) indexFor(s *world.Site, cPos int) uint32 {
-	if row, ok := di.multi[s]; ok {
-		return row[cPos]
-	}
-	return di.bySite[s]
 }
 
 // distEntry is one site's contribution to the global distribution
@@ -175,15 +172,18 @@ type cellScratch struct {
 	selLoads, selTime *topn.Selector[Entry]
 }
 
-// entryBefore is the rank order shared by every list: value
-// descending, domain ascending on ties. Domains are unique within a
-// cell, so this is a strict total order and bounded selection is
-// exact (see internal/topn).
-func entryBefore(a, b Entry) bool {
-	if a.Value != b.Value {
-		return a.Value > b.Value
+// entryCmp is the rank order shared by every list: value descending,
+// domain ascending on ties. Domains are unique within a cell, so this
+// is a strict total order and bounded selection is exact (see
+// internal/topn).
+func entryCmp(a, b Entry) int {
+	switch {
+	case a.Value > b.Value:
+		return -1
+	case a.Value < b.Value:
+		return 1
 	}
-	return a.Domain < b.Domain
+	return strings.Compare(a.Domain, b.Domain)
 }
 
 // assembleStreamCtx is the streaming bounded-memory pipeline.
@@ -245,8 +245,8 @@ func runStreamCells(ctx context.Context, w *world.World, tcfg telemetry.Config, 
 
 	scratchPool := sync.Pool{New: func() any {
 		return &cellScratch{
-			selLoads: topn.New(opts.TopN, entryBefore),
-			selTime:  topn.New(opts.TopN, entryBefore),
+			selLoads: topn.New(opts.TopN, entryCmp),
+			selTime:  topn.New(opts.TopN, entryCmp),
 		}
 	}}
 	distPool := sync.Pool{New: func() any { return new([]distEntry) }}
@@ -265,27 +265,27 @@ func runStreamCells(ctx context.Context, w *world.World, tcfg telemetry.Config, 
 		sc.selTime.Reset(opts.TopN)
 
 		var dist *[]distEntry
+		var keyIdx []uint32
 		isDist := j.month == opts.DistMonth
-		cPos := 0
 		if isDist {
+			keyIdx = di.rows[j.country]
 			dist = distPool.Get().(*[]distEntry)
 			if cap(*dist) == 0 {
-				*dist = make([]distEntry, 0, w.NumCandidates(j.country))
+				*dist = make([]distEntry, 0, len(keyIdx))
 			}
 			*dist = (*dist)[:0]
-			cPos = di.countryPos[j.country]
 		}
 
 		tot := telemetry.SampleCellVisit(cellRNG(root, j), w, tcfg, telemetry.Cell{
 			Country: j.country, Platform: j.platform, Month: j.month,
-		}, func(site *world.Site, s telemetry.SiteStats) {
+		}, func(pos int, s telemetry.SiteStats) {
 			if s.Clients >= opts.PrivacyThreshold {
 				sc.selLoads.Offer(Entry{Domain: s.Domain, Value: float64(s.Loads)})
 				sc.selTime.Offer(Entry{Domain: s.Domain, Value: float64(s.TimeMS)})
 			}
 			if isDist {
 				*dist = append(*dist, distEntry{
-					idx:    di.indexFor(site, cPos),
+					idx:    keyIdx[pos],
 					loads:  float64(s.Loads),
 					timeMS: float64(s.TimeMS),
 				})

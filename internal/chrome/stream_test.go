@@ -2,6 +2,7 @@ package chrome
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -115,5 +116,30 @@ func TestAssemblePeakHeapGaugeSet(t *testing.T) {
 	_ = Assemble(testWorld, telemetry.DefaultConfig(), testDataset.Opts)
 	if got := AssemblePeakHeapBytes(); got <= 0 {
 		t.Fatalf("peak heap gauge = %d, want > 0", got)
+	}
+}
+
+// TestEntryCmpIsStrictTotalOrder pins the contract bounded selection
+// and the unstable sort rely on: over entries with distinct domains
+// (as in any one cell), entryCmp is zero only for an entry with
+// itself, antisymmetric and transitive, so each cell has exactly one
+// sorted order.
+func TestEntryCmpIsStrictTotalOrder(t *testing.T) {
+	var es []Entry
+	for i := 0; i < 30; i++ {
+		es = append(es, Entry{Domain: fmt.Sprintf("site%02d.example", (i*7)%30), Value: float64(i % 3)})
+	}
+	for i, a := range es {
+		for j, b := range es {
+			ab, ba := entryCmp(a, b), entryCmp(b, a)
+			if (ab == 0) != (i == j) || (ab < 0) != (ba > 0) {
+				t.Fatalf("entryCmp(%v, %v) = %d, reversed %d", a, b, ab, ba)
+			}
+			for _, c := range es {
+				if ab < 0 && entryCmp(b, c) < 0 && entryCmp(a, c) >= 0 {
+					t.Fatalf("entryCmp not transitive on %v < %v < %v", a, b, c)
+				}
+			}
+		}
 	}
 }

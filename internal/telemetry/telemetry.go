@@ -18,7 +18,9 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"wwb/internal/world"
 )
@@ -101,33 +103,46 @@ type CellTotals struct {
 	Sites int
 }
 
+// candWeight is what the sampling pass reads about one candidate,
+// gathered by the weight pass while the candidate's site is in cache:
+// its relative page-load weight and its site's mean dwell.
+type candWeight struct{ loads, dwell float64 }
+
+// weightPool recycles the per-cell weight buffers of SampleCellVisit.
+var weightPool = sync.Pool{New: func() any { return new([]candWeight) }}
+
 // SampleCellVisit produces the aggregate telemetry for one cell by
 // sampling the generative process at population scale — Poisson page
 // loads per site, foreground-time reconstruction with down-sampling
 // error, and an occupancy-based unique-client estimate — streaming
 // one SiteStats at a time to visit instead of materialising a slice.
-// Sites arrive in the country's canonical candidate order (unranked);
-// exact cell totals are accumulated inline and returned. Memory is
-// O(1) in the number of sites, which is what lets assembly scale the
-// universe without scaling its resident set.
+// Sites arrive in the country's canonical candidate order (unranked),
+// each with its position in w.Candidates(cell.Country); exact cell
+// totals are accumulated inline and returned. The only per-cell
+// buffer is one pooled candWeight per candidate.
 //
 // rng must be a stream dedicated to this cell so cells are independent
 // and reproducible; the draw sequence is identical to SampleCell's,
 // so both paths sample identical statistics.
-func SampleCellVisit(rng *world.RNG, w *world.World, cfg Config, cell Cell, visit func(site *world.Site, s SiteStats)) CellTotals {
+func SampleCellVisit(rng *world.RNG, w *world.World, cfg Config, cell Cell, visit func(pos int, s SiteStats)) CellTotals {
 	var tot CellTotals
 	c, ok := world.CountryByCode(cell.Country)
 	if !ok {
 		return tot
 	}
-	// Pass 1: the cell's total relative weight, summed in candidate
-	// order (the same order — hence the same float sum — the
-	// slice-based path produced).
+	cands := w.Candidates(cell.Country)
+	buf := weightPool.Get().(*[]candWeight)
+	defer weightPool.Put(buf)
+	weights := slices.Grow((*buf)[:0], len(cands))[:len(cands)]
+	*buf = weights
+
+	// Pass 1: each candidate's relative weight, computed once, and the
+	// cell's total, summed in candidate order.
 	var totalWeight float64
-	w.VisitWeights(cell.Country, cell.Platform, cell.Month, func(sw world.SiteWeight) bool {
-		totalWeight += sw.Loads
-		return true
-	})
+	for i, cand := range cands {
+		weights[i] = candWeight{w.Weight(cand, cell.Platform, cell.Month).Loads, cand.Site.DwellMean}
+		totalWeight += weights[i].loads
+	}
 	if totalWeight == 0 {
 		return tot
 	}
@@ -136,25 +151,23 @@ func SampleCellVisit(rng *world.RNG, w *world.World, cfg Config, cell Cell, visi
 
 	// Pass 2: sample each site. Sites whose Poisson draw is zero
 	// consume no further randomness, exactly like the slice path.
-	w.VisitWeights(cell.Country, cell.Platform, cell.Month, func(sw world.SiteWeight) bool {
-		expLoads := sw.Loads / totalWeight * totalLoads
-		loads := rng.Poisson(expLoads)
+	for i, cand := range cands {
+		loads := rng.Poisson(weights[i].loads / totalWeight * totalLoads)
 		if loads == 0 {
-			return true
+			continue
 		}
 		s := SiteStats{
-			Domain: sw.Site.DomainIn(c),
+			Domain: cand.Domain,
 			Loads:  int64(loads),
-			TimeMS: sampleTimeMS(rng, float64(loads), sw.Site.DwellMean, cfg.DownsampleRate),
+			TimeMS: sampleTimeMS(rng, float64(loads), weights[i].dwell, cfg.DownsampleRate),
 			Clients: uniqueClients(rng, float64(loads), clients,
 				cfg.VisitsPerClientSite),
 		}
 		tot.Loads += s.Loads
 		tot.TimeMS += s.TimeMS
 		tot.Sites++
-		visit(sw.Site, s)
-		return true
-	})
+		visit(i, s)
+	}
 	return tot
 }
 
@@ -167,7 +180,7 @@ func SampleCellVisit(rng *world.RNG, w *world.World, cfg Config, cell Cell, visi
 // the result themselves.
 func SampleCell(rng *world.RNG, w *world.World, cfg Config, cell Cell) []SiteStats {
 	var out []SiteStats
-	tot := SampleCellVisit(rng, w, cfg, cell, func(_ *world.Site, s SiteStats) {
+	tot := SampleCellVisit(rng, w, cfg, cell, func(_ int, s SiteStats) {
 		out = append(out, s)
 	})
 	if tot.Sites == 0 {

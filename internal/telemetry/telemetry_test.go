@@ -63,9 +63,9 @@ func TestSampleCellVisitMatchesSlice(t *testing.T) {
 		slice := SampleCell(testCellRNG(cell), testWorld, DefaultConfig(), cell)
 		var streamed []SiteStats
 		tot := SampleCellVisit(testCellRNG(cell), testWorld, DefaultConfig(), cell,
-			func(site *world.Site, s SiteStats) {
-				if site == nil {
-					t.Fatal("nil site in visit")
+			func(pos int, s SiteStats) {
+				if d := testWorld.Candidates(cell.Country)[pos].Domain; d != s.Domain {
+					t.Fatalf("visit at candidate %d (%s) carries %s", pos, d, s.Domain)
 				}
 				streamed = append(streamed, s)
 			})
@@ -92,7 +92,7 @@ func TestSampleCellVisitMatchesSlice(t *testing.T) {
 func TestSampleCellVisitUnknownCountry(t *testing.T) {
 	cell := Cell{Country: "XX", Platform: world.Windows, Month: world.Feb2022}
 	tot := SampleCellVisit(testCellRNG(cell), testWorld, DefaultConfig(), cell,
-		func(*world.Site, SiteStats) { t.Fatal("visit called for unknown country") })
+		func(int, SiteStats) { t.Fatal("visit called for unknown country") })
 	if tot != (CellTotals{}) {
 		t.Fatalf("non-zero totals %+v for unknown country", tot)
 	}

@@ -2,32 +2,35 @@
 // it any number of items and it retains only the K best under a
 // caller-supplied strict total order, in O(K) memory and O(log K) per
 // offer. For a strict total order (no two distinct items compare
-// equal both ways) the selected set and its sorted output are exactly
+// equal) the selected set and its sorted output are exactly
 // the ones a full sort-then-truncate would produce — there is no
 // sketching or approximation — which is what lets the dataset
 // assembly replace per-cell full sorts without changing a byte of
 // output.
 package topn
 
-import "sort"
+import "slices"
 
-// Selector retains the k best items seen so far under the order
-// "before". The zero value is not usable; construct with New.
+// Selector retains the k best items seen so far under the order cmp.
+// The zero value is not usable; construct with New.
 type Selector[T any] struct {
-	// before reports whether a ranks strictly ahead of b in the final
-	// (best-first) output order. It must be a strict total order over
-	// the offered items for the sorted output to be unique.
-	before func(a, b T) bool
-	k      int
-	// h is a min-heap on before with the *worst* retained item at the
-	// root, so a new item only needs to beat h[0] to enter.
+	// cmp orders items best first: negative when a ranks strictly
+	// ahead of b in the output, positive when strictly behind. It must
+	// be a strict total order over the offered items — zero only for
+	// an item compared with itself — for the sorted output to be
+	// unique.
+	cmp func(a, b T) int
+	k   int
+	// h is a heap with the *worst* retained item at the root, so a
+	// new item only needs to beat h[0] to enter.
 	h []T
 }
 
-// New returns a selector retaining the best k items. k <= 0 yields a
-// selector that retains nothing (mirroring RankList.TopN's clamp).
-func New[T any](k int, before func(a, b T) bool) *Selector[T] {
-	s := &Selector[T]{before: before}
+// New returns a selector retaining the best k items under cmp. k <= 0
+// yields a selector that retains nothing (mirroring RankList.TopN's
+// clamp).
+func New[T any](k int, cmp func(a, b T) int) *Selector[T] {
+	s := &Selector[T]{cmp: cmp}
 	s.Reset(k)
 	return s
 }
@@ -66,7 +69,7 @@ func (s *Selector[T]) Offer(v T) {
 		return
 	}
 	// Full: v enters only by beating the current worst at the root.
-	if s.before(v, s.h[0]) {
+	if s.cmp(v, s.h[0]) < 0 {
 		s.h[0] = v
 		s.siftDown(0)
 	}
@@ -74,12 +77,12 @@ func (s *Selector[T]) Offer(v T) {
 
 // AppendSorted appends the retained items to dst in best-first order
 // and returns the extended slice. The selector is left empty (its
-// capacity is retained), since extracting in order consumes the heap.
+// capacity is retained). The sort need not be stable: under a strict
+// total order the sorted output is unique.
 func (s *Selector[T]) AppendSorted(dst []T) []T {
 	base := len(dst)
 	dst = append(dst, s.h...)
-	out := dst[base:]
-	sort.Slice(out, func(i, j int) bool { return s.before(out[i], out[j]) })
+	slices.SortFunc(dst[base:], s.cmp)
 	var zero T
 	for i := range s.h {
 		s.h[i] = zero
@@ -89,7 +92,7 @@ func (s *Selector[T]) AppendSorted(dst []T) []T {
 }
 
 // worse reports whether a ranks strictly behind b — the heap order.
-func (s *Selector[T]) worse(a, b T) bool { return s.before(b, a) }
+func (s *Selector[T]) worse(a, b T) bool { return s.cmp(a, b) > 0 }
 
 func (s *Selector[T]) siftUp(i int) {
 	for i > 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -15,18 +16,21 @@ type kv struct {
 	value float64
 }
 
-func kvBefore(a, b kv) bool {
-	if a.value != b.value {
-		return a.value > b.value
+func kvCmp(a, b kv) int {
+	switch {
+	case a.value > b.value:
+		return -1
+	case a.value < b.value:
+		return 1
 	}
-	return a.key < b.key
+	return strings.Compare(a.key, b.key)
 }
 
 // reference is the sort-then-truncate path the selector must match
 // exactly.
 func reference(items []kv, k int) []kv {
 	out := append([]kv(nil), items...)
-	sort.Slice(out, func(i, j int) bool { return kvBefore(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return kvCmp(out[i], out[j]) < 0 })
 	if k < 0 {
 		k = 0
 	}
@@ -51,7 +55,7 @@ func TestSelectorMatchesSortTruncate(t *testing.T) {
 			// therefore domain tie-breaks — the common case.
 			items[i] = kv{key: fmt.Sprintf("site%03d", i), value: float64(rng.Intn(8))}
 		}
-		sel := New(k, kvBefore)
+		sel := New(k, kvCmp)
 		for _, it := range items {
 			sel.Offer(it)
 		}
@@ -71,7 +75,7 @@ func TestSelectorMatchesSortTruncate(t *testing.T) {
 func TestSelectorAllEqualValues(t *testing.T) {
 	// Every value identical: the order is decided purely by the key
 	// tie-break, the worst case for heap comparisons.
-	sel := New(5, kvBefore)
+	sel := New(5, kvCmp)
 	var items []kv
 	for i := 19; i >= 0; i-- {
 		it := kv{key: fmt.Sprintf("k%02d", i), value: 7}
@@ -89,7 +93,7 @@ func TestSelectorAllEqualValues(t *testing.T) {
 
 func TestSelectorZeroAndNegativeK(t *testing.T) {
 	for _, k := range []int{0, -3} {
-		sel := New(k, kvBefore)
+		sel := New(k, kvCmp)
 		sel.Offer(kv{"a", 1})
 		if sel.Len() != 0 {
 			t.Fatalf("k=%d retained %d items", k, sel.Len())
@@ -101,7 +105,7 @@ func TestSelectorZeroAndNegativeK(t *testing.T) {
 }
 
 func TestSelectorResetReusesBacking(t *testing.T) {
-	sel := New(64, kvBefore)
+	sel := New(64, kvCmp)
 	for i := 0; i < 100; i++ {
 		sel.Offer(kv{fmt.Sprintf("k%d", i), float64(i)})
 	}
@@ -131,7 +135,7 @@ func TestSelectorResetReusesBacking(t *testing.T) {
 }
 
 func TestAppendSortedAppends(t *testing.T) {
-	sel := New(2, kvBefore)
+	sel := New(2, kvCmp)
 	sel.Offer(kv{"b", 2})
 	sel.Offer(kv{"a", 1})
 	dst := []kv{{"existing", 99}}
@@ -141,5 +145,39 @@ func TestAppendSortedAppends(t *testing.T) {
 	}
 	if sel.Len() != 0 {
 		t.Fatal("selector not emptied by AppendSorted")
+	}
+}
+
+// TestAppendSortedMostlyTied: when nearly every value ties, the order
+// is decided by the key, and the unstable sort inside AppendSorted
+// must still reproduce sort-then-truncate exactly, for every k from
+// empty to past the input's length, whatever order the items arrive
+// in.
+func TestAppendSortedMostlyTied(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	items := make([]kv, 500)
+	for i := range items {
+		v := 3.0
+		if i%50 == 0 {
+			v = float64(rng.Intn(6))
+		}
+		items[i] = kv{key: fmt.Sprintf("d%04d.example", rng.Intn(1e4)*1e3+i), value: v}
+	}
+	for _, k := range []int{0, 1, 7, 64, 499, 500, 600} {
+		rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+		sel := New(k, kvCmp)
+		for _, it := range items {
+			sel.Offer(it)
+		}
+		got := sel.AppendSorted(nil)
+		want := reference(items, k)
+		if len(got) != len(want) {
+			t.Fatalf("k=%d: len %d, want %d", k, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("k=%d: row %d = %+v, want %+v", k, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -108,6 +108,10 @@ func Build(w *world.World, p Provider, opts Options, n int) []string {
 		}
 	}
 
+	var unit float64
+	if p == AlexaLike {
+		unit = panelUnit(w, truth, opts.PanelSize)
+	}
 	scores := make(map[string]float64, len(truth))
 	for key, volume := range truth {
 		switch p {
@@ -115,10 +119,7 @@ func Build(w *world.World, p Provider, opts Options, n int) []string {
 			// Panel sampling: expected panel hits are proportional to
 			// volume; Poisson noise at the panel's scale reorders the
 			// tail badly while the head stays roughly right.
-			var totalVolume float64
-			_ = totalVolume
-			hits := float64(rng.Fork("panel|" + key).Poisson(volume / panelUnit(truth, opts.PanelSize)))
-			scores[key] = hits
+			scores[key] = float64(rng.Fork("panel|" + key).Poisson(volume / unit))
 		case UmbrellaLike:
 			// DNS volume: browsing resolutions plus machine traffic.
 			boost := 1.0
@@ -167,11 +168,12 @@ func Build(w *world.World, p Provider, opts Options, n int) []string {
 
 // panelUnit converts total volume into per-panel-hit volume so the
 // expected number of panel observations across all sites is
-// opts.PanelSize.
-func panelUnit(truth map[string]float64, panelSize float64) float64 {
+// opts.PanelSize. The total is summed in site-generation order, so it
+// does not depend on map iteration order.
+func panelUnit(w *world.World, truth map[string]float64, panelSize float64) float64 {
 	var total float64
-	for _, v := range truth {
-		total += v
+	for _, s := range w.Sites() {
+		total += truth[s.Key]
 	}
 	if panelSize <= 0 || total == 0 {
 		return 1

@@ -23,12 +23,16 @@ func Generate(cfg Config) *World {
 // guarantees a world identical to Generate's.
 func GenerateCtx(ctx context.Context, cfg Config) (*World, error) {
 	w := &World{
-		Cfg:        cfg,
-		root:       NewRNG(cfg.Seed),
-		byKey:      make(map[string]*Site),
-		candidates: make(map[string][]Candidate),
+		Cfg:       cfg,
+		root:      NewRNG(cfg.Seed),
+		byKey:     make(map[string]*Site),
+		local:     make(map[*Site][]string),
+		countries: Countries(),
 	}
-	w.countries = Countries()
+	w.countryPos = make(map[string]int, len(w.countries))
+	for i, c := range w.countries {
+		w.countryPos[c.Code] = i
+	}
 
 	w.buildAnchors()
 	w.buildLocals()
@@ -213,6 +217,14 @@ func (w *World) buildDrift() {
 func (w *World) addSite(s *Site) {
 	if _, dup := w.byKey[s.Key]; dup {
 		panic(fmt.Sprintf("world: duplicate site key %q", s.Key))
+	}
+	s.domain = s.Key + "." + s.TLD
+	if s.MultiTLD {
+		local := make([]string, len(w.countries))
+		for i, c := range w.countries {
+			local[i] = s.Key + "." + c.Suffix
+		}
+		w.local[s] = local
 	}
 	w.byKey[s.Key] = s
 	w.sites = append(w.sites, s)

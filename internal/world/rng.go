@@ -27,17 +27,24 @@ func NewRNG(seed uint64) *RNG {
 // string label. Forking does not advance the parent stream, so the
 // derived stream depends only on (parent seed, label).
 func (r *RNG) Fork(label string) *RNG {
-	h := fnv64(label)
 	// Mix parent seed and label hash through one splitmix64 round.
-	return &RNG{state: mix64(r.state ^ h)}
+	return &RNG{state: mix64(r.state ^ fnvAdd(fnvOffset, label))}
 }
 
-func fnv64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+// forkAffinity is Fork("aff|"+key+"|"+code) with the label hashed
+// piece by piece: FNV-1a folds bytes one at a time, so the state is
+// the joined string's, and the candidate stage builds no label string
+// for each (site, country) pair.
+func (r *RNG) forkAffinity(key, code string) RNG {
+	h := fnvAdd(fnvAdd(fnvAdd(fnvAdd(fnvOffset, "aff|"), key), "|"), code)
+	return RNG{state: mix64(r.state ^ h)}
+}
+
+const fnvOffset = 14695981039346656037
+
+// fnvAdd folds s into the FNV-1a 64-bit hash state h.
+func fnvAdd(h uint64, s string) uint64 {
+	const prime = 1099511628211
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= prime

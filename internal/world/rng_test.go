@@ -181,3 +181,25 @@ func TestForkLabelPropertyNoCollisions(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestForkAffinityMatchesFork: the affinity stream hashes its label in
+// pieces, and must land on the state Fork of the joined label gives —
+// for keys with and without the separator, and for empty pieces.
+func TestForkAffinityMatchesFork(t *testing.T) {
+	root := NewRNG(42)
+	for _, tc := range []struct{ key, code string }{
+		{"google", "US"},
+		{"brportal3", "BR"},
+		{"a|b", "KR"},
+		{"|", "|"},
+		{"", "JP"},
+		{"naver", ""},
+		{"", ""},
+	} {
+		got := root.forkAffinity(tc.key, tc.code)
+		want := root.Fork("aff|" + tc.key + "|" + tc.code)
+		if got.state != want.state {
+			t.Errorf("forkAffinity(%q, %q) state %#x, Fork %#x", tc.key, tc.code, got.state, want.state)
+		}
+	}
+}

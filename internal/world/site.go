@@ -1,6 +1,8 @@
 package world
 
 import (
+	"math"
+
 	"wwb/internal/taxonomy"
 )
 
@@ -47,6 +49,10 @@ type Site struct {
 	// hand-tuned market differences on anchor sites.
 	overrides map[string]float64
 
+	// domain is the canonical domain, made once when the site joins
+	// the world (World.local holds a MultiTLD site's others).
+	domain string
+
 	// drift holds the per-month popularity random-walk factors,
 	// precomputed at generation time over the full simulated year.
 	drift [NumMonths]float64
@@ -62,12 +68,24 @@ func (s *Site) DomainIn(c Country) string {
 	if s.MultiTLD {
 		return s.Key + "." + c.Suffix
 	}
-	return s.Key + "." + s.TLD
+	return s.domain
 }
 
 // Domain returns the site's canonical domain.
-func (s *Site) Domain() string {
-	return s.Key + "." + s.TLD
+func (s *Site) Domain() string { return s.domain }
+
+// spillGate scales a national site's spill abroad by its size. Big
+// sites travel; tail sites stay home. Gating spill by the site's size
+// keeps cross-border similarity concentrated at the head of the web
+// (where the paper's RBO weighting looks) while the long tail stays
+// endemic to one country (Section 5.1: half the sites in some top-1K
+// appear in no other top-10K).
+func (s *Site) spillGate() float64 {
+	gate := math.Pow(s.BaseWeight/50, 0.7)
+	if gate > 1 {
+		gate = 1
+	}
+	return gate
 }
 
 // overrideFor returns the affinity override for a country (1 if none).

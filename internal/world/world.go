@@ -2,8 +2,10 @@ package world
 
 import (
 	"context"
-	"math"
+	"slices"
+	"sync"
 
+	"wwb/internal/parallel"
 	"wwb/internal/taxonomy"
 )
 
@@ -13,9 +15,11 @@ type World struct {
 
 	root       *RNG
 	countries  []Country
+	countryPos map[string]int // country code -> index into countries
 	sites      []*Site
 	byKey      map[string]*Site
-	candidates map[string][]Candidate
+	local      map[*Site][]string // MultiTLD site -> domain per country
+	candidates [][]Candidate      // aligned with countries
 }
 
 // Candidate pairs a site with its precomputed affinity for one
@@ -24,6 +28,9 @@ type World struct {
 type Candidate struct {
 	Site     *Site
 	Affinity float64
+	// Domain is the site's domain in the country (Site.DomainIn),
+	// shared with every other reader of that domain.
+	Domain string
 }
 
 // SiteWeight is a site's expected relative traffic in one (country,
@@ -53,11 +60,9 @@ func (w *World) Domains() []string {
 		}
 	}
 	for _, s := range w.sites {
-		add(s.Domain())
-		if s.MultiTLD {
-			for _, c := range w.countries {
-				add(s.DomainIn(c))
-			}
+		add(s.domain)
+		for _, d := range w.local[s] {
+			add(d)
 		}
 	}
 	return out
@@ -73,12 +78,19 @@ func (w *World) SiteByKey(key string) (*Site, bool) {
 // multiplier on its base weight capturing how present the site is in
 // that market. Zero means the site does not surface there at all.
 func (w *World) Affinity(s *Site, c Country) float64 {
+	return w.affinity(s, &c, s.spillGate())
+}
+
+// affinity is Affinity with the site's spill gate supplied by the
+// caller, which computes it once per site rather than once per pair.
+func (w *World) affinity(s *Site, c *Country, gate float64) float64 {
 	censor := 1.0
 	if c.CensorsAdult && s.Category == taxonomy.Pornography && s.Home != c.Code {
 		censor = w.Cfg.CensorFactor
 	}
 	if s.Global {
-		noise := w.root.Fork("aff|"+s.Key+"|"+c.Code).LogNormal(0, w.Cfg.AffinityNoiseAnchor)
+		rng := w.root.forkAffinity(s.Key, c.Code)
+		noise := rng.LogNormal(0, w.Cfg.AffinityNoiseAnchor)
 		langBoost := 1.0
 		if s.Lang != "" && !langIn(s.Lang, c.Languages) {
 			langBoost = 0.45 // language-bound anchors travel less
@@ -91,54 +103,73 @@ func (w *World) Affinity(s *Site, c Country) float64 {
 	if s.NoSpill {
 		return 0
 	}
-	home, ok := CountryByCode(s.Home)
+	hi, ok := w.countryPos[s.Home]
 	if !ok {
 		return 0
 	}
+	home := &w.countries[hi]
 	base := w.Cfg.GlobalSpill
 	switch {
-	case home.SharesLanguage(c):
+	case home.SharesLanguage(*c):
 		base = w.Cfg.LanguageSpill
 	case home.Continent == c.Continent:
 		base = w.Cfg.RegionSpill
 	}
-	// Big sites travel; tail sites stay home. Gating spill by the
-	// site's size keeps cross-border similarity concentrated at the
-	// head of the web (where the paper's RBO weighting looks) while
-	// the long tail stays endemic to one country (Section 5.1: half
-	// the sites in some top-1K appear in no other top-10K).
-	gate := math.Pow(s.BaseWeight/50, 0.7)
-	if gate > 1 {
-		gate = 1
-	}
-	noise := w.root.Fork("aff|"+s.Key+"|"+c.Code).LogNormal(0, w.Cfg.AffinityNoiseNational)
+	rng := w.root.forkAffinity(s.Key, c.Code)
+	noise := rng.LogNormal(0, w.Cfg.AffinityNoiseNational)
 	return base * gate * noise * censor
 }
 
 // buildCandidates precomputes, per country, the sites that can surface
-// there with their affinities, dropping pairs below the cutoff. It is
-// generation's dominant stage, so it checks ctx per country.
+// there with their affinities and domains, dropping pairs below the
+// cutoff. It is generation's dominant stage, so the countries run on
+// the worker pool, which checks ctx between them. Affinity draws come
+// from streams forked off the root without advancing it, so the lists
+// do not depend on the order the countries run in.
 func (w *World) buildCandidates(ctx context.Context) error {
-	for _, c := range w.countries {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var list []Candidate
-		for _, s := range w.sites {
-			aff := w.Affinity(s, c)
+	gates := make([]float64, len(w.sites))
+	for i, s := range w.sites {
+		gates[i] = s.spillGate()
+	}
+	// Lists grow in pooled scratch and are stored at their exact
+	// length, so generation leaves no append garbage behind.
+	scratch := sync.Pool{New: func() any { return new([]Candidate) }}
+	lists := make([][]Candidate, len(w.countries))
+	err := parallel.ForEachCtx(ctx, len(w.countries), func(_ context.Context, ci int) error {
+		c := &w.countries[ci]
+		buf := scratch.Get().(*[]Candidate)
+		defer scratch.Put(buf)
+		list := (*buf)[:0]
+		for i, s := range w.sites {
+			aff := w.affinity(s, c, gates[i])
 			if aff*s.BaseWeight < w.Cfg.CandidateCutoff {
 				continue
 			}
-			list = append(list, Candidate{Site: s, Affinity: aff})
+			d := s.domain
+			if s.MultiTLD {
+				d = w.local[s][ci]
+			}
+			list = append(list, Candidate{Site: s, Affinity: aff, Domain: d})
 		}
-		w.candidates[c.Code] = list
+		lists[ci] = slices.Clone(list)
+		*buf = list
+		return nil
+	})
+	if err != nil {
+		return err
 	}
+	w.candidates = lists
 	return nil
 }
 
-// Candidates returns the precomputed candidate list for a country.
+// Candidates returns the precomputed candidate list for a country, in
+// site-generation order (nil for an unknown code).
 func (w *World) Candidates(code string) []Candidate {
-	return w.candidates[code]
+	ci, ok := w.countryPos[code]
+	if !ok {
+		return nil
+	}
+	return w.candidates[ci]
 }
 
 // platformFactor is the multiplier a site's traffic receives on a
@@ -178,39 +209,16 @@ func (w *World) Weight(cand Candidate, p Platform, m Month) SiteWeight {
 	}
 }
 
-// VisitWeights streams the expected relative traffic of every
-// candidate site in a (country, platform, month) cell to fn, in the
-// country's canonical candidate order — the exact order Weights
-// returns — without materialising a slice. fn returning false stops
-// the enumeration early. This is the assembly hot path's iterator:
-// per-cell memory stays O(1) no matter how many sites the universe
-// holds.
-func (w *World) VisitWeights(code string, p Platform, m Month, fn func(SiteWeight) bool) {
-	for _, cand := range w.candidates[code] {
-		if !fn(w.Weight(cand, p, m)) {
-			return
-		}
-	}
-}
-
-// NumCandidates returns how many sites can surface in a country —
-// the number of weights VisitWeights will yield (useful for sizing
-// buffers without materialising the slice).
-func (w *World) NumCandidates(code string) int {
-	return len(w.candidates[code])
-}
-
 // Weights returns the expected relative traffic of every candidate
-// site in a (country, platform, month) cell. The slice is freshly
-// allocated and unsorted; downstream assembly ranks it. Large-scale
-// callers should prefer VisitWeights, which streams the same values
-// in the same order without the allocation.
+// site in a (country, platform, month) cell, in candidate order. The
+// slice is freshly allocated and unsorted; downstream assembly ranks
+// it. The assembly hot path walks Candidates and calls Weight itself.
 func (w *World) Weights(code string, p Platform, m Month) []SiteWeight {
-	out := make([]SiteWeight, 0, len(w.candidates[code]))
-	w.VisitWeights(code, p, m, func(sw SiteWeight) bool {
-		out = append(out, sw)
-		return true
-	})
+	cands := w.Candidates(code)
+	out := make([]SiteWeight, len(cands))
+	for i, cand := range cands {
+		out[i] = w.Weight(cand, p, m)
+	}
 	return out
 }
 

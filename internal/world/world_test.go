@@ -3,6 +3,8 @@ package world
 import (
 	"context"
 	"errors"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -419,6 +421,35 @@ func TestGenerateCtxMatchesGenerate(t *testing.T) {
 		for i := range got {
 			if got[i].Site.Key != want[i].Site.Key || got[i].Affinity != want[i].Affinity {
 				t.Fatalf("%s candidate %d differs", c.Code, i)
+			}
+		}
+	}
+}
+
+// TestCandidatesIndependentOfGOMAXPROCS: the candidate lists are built
+// on the worker pool, and every country's list must come out the same
+// whether one worker or four build them — same sites, bit-identical
+// affinities, same domains — with each candidate's domain equal to
+// its site's DomainIn.
+func TestCandidatesIndependentOfGOMAXPROCS(t *testing.T) {
+	gen := func(procs int) *World {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return Generate(SmallConfig())
+	}
+	one, four := gen(1), gen(4)
+	for _, c := range one.Countries() {
+		got, want := four.Candidates(c.Code), one.Candidates(c.Code)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d candidates at GOMAXPROCS 4, %d at 1", c.Code, len(got), len(want))
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if g.Site.Key != w.Site.Key || math.Float64bits(g.Affinity) != math.Float64bits(w.Affinity) || g.Domain != w.Domain {
+				t.Fatalf("%s candidate %d: %s/%v/%s at GOMAXPROCS 4, %s/%v/%s at 1",
+					c.Code, i, g.Site.Key, g.Affinity, g.Domain, w.Site.Key, w.Affinity, w.Domain)
+			}
+			if d := w.Site.DomainIn(c); w.Domain != d {
+				t.Fatalf("%s candidate %d: Domain %q, DomainIn %q", c.Code, i, w.Domain, d)
 			}
 		}
 	}
