@@ -46,10 +46,10 @@ type AppendOptions struct {
 // delta snapshot (.wwbd) persists. The zero-month cells of the base
 // are never re-derived — an Increment is O(one month), not O(window).
 type Increment struct {
-	// Month is the appended month; every Lists/Coverage key carries it.
+	// Month is the appended month; every cell key carries it.
 	Month world.Month
 	// RollDist records whether this increment moved DistMonth to
-	// Month; when set, Dist holds the recomputed curves.
+	// Month; when set, dist holds the recomputed curves.
 	RollDist bool
 	// Opts is the resulting dataset's Options after applying the
 	// increment: the base Options with Months extended to the explicit
@@ -60,13 +60,12 @@ type Increment struct {
 	// increment can't silently apply to a base with different
 	// coverage.
 	Countries []string
-	// Lists and Coverage hold the appended month's cells, keyed like
-	// the dataset's own maps.
-	Lists    map[string]RankList
-	Coverage map[string]float64
-	// Dist holds the recomputed global distribution curves; non-nil
-	// exactly when RollDist is set.
-	Dist map[string]*DistCurve
+	// cells holds the appended month's cells, keyed like the dataset's
+	// own.
+	cells map[CellKey]cell
+	// dist holds the recomputed global distribution curves when
+	// RollDist is set, and nothing otherwise.
+	dist map[curveKey]*DistCurve
 }
 
 // AppendMonth is AppendMonthCtx with a background context; like
@@ -133,27 +132,18 @@ func AppendMonthCtx(ctx context.Context, d *Dataset, w *world.World, tcfg teleme
 		}
 	}
 
-	lists := make(map[string]RankList, 2*len(jobs))
-	coverage := make(map[string]float64, 2*len(jobs))
-	accLoads, accTime, err := runStreamCells(ctx, w, tcfg, newOpts, jobs, lists, coverage)
+	cells := make(map[CellKey]cell, 2*len(jobs))
+	dist, err := runStreamCells(ctx, w, tcfg, newOpts, jobs, cells)
 	if err != nil {
 		return nil, err
 	}
-
 	inc := &Increment{
 		Month:     aopts.Month,
 		RollDist:  aopts.RollDist,
 		Opts:      newOpts,
 		Countries: append([]string{}, d.Countries...),
-		Lists:     lists,
-		Coverage:  coverage,
-	}
-	if aopts.RollDist {
-		inc.Dist = make(map[string]*DistCurve, 2*len(world.Platforms))
-		for _, p := range world.Platforms {
-			inc.Dist[distKey(p, world.PageLoads)] = NewDistCurve(accLoads[p])
-			inc.Dist[distKey(p, world.TimeOnPage)] = NewDistCurve(accTime[p])
-		}
+		cells:     cells,
+		dist:      dist, // nil unless the month is the new DistMonth
 	}
 	if err := d.ApplyIncrement(inc); err != nil {
 		return nil, err
@@ -188,21 +178,16 @@ func (d *Dataset) ApplyIncrement(inc *Increment) error {
 	// and builds the month's views, so a grown index is
 	// indistinguishable from a fresh build.
 	if d.index != nil && d.indexGen == d.gen {
-		d.index = growIndex(d.index, inc.Lists)
+		d.index = growIndex(d.index, inc.cells)
 	} else {
 		d.index = nil
 	}
 
-	for k, l := range inc.Lists {
-		d.lists[k] = l
+	for k, c := range inc.cells {
+		d.cells[k] = c
 	}
-	for k, c := range inc.Coverage {
-		d.coverage[k] = c
-	}
-	if inc.RollDist {
-		for k, c := range inc.Dist {
-			d.dist[k] = c
-		}
+	for k, c := range inc.dist {
+		d.dist[k] = c
 	}
 	d.Months = append(append([]world.Month{}, d.Months...), inc.Month)
 	d.Opts = inc.Opts
@@ -214,11 +199,9 @@ func (d *Dataset) ApplyIncrement(inc *Increment) error {
 }
 
 // validateIncrementLocked checks an increment against the base before
-// any state changes. Beyond structural validity (reusing the dataset
-// decoder's invariants), it pins the cross-artifact contract: same
-// countries, month not yet covered, resulting Options derivable from
-// the base's, all cells present, and RollDist ⇔ full replacement
-// curves.
+// any state changes: same countries, month not yet covered, resulting
+// Options derivable from the base's, all cells present, and RollDist ⇔
+// full replacement curves.
 func (d *Dataset) validateIncrementLocked(inc *Increment) error {
 	if !world.ValidMonth(int(inc.Month)) {
 		return fmt.Errorf("month %d out of range", int(inc.Month))
@@ -261,62 +244,33 @@ func (d *Dataset) validateIncrementLocked(inc *Increment) error {
 			d.Opts.Seed, d.Opts.PrivacyThreshold, d.Opts.TopN)
 	}
 
-	// Exactly the appended month's cell grid, nothing else. Structural
-	// invariants (descending lists, finite values, coverage in [0,1],
-	// normalised curves) reuse the dataset decoder's validator.
+	// Exactly the appended month's cell grid, nothing else: every grid
+	// key present and no other key, so every key carries the month.
+	// The cells themselves hold the dataset invariants (descending
+	// lists, finite values, coverage in [0,1], normalised curves):
+	// only assembly and the delta decoder, which checks them, make an
+	// Increment's cells.
 	for _, c := range inc.Countries {
 		for _, p := range world.Platforms {
-			for _, m := range []world.Metric{world.PageLoads, world.TimeOnPage} {
-				if _, ok := inc.Lists[listKey(c, p, m, inc.Month)]; !ok {
-					return fmt.Errorf("increment missing cell %q", listKey(c, p, m, inc.Month))
+			for _, m := range world.Metrics {
+				k := CellKey{c, p, m, inc.Month}
+				if _, ok := inc.cells[k]; !ok {
+					return fmt.Errorf("increment missing cell %q", k)
 				}
 			}
 		}
 	}
-	if want := len(inc.Countries) * len(world.Platforms) * 2; len(inc.Lists) != want {
-		return fmt.Errorf("increment has %d lists, want %d", len(inc.Lists), want)
+	if want := len(inc.Countries) * len(world.Platforms) * len(world.Metrics); len(inc.cells) != want {
+		return fmt.Errorf("increment has %d cells, want %d", len(inc.cells), want)
 	}
-	for key := range inc.Lists {
-		if err := cellKeyMonth(key, inc.Month); err != nil {
-			return err
-		}
-	}
-	for key := range inc.Coverage {
-		if err := cellKeyMonth(key, inc.Month); err != nil {
-			return err
-		}
-		if _, ok := inc.Lists[key]; !ok {
-			return fmt.Errorf("increment coverage %q has no list", key)
-		}
-	}
+	// Every curve or none: curve keys are range-checked, so as many
+	// curves as the (platform, metric) grid holds is every curve.
+	wantCurves := 0
 	if inc.RollDist {
-		if want := 2 * len(world.Platforms); len(inc.Dist) != want {
-			return fmt.Errorf("roll-dist increment has %d curves, want %d", len(inc.Dist), want)
-		}
-		for _, p := range world.Platforms {
-			for _, m := range []world.Metric{world.PageLoads, world.TimeOnPage} {
-				if inc.Dist[distKey(p, m)] == nil {
-					return fmt.Errorf("roll-dist increment missing curve %q", distKey(p, m))
-				}
-			}
-		}
-	} else if len(inc.Dist) != 0 {
-		return fmt.Errorf("non-roll increment carries %d dist curves, want none", len(inc.Dist))
+		wantCurves = len(world.Platforms) * len(world.Metrics)
 	}
-	return validateDataset([]world.Month{inc.Month}, inc.Lists, inc.Coverage, inc.Dist)
-}
-
-// cellKeyMonth validates a cell key and pins its month field.
-func cellKeyMonth(key string, want world.Month) error {
-	if err := parseCellKey(key); err != nil {
-		return err
-	}
-	m, err := cellKeyMonthOf(key)
-	if err != nil {
-		return err
-	}
-	if m != want {
-		return fmt.Errorf("cell key %q: month %s, want %s", key, m, want)
+	if len(inc.dist) != wantCurves {
+		return fmt.Errorf("increment (roll-dist %t) has %d curves, want %d", inc.RollDist, len(inc.dist), wantCurves)
 	}
 	return nil
 }

@@ -60,7 +60,7 @@ func TestAppendMatchesFullRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: append: %v", procs, err)
 		}
-		if inc.Month != world.Mar2022 || inc.RollDist || inc.Dist != nil {
+		if inc.Month != world.Mar2022 || inc.RollDist || inc.dist != nil {
 			t.Fatalf("GOMAXPROCS=%d: increment = %+v, want plain Mar2022 append", procs, inc)
 		}
 		if got := snapshotBytes(t, ds); !bytes.Equal(got, oracle) {
@@ -90,8 +90,8 @@ func TestAppendRollDistMatchesFullRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	if !inc.RollDist || len(inc.Dist) != 2*len(world.Platforms) {
-		t.Fatalf("roll-dist increment carries %d curves, want %d", len(inc.Dist), 2*len(world.Platforms))
+	if !inc.RollDist || len(inc.dist) != 2*len(world.Platforms) {
+		t.Fatalf("roll-dist increment carries %d curves, want %d", len(inc.dist), 2*len(world.Platforms))
 	}
 	if ds.Opts.DistMonth != world.Mar2022 {
 		t.Fatalf("DistMonth = %s after roll, want 2022-03", ds.Opts.DistMonth)
@@ -222,17 +222,17 @@ func TestApplyIncrementRejectsMismatchedBase(t *testing.T) {
 	}
 	// Truncated cell grid.
 	bad = *inc
-	bad.Lists = make(map[string]RankList, len(inc.Lists)-1)
-	for k, l := range inc.Lists {
-		bad.Lists[k] = l
+	bad.cells = make(map[CellKey]cell, len(inc.cells)-1)
+	for k, c := range inc.cells {
+		bad.cells[k] = c
 	}
-	delete(bad.Lists, listKey("US", world.Windows, world.PageLoads, world.Mar2022))
+	delete(bad.cells, CellKey{"US", world.Windows, world.PageLoads, world.Mar2022})
 	if err := cloneDataset(t, base).ApplyIncrement(&bad); err == nil {
 		t.Error("increment missing a cell applied")
 	}
 	// Dist curves on a non-roll increment.
 	bad = *inc
-	bad.Dist = map[string]*DistCurve{distKey(world.Windows, world.PageLoads): base.Dist(world.Windows, world.PageLoads)}
+	bad.dist = map[curveKey]*DistCurve{{world.Windows, world.PageLoads}: base.Dist(world.Windows, world.PageLoads)}
 	if err := cloneDataset(t, base).ApplyIncrement(&bad); err == nil {
 		t.Error("non-roll increment carrying dist curves applied")
 	}

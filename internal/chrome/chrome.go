@@ -9,7 +9,6 @@ package chrome
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"wwb/internal/telemetry"
@@ -88,19 +87,42 @@ func DefaultOptions() Options {
 	}
 }
 
+// CellKey identifies one rank-list cell: the paper's unit of data is
+// one list per (country, platform, metric, month). In memory a cell is
+// keyed by value; its "country|platform|metric|month" text form exists
+// only in the snapshot codec (see CellKey.String).
+type CellKey struct {
+	Country  string
+	Platform world.Platform
+	Metric   world.Metric
+	Month    world.Month
+}
+
+// curveKey identifies one global distribution curve.
+type curveKey struct {
+	Platform world.Platform
+	Metric   world.Metric
+}
+
+// cell is one cell's data: its rank list and the share of the cell's
+// total traffic the list captures. A cell with no traffic has no
+// coverage share, which hasCoverage records apart from a zero share.
+type cell struct {
+	list        RankList
+	coverage    float64
+	hasCoverage bool
+}
+
 // Dataset is the assembled study dataset.
 type Dataset struct {
 	Opts      Options
 	Countries []string
 	Months    []world.Month
 
-	// lists maps cell keys to rank lists.
-	lists map[string]RankList
+	// cells holds every cell's rank list and coverage.
+	cells map[CellKey]cell
 	// dist holds the global distribution curves per platform/metric.
-	dist map[string]*DistCurve
-	// coverage[countryKey] is the fraction of the cell's total traffic
-	// captured by its (thresholded, truncated) rank list.
-	coverage map[string]float64
+	dist map[curveKey]*DistCurve
 
 	// mu guards the mutation generation and the memoized index slot.
 	// gen counts dataset mutations (month appends); indexGen records
@@ -122,29 +144,21 @@ func (d *Dataset) Generation() uint64 {
 	return d.gen
 }
 
-func listKey(country string, p world.Platform, m world.Metric, month world.Month) string {
-	return fmt.Sprintf("%s|%d|%d|%d", country, p, m, month)
-}
-
-func distKey(p world.Platform, m world.Metric) string {
-	return fmt.Sprintf("%d|%d", p, m)
-}
-
 // List returns the rank list for a cell (nil if absent).
 func (d *Dataset) List(country string, p world.Platform, m world.Metric, month world.Month) RankList {
-	return d.lists[listKey(country, p, m, month)]
+	return d.cells[CellKey{country, p, m, month}].list
 }
 
 // Coverage returns the share of the cell's total traffic its rank list
 // captures (the paper: top 10K ≈ 70–85 % of desktop traffic).
 func (d *Dataset) Coverage(country string, p world.Platform, m world.Metric, month world.Month) float64 {
-	return d.coverage[listKey(country, p, m, month)]
+	return d.cells[CellKey{country, p, m, month}].coverage
 }
 
 // Dist returns the global traffic-distribution curve for a platform
 // and metric.
 func (d *Dataset) Dist(p world.Platform, m world.Metric) *DistCurve {
-	return d.dist[distKey(p, m)]
+	return d.dist[curveKey{p, m}]
 }
 
 // assembledMonths resolves the months a dataset covers: the full study
@@ -209,11 +223,9 @@ func AssembleCtx(ctx context.Context, w *world.World, tcfg telemetry.Config, opt
 func newDataset(w *world.World, opts Options) (*Dataset, []cellJob) {
 	months := assembledMonths(opts)
 	ds := &Dataset{
-		Opts:     opts,
-		Months:   months,
-		lists:    make(map[string]RankList),
-		dist:     make(map[string]*DistCurve),
-		coverage: make(map[string]float64),
+		Opts:   opts,
+		Months: months,
+		cells:  make(map[CellKey]cell),
 	}
 	jobs := make([]cellJob, 0, len(w.Countries())*len(world.Platforms)*len(months))
 	for _, c := range w.Countries() {
@@ -231,10 +243,17 @@ func cellRNG(root *world.RNG, j cellJob) *world.RNG {
 	return root.Fork("cell|" + j.country + "|" + j.platform.String() + "|" + j.month.String())
 }
 
-func sumValues(l RankList) float64 {
-	var s float64
-	for _, e := range l {
-		s += e.Value
+// newCell makes the cell of a ranked list drawn from a cell whose
+// total traffic is total: its coverage is the list's sum over that
+// total, summed in rank order, and a cell with no traffic has none.
+func newCell(list RankList, total float64) cell {
+	c := cell{list: list}
+	if total > 0 {
+		var sum float64
+		for _, e := range list {
+			sum += e.Value
+		}
+		c.coverage, c.hasCoverage = sum/total, true
 	}
-	return s
+	return c
 }

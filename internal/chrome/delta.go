@@ -18,9 +18,10 @@ package chrome
 // seed/scale also qualifies, which the fleet's swap validation relies
 // on) — then records the appended month, the roll-dist flag, the
 // resulting Options, the country list, and the producer's own
-// provenance. DOMS/LSTS/COVR/DIST reuse the full snapshot's section
-// encoders verbatim over the increment's cells, so the identical data
-// has the identical bytes in both formats.
+// provenance. An Increment holds the month's cells by CellKey, like the
+// dataset itself, so DOMS/LSTS/COVR/DIST reuse the full snapshot's
+// section encoders and decoders verbatim: the identical data has the
+// identical bytes, and passes the identical checks, in both formats.
 //
 // Deltas chain: a delta's base may itself be a delta, resolved
 // recursively (bounded depth) relative to each artifact's directory.
@@ -130,7 +131,7 @@ func EncodeDelta(w io.Writer, inc *Increment, base DeltaBase, prov SnapshotProve
 		return fmt.Errorf("chrome: delta: writing DMET: %w", err)
 	}
 
-	if err := encodeDataSections(e, sortedKeys(inc.Lists), inc.Lists, inc.Coverage, inc.Dist); err != nil {
+	if err := encodeDataSections(e, inc.cells, inc.dist); err != nil {
 		return err
 	}
 	return e.w.Flush()
@@ -162,21 +163,13 @@ func DecodeDeltaBytes(data []byte) (*DeltaSnapshot, error) {
 		return nil, err
 	}
 
-	d.Increment.Lists = sd.lists
-	d.Increment.Coverage = sd.coverage
-	d.Increment.Dist = sd.dist
-	if len(d.Increment.Dist) == 0 {
-		// The DIST section is always present; an empty one means a
-		// non-roll delta, which ApplyIncrement requires to carry nil.
-		d.Increment.Dist = nil
-	}
-	// Structural validation now (descending lists, finite values,
-	// coverage range, normalised curves); base-relative validation —
-	// countries, month coverage, options consistency — happens in
-	// ApplyIncrement against the actual base.
-	if err := validateDataset([]world.Month{d.Increment.Month}, sd.lists, sd.coverage, d.Increment.Dist); err != nil {
+	// The sections checked the increment's structure as they decoded;
+	// base-relative validation — countries, month coverage, options
+	// consistency — happens in ApplyIncrement against the actual base.
+	if err := sd.join(); err != nil {
 		return nil, fmt.Errorf("chrome: delta: invalid increment: %w", err)
 	}
+	d.Increment.cells, d.Increment.dist = sd.cells, sd.dist
 	return d, nil
 }
 

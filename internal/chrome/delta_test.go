@@ -136,7 +136,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 		t.Errorf("provenance = base %+v producer %+v", d.Base.Provenance, d.Provenance)
 	}
 	got := d.Increment
-	if got.Month != inc.Month || got.RollDist != inc.RollDist || len(got.Lists) != len(inc.Lists) || len(got.Coverage) != len(inc.Coverage) {
+	if got.Month != inc.Month || got.RollDist != inc.RollDist || len(got.cells) != len(inc.cells) {
 		t.Fatalf("decoded increment shape differs: %+v", got)
 	}
 	// Applying the decoded increment to a fresh base clone matches the
@@ -285,6 +285,10 @@ func FuzzDecodeDelta(f *testing.F) {
 	f.Add(future)
 	f.Add(deltaMagic[:])
 	f.Add([]byte{})
+	_, emptyDelta := emptyArtifacts(f)
+	for _, seed := range keyCaseArtifacts(f, emptyDelta) {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := DecodeDeltaBytes(data)

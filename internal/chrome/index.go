@@ -32,8 +32,8 @@ type KeyID int32
 // parent's key universe and views (see Dataset.ShardView). A KeyIndex
 // is safe for concurrent use.
 type KeyIndex struct {
-	keys  []string             // KeyID → key, lexicographically sorted
-	cells map[string]*cellKeys // listKey → view, one per rank list
+	keys  []string              // KeyID → key, lexicographically sorted
+	cells map[CellKey]*cellKeys // one view per rank list
 }
 
 // cellKeys is the interned view of one cell's rank list: the deduped
@@ -56,8 +56,8 @@ var emptyCell = &cellKeys{}
 // distinct merged site key, IDs assigned in sorted-key order so the
 // numbering is canonical — independent of map iteration order,
 // GOMAXPROCS, and which cells exist.
-func buildIndex(lists map[string]RankList) *KeyIndex {
-	return growIndex(&KeyIndex{}, lists)
+func buildIndex(cells map[CellKey]cell) *KeyIndex {
+	return growIndex(&KeyIndex{}, cells)
 }
 
 // Index returns the dataset's interned site-key index, building it on
@@ -74,7 +74,7 @@ func (d *Dataset) Index() *KeyIndex {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.index == nil || d.indexGen != d.gen {
-		d.index = buildIndex(d.lists)
+		d.index = buildIndex(d.cells)
 		d.indexGen = d.gen
 	}
 	return d.index
@@ -91,13 +91,13 @@ func (d *Dataset) Index() *KeyIndex {
 // keys in the existing universe; existing views are remapped by a
 // single pass over their IDs (shared untouched when no key is new),
 // and the new cells' views are passes over integers.
-func growIndex(old *KeyIndex, lists map[string]RankList) *KeyIndex {
-	cells := sortedKeys(lists)
+func growIndex(old *KeyIndex, cells map[CellKey]cell) *KeyIndex {
+	order := byText(cells)
 
-	doms, refs := internDomains(cells, lists)
+	doms, refs := internDomains(order, cells)
 	keys, remap, domID := mergeKeys(old.keys, domainKeys(doms))
 
-	nx := &KeyIndex{keys: keys, cells: make(map[string]*cellKeys, len(old.cells)+len(cells))}
+	nx := &KeyIndex{keys: keys, cells: make(map[CellKey]*cellKeys, len(old.cells)+len(order))}
 	for k, c := range old.cells {
 		if remap != nil {
 			// firstPos is untouched by an ID renumbering; the ids slice
@@ -117,9 +117,9 @@ func growIndex(old *KeyIndex, lists map[string]RankList) *KeyIndex {
 	vs := newViewScratch(len(keys))
 	idBlock := make([]KeyID, 0, len(refs))
 	posBlock := make([]int32, 0, len(refs))
-	for _, k := range cells {
-		n := len(lists[k])
-		nx.cells[k] = vs.view(&idBlock, &posBlock, refs[:n], domID)
+	for _, k := range order {
+		n := len(cells[k.key].list)
+		nx.cells[k.key] = vs.view(&idBlock, &posBlock, refs[:n], domID)
 		refs = refs[n:]
 	}
 	return nx
@@ -174,15 +174,15 @@ func (vs *viewScratch) view(ids *[]KeyID, pos *[]int32, refs []int32, domID []Ke
 // cell order: doms holds each distinct domain once, in first-seen
 // order, and refs every entry's index into doms, cell after cell — one
 // map lookup per entry, and no string work after it.
-func internDomains(cells []string, lists map[string]RankList) (doms []string, refs []int32) {
+func internDomains(order []keyText[CellKey], cells map[CellKey]cell) (doms []string, refs []int32) {
 	total := 0
-	for _, k := range cells {
-		total += len(lists[k])
+	for _, k := range order {
+		total += len(cells[k.key].list)
 	}
 	idx := make(map[string]int32)
 	refs = make([]int32, 0, total)
-	for _, k := range cells {
-		for _, e := range lists[k] {
+	for _, k := range order {
+		for _, e := range cells[k.key].list {
 			di, ok := idx[e.Domain]
 			if !ok {
 				di = int32(len(doms))
@@ -240,9 +240,9 @@ func mergeKeys(old, domKeys []string) (keys []string, remap, domID []KeyID) {
 // subset returns an index over the same key universe holding only the
 // views of the given cells — a shard view's index. Views are shared,
 // not copied.
-func (ix *KeyIndex) subset(lists map[string]RankList) *KeyIndex {
-	sub := &KeyIndex{keys: ix.keys, cells: make(map[string]*cellKeys, len(lists))}
-	for k := range lists {
+func (ix *KeyIndex) subset(cells map[CellKey]cell) *KeyIndex {
+	sub := &KeyIndex{keys: ix.keys, cells: make(map[CellKey]*cellKeys, len(cells))}
+	for k := range cells {
 		if c, ok := ix.cells[k]; ok {
 			sub.cells[k] = c
 		}
@@ -276,7 +276,7 @@ func (ix *KeyIndex) ID(key string) (KeyID, bool) {
 // cell returns the interned view of one cell. Cells absent from the
 // dataset yield an empty view.
 func (ix *KeyIndex) cell(country string, p world.Platform, m world.Metric, month world.Month) *cellKeys {
-	if c, ok := ix.cells[listKey(country, p, m, month)]; ok {
+	if c, ok := ix.cells[CellKey{country, p, m, month}]; ok {
 		return c
 	}
 	return emptyCell

@@ -26,11 +26,11 @@ type refView struct {
 	firstPos []int32
 }
 
-// refBuildIndex derives the reference key universe of the given lists.
-func refBuildIndex(lists map[string]RankList) []string {
+// refBuildIndex derives the reference key universe of the given cells.
+func refBuildIndex(cells map[CellKey]cell) []string {
 	distinct := make(map[string]struct{})
-	for _, l := range lists {
-		for _, e := range l {
+	for _, c := range cells {
+		for _, e := range c.list {
 			distinct[psl.Default.SiteKey(e.Domain)] = struct{}{}
 		}
 	}
@@ -67,11 +67,11 @@ func checkIndexAgainstOracle(t *testing.T, name string, ds *Dataset, refKeys []s
 	if !reflect.DeepEqual(ix.keys, refKeys) {
 		t.Fatalf("%s: key universe differs from the per-entry oracle: %d keys vs %d", name, len(ix.keys), len(refKeys))
 	}
-	if len(ix.cells) != len(ds.lists) {
-		t.Fatalf("%s: index holds %d cell views, dataset %d lists", name, len(ix.cells), len(ds.lists))
+	if len(ix.cells) != len(ds.cells) {
+		t.Fatalf("%s: index holds %d cell views, dataset %d cells", name, len(ix.cells), len(ds.cells))
 	}
-	for k, list := range ds.lists {
-		want := refCellView(refKeys, list)
+	for k, c := range ds.cells {
+		want := refCellView(refKeys, c.list)
 		got, ok := ix.cells[k]
 		if !ok {
 			t.Fatalf("%s: cell %q has no view", name, k)
@@ -118,7 +118,7 @@ func shardOf(country string, month world.Month, n int) int {
 func TestIndexMatchesPerEntryOracle(t *testing.T) {
 	tcfg := telemetry.DefaultConfig()
 	base := Assemble(testWorld, tcfg, appendBaseOpts())
-	baseKeys := refBuildIndex(base.lists)
+	baseKeys := refBuildIndex(base.cells)
 
 	t.Run("small", func(t *testing.T) {
 		checkIndexAgainstOracle(t, "small", base, baseKeys)
@@ -129,7 +129,7 @@ func TestIndexMatchesPerEntryOracle(t *testing.T) {
 			t.Skip("default-scale assembly is slow; run without -short")
 		}
 		ds := Assemble(world.Generate(world.DefaultConfig()), tcfg, DefaultOptions())
-		checkIndexAgainstOracle(t, "default", ds, refBuildIndex(ds.lists))
+		checkIndexAgainstOracle(t, "default", ds, refBuildIndex(ds.cells))
 	})
 
 	for _, roll := range []bool{false, true} {
@@ -142,7 +142,7 @@ func TestIndexMatchesPerEntryOracle(t *testing.T) {
 			if _, err := AppendMonthCtx(context.Background(), ds, testWorld, tcfg, AppendOptions{Month: world.Mar2022, RollDist: roll}); err != nil {
 				t.Fatal(err)
 			}
-			checkIndexAgainstOracle(t, name, ds, refBuildIndex(ds.lists))
+			checkIndexAgainstOracle(t, name, ds, refBuildIndex(ds.cells))
 		})
 	}
 
@@ -170,7 +170,7 @@ func TestIndexMatchesPerEntryOracle(t *testing.T) {
 		if info.Chain != 2 {
 			t.Fatalf("chain depth %d, want 2", info.Chain)
 		}
-		checkIndexAgainstOracle(t, "delta-chain", ds, refBuildIndex(ds.lists))
+		checkIndexAgainstOracle(t, "delta-chain", ds, refBuildIndex(ds.cells))
 	})
 
 	t.Run("shards", func(t *testing.T) {

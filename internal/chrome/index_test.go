@@ -192,8 +192,8 @@ func TestIndexConcurrentAccess(t *testing.T) {
 func BenchmarkDatasetIndexBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if ix := buildIndex(testDataset.lists); len(ix.cells) != len(testDataset.lists) {
-			b.Fatalf("%d cell views for %d lists", len(ix.cells), len(testDataset.lists))
+		if ix := buildIndex(testDataset.cells); len(ix.cells) != len(testDataset.cells) {
+			b.Fatalf("%d cell views for %d cells", len(ix.cells), len(testDataset.cells))
 		}
 	}
 }

@@ -27,10 +27,8 @@ type distSample struct {
 
 // cellResult is everything one cell contributes to the dataset.
 type cellResult struct {
-	byLoads, byTime   RankList
-	covLoads, covTime float64
-	hasLoads, hasTime bool
-	dist              []distSample // nil unless the cell's month is DistMonth
+	loads, time cell
+	dist        []distSample // nil unless the cell's month is DistMonth
 }
 
 // assembleLegacy is the materialise-and-sort reference pipeline.
@@ -66,19 +64,14 @@ func assembleLegacy(w *world.World, tcfg telemetry.Config, opts Options) *Datase
 			globLoads[j.platform][s.key] += s.loads
 			globTime[j.platform][s.key] += s.timeMS
 		}
-		ds.lists[listKey(j.country, j.platform, world.PageLoads, j.month)] = res.byLoads
-		ds.lists[listKey(j.country, j.platform, world.TimeOnPage, j.month)] = res.byTime
-		if res.hasLoads {
-			ds.coverage[listKey(j.country, j.platform, world.PageLoads, j.month)] = res.covLoads
-		}
-		if res.hasTime {
-			ds.coverage[listKey(j.country, j.platform, world.TimeOnPage, j.month)] = res.covTime
-		}
+		ds.cells[CellKey{j.country, j.platform, world.PageLoads, j.month}] = res.loads
+		ds.cells[CellKey{j.country, j.platform, world.TimeOnPage, j.month}] = res.time
 	}
 
+	ds.dist = make(map[curveKey]*DistCurve)
 	for _, p := range world.Platforms {
-		ds.dist[distKey(p, world.PageLoads)] = NewDistCurve(values(globLoads[p]))
-		ds.dist[distKey(p, world.TimeOnPage)] = NewDistCurve(values(globTime[p]))
+		ds.dist[curveKey{p, world.PageLoads}] = NewDistCurve(values(globLoads[p]))
+		ds.dist[curveKey{p, world.TimeOnPage}] = NewDistCurve(values(globTime[p]))
 	}
 	return ds
 }
@@ -107,14 +100,8 @@ func buildCell(opts Options, j cellJob, stats []telemetry.SiteStats) cellResult 
 	sortList(byTime)
 
 	res := cellResult{
-		byLoads: byLoads.TopN(opts.TopN),
-		byTime:  byTime.TopN(opts.TopN),
-	}
-	if totLoads > 0 {
-		res.covLoads, res.hasLoads = sumValues(res.byLoads)/totLoads, true
-	}
-	if totTime > 0 {
-		res.covTime, res.hasTime = sumValues(res.byTime)/totTime, true
+		loads: newCell(byLoads.TopN(opts.TopN), totLoads),
+		time:  newCell(byTime.TopN(opts.TopN), totTime),
 	}
 	if j.month == opts.DistMonth {
 		res.dist = make([]distSample, len(stats))

@@ -5,12 +5,12 @@ import (
 )
 
 // ShardView returns a filtered view of the dataset for fleet serving:
-// only the rank lists and coverage values of (country, month) cells
-// the keep function claims survive. The full country roster, month
-// window, assembly options, and the global distribution curves are
-// retained — the curves are whole-dataset aggregates that every shard
-// serves identically, and the roster is what lets a router reassemble
-// cross-shard answers in the canonical country order.
+// only the (country, month) cells the keep function claims survive.
+// The full country roster, month window, assembly options, and the
+// global distribution curves are retained — the curves are
+// whole-dataset aggregates that every shard serves identically, and
+// the roster is what lets a router reassemble cross-shard answers in
+// the canonical country order.
 //
 // The view shares the kept per-cell slices and the distribution
 // curves with the receiver (both are immutable after assembly), so a
@@ -26,32 +26,18 @@ func (d *Dataset) ShardView(keep func(country string, month world.Month) bool) *
 		Opts:      d.Opts,
 		Countries: d.Countries,
 		Months:    d.Months,
-		lists:     make(map[string]RankList),
+		cells:     make(map[CellKey]cell),
 		dist:      d.dist,
-		coverage:  make(map[string]float64),
 	}
-	for _, c := range d.Countries {
-		for _, month := range d.Months {
-			if !keep(c, month) {
-				continue
-			}
-			for _, p := range world.Platforms {
-				for _, m := range world.Metrics {
-					k := listKey(c, p, m, month)
-					if l, ok := d.lists[k]; ok {
-						out.lists[k] = l
-					}
-					if v, ok := d.coverage[k]; ok {
-						out.coverage[k] = v
-					}
-				}
-			}
+	for k, c := range d.cells {
+		if keep(k.Country, k.Month) {
+			out.cells[k] = c
 		}
 	}
-	out.index = ix.subset(out.lists) // generation 0 == indexGen 0
+	out.index = ix.subset(out.cells) // generation 0 == indexGen 0
 	return out
 }
 
 // NumLists reports how many per-cell rank lists the dataset holds —
 // for a ShardView, the size of the owned slice. Observability only.
-func (d *Dataset) NumLists() int { return len(d.lists) }
+func (d *Dataset) NumLists() int { return len(d.cells) }

@@ -23,14 +23,23 @@ package chrome
 // parallel. Checksums are CRC-32C (Castagnoli) over each section
 // payload.
 //
+// In memory, cells are keyed by CellKey and curves by (platform,
+// metric). The keys' text — "country|platform|metric|month" and
+// "platform|metric", enums as decimal integers — exists only in LSTS,
+// COVR and DIST, which store keys in text order. A decoder parses each
+// key once, range-checks it, and accepts only the text the key formats
+// back to, so no two texts name one cell.
+//
 // Decoding runs over the whole file held in memory and is defensive
 // end to end: every declared length — each section length against the
 // bytes left in the file, each element count against the bytes left in
 // its section — is checked against the real input size before anything
 // is sliced or allocated, so a corrupt header declaring an absurd
-// length cannot OOM the process. The decoded structure then passes
-// validateDataset: a corrupt or truncated file yields a descriptive
-// error, never a dataset that panics under queries.
+// length cannot OOM the process. Each section decoder then checks the
+// invariants assembly holds of what it decodes — descending lists of
+// finite values, shares in [0,1], every coverage share's cell present
+// — so a corrupt or truncated file yields a descriptive error, never a
+// dataset that panics under queries.
 
 import (
 	"bufio"
@@ -42,7 +51,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 
 	"wwb/internal/parallel"
@@ -98,6 +107,101 @@ type SnapshotInfo struct {
 	// Chain counts delta links resolved to produce the dataset: 0 for
 	// a plain artifact, n for a base plus n stacked deltas.
 	Chain int
+}
+
+// ---------------------------------------------------------------------------
+// Key text
+
+// String is the key's text form, "country|platform|metric|month" with
+// the enums as decimal integers: the form LSTS and COVR store, and the
+// order they store cells in.
+func (k CellKey) String() string {
+	return fmt.Sprintf("%s|%d|%d|%d", k.Country, k.Platform, k.Metric, k.Month)
+}
+
+// String is the key's text form, "platform|metric": the form DIST
+// stores.
+func (k curveKey) String() string {
+	return fmt.Sprintf("%d|%d", k.Platform, k.Metric)
+}
+
+// keyText is a key with its text form.
+type keyText[K any] struct {
+	key  K
+	text string
+}
+
+// byText returns m's keys with their texts, in text order: the order
+// the codec stores keys in.
+func byText[K interface {
+	comparable
+	String() string
+}, V any](m map[K]V) []keyText[K] {
+	out := make([]keyText[K], 0, len(m))
+	for k := range m {
+		out = append(out, keyText[K]{k, k.String()})
+	}
+	slices.SortFunc(out, func(a, b keyText[K]) int { return strings.Compare(a.text, b.text) })
+	return out
+}
+
+// parseCellKey parses and range-checks a cell key's text form. It
+// accepts only the text String formats — Atoi alone would also read
+// "00" or "+0" as 0 — so two texts never land on one cell.
+func parseCellKey(text string) (CellKey, error) {
+	f := strings.Split(text, "|")
+	if len(f) != 4 {
+		return CellKey{}, fmt.Errorf("cell key %q: want country|platform|metric|month", text)
+	}
+	k := CellKey{f[0], world.Platform(enum(f[1])), world.Metric(enum(f[2])), world.Month(enum(f[3]))}
+	var bad string
+	switch {
+	case k.Country == "":
+		bad = "empty country"
+	case !world.ValidPlatform(int(k.Platform)):
+		bad = fmt.Sprintf("bad platform %q", f[1])
+	case !world.ValidMetric(int(k.Metric)):
+		bad = fmt.Sprintf("bad metric %q", f[2])
+	case !world.ValidMonth(int(k.Month)):
+		bad = fmt.Sprintf("bad month %q", f[3])
+	case k.String() != text:
+		bad = "not canonical"
+	default:
+		return k, nil
+	}
+	return CellKey{}, fmt.Errorf("cell key %q: %s", text, bad)
+}
+
+// parseCurveKey parses and range-checks a curve key's text form,
+// accepting only the text String formats.
+func parseCurveKey(text string) (curveKey, error) {
+	f := strings.Split(text, "|")
+	if len(f) != 2 {
+		return curveKey{}, fmt.Errorf("dist key %q: want platform|metric", text)
+	}
+	k := curveKey{world.Platform(enum(f[0])), world.Metric(enum(f[1]))}
+	var bad string
+	switch {
+	case !world.ValidPlatform(int(k.Platform)):
+		bad = fmt.Sprintf("bad platform %q", f[0])
+	case !world.ValidMetric(int(k.Metric)):
+		bad = fmt.Sprintf("bad metric %q", f[1])
+	case k.String() != text:
+		bad = "not canonical"
+	default:
+		return k, nil
+	}
+	return curveKey{}, fmt.Errorf("dist key %q: %s", text, bad)
+}
+
+// enum reads a key's decimal field, or -1, which no enum holds, when
+// the field is not a number.
+func enum(field string) int {
+	v, err := strconv.Atoi(field)
+	if err != nil {
+		return -1
+	}
+	return v
 }
 
 // ---------------------------------------------------------------------------
@@ -202,18 +306,9 @@ func (e *snapEncoder) flushSection(tag string) error {
 	return nil
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // EncodeSnapshot writes the dataset as a versioned, checksummed binary
 // snapshot: the rank lists, coverage, and distribution curves. Output
-// is deterministic: all maps are serialised in sorted key order, so
+// is deterministic: all maps are serialised in key-text order, so
 // byte-identical datasets produce byte-identical snapshots regardless
 // of assembly worker count.
 func (d *Dataset) EncodeSnapshot(w io.Writer, prov SnapshotProvenance) error {
@@ -242,24 +337,26 @@ func (d *Dataset) EncodeSnapshot(w io.Writer, prov SnapshotProvenance) error {
 		return fmt.Errorf("chrome: snapshot: writing META: %w", err)
 	}
 
-	if err := encodeDataSections(e, sortedKeys(d.lists), d.lists, d.coverage, d.dist); err != nil {
+	if err := encodeDataSections(e, d.cells, d.dist); err != nil {
 		return err
 	}
 	return e.w.Flush()
 }
 
 // encodeDataSections writes the DOMS/LSTS/COVR/DIST quartet for the
-// given cell maps — shared by full snapshots (the whole dataset) and
-// delta snapshots (one month's increment), so both formats carry the
-// identical byte layout for the identical data.
-func encodeDataSections(e *snapEncoder, listKeys []string, lists map[string]RankList, coverage map[string]float64, dist map[string]*DistCurve) error {
+// given cells and curves — shared by full snapshots (the whole
+// dataset) and delta snapshots (one month's increment), so both
+// formats carry the identical byte layout for the identical data.
+// Keys are written as their text, in text order.
+func encodeDataSections(e *snapEncoder, cells map[CellKey]cell, dist map[curveKey]*DistCurve) error {
+	keys := byText(cells)
 	// DOMS: the deduplicated domain table, sorted. Rank-list entries
 	// reference domains by index, so each distinct domain string is
 	// stored (and later allocated) exactly once. Domains are interned
 	// in first-seen order, then renumbered in sorted order: sorted[r]
 	// is the first-seen index of the domain at table position r, and
 	// pos inverts it.
-	doms, refs := internDomains(listKeys, lists)
+	doms, refs := internDomains(keys, cells)
 	sorted := make([]int32, len(doms))
 	for i := range sorted {
 		sorted[i] = int32(i)
@@ -277,18 +374,22 @@ func encodeDataSections(e *snapEncoder, listKeys []string, lists map[string]Rank
 		return fmt.Errorf("chrome: snapshot: writing DOMS: %w", err)
 	}
 
-	// LSTS: every rank list, keys sorted. Entries are fixed 12-byte
-	// records (u32 domain index + f64 value) so a decoder can skip a
-	// whole cell in O(1) and fan cell decoding out across CPUs.
+	// LSTS: every rank list. Entries are fixed 12-byte records (u32
+	// domain index + f64 value) so a decoder can skip a whole cell in
+	// O(1) and fan cell decoding out across CPUs.
 	size := 0
-	for _, k := range listKeys {
-		size += 2*binary.MaxVarintLen64 + 1 + len(k) + listEntrySize*len(lists[k])
+	for _, k := range keys {
+		size += 2*binary.MaxVarintLen64 + 1 + len(k.text) + listEntrySize*len(cells[k.key].list)
 	}
 	e.sec.Grow(size) // one allocation for the whole section
-	e.uvarint(uint64(len(listKeys)))
-	for _, k := range listKeys {
-		e.str(k)
-		list := lists[k]
+	e.uvarint(uint64(len(keys)))
+	var covered []keyText[CellKey]
+	for _, k := range keys {
+		if cells[k.key].hasCoverage {
+			covered = append(covered, k)
+		}
+		e.str(k.text)
+		list := cells[k.key].list
 		if list == nil {
 			e.sec.WriteByte(presNil)
 			continue
@@ -307,23 +408,22 @@ func encodeDataSections(e *snapEncoder, listKeys []string, lists map[string]Rank
 		return fmt.Errorf("chrome: snapshot: writing LSTS: %w", err)
 	}
 
-	// COVR: per-cell coverage shares, keys sorted.
-	covKeys := sortedKeys(coverage)
-	e.uvarint(uint64(len(covKeys)))
-	for _, k := range covKeys {
-		e.str(k)
-		e.f64(coverage[k])
+	// COVR: the coverage share of every cell that has one.
+	e.uvarint(uint64(len(covered)))
+	for _, k := range covered {
+		e.str(k.text)
+		e.f64(cells[k.key].coverage)
 	}
 	if err := e.flushSection("COVR"); err != nil {
 		return fmt.Errorf("chrome: snapshot: writing COVR: %w", err)
 	}
 
-	// DIST: the global distribution curves, keys sorted.
-	distKeys := sortedKeys(dist)
-	e.uvarint(uint64(len(distKeys)))
-	for _, k := range distKeys {
-		e.str(k)
-		curve := dist[k]
+	// DIST: the global distribution curves.
+	curves := byText(dist)
+	e.uvarint(uint64(len(curves)))
+	for _, k := range curves {
+		e.str(k.text)
+		curve := dist[k.key]
 		if curve == nil {
 			e.sec.WriteByte(presNil)
 			continue
@@ -481,6 +581,9 @@ func (c *snapCursor) monthSlice() ([]world.Month, error) {
 		if err != nil {
 			return nil, err
 		}
+		if !world.ValidMonth(int(v)) {
+			return nil, c.errf("month %d out of range", v)
+		}
 		out[i] = world.Month(v)
 	}
 	return out, nil
@@ -605,9 +708,11 @@ type snapDecoded struct {
 	opts      Options
 	prov      SnapshotProvenance
 	doms      []string
-	lists     map[string]RankList
-	coverage  map[string]float64
-	dist      map[string]*DistCurve
+	cells     map[CellKey]cell
+	// cov holds COVR's shares until LSTS's cells are decoded: the two
+	// sections decode concurrently, and join joins them.
+	cov  []keyShare
+	dist map[curveKey]*DistCurve
 	// index, when set before LSTS is decoded, receives a view of every
 	// rank list; domID holds each DOMS entry's key ID in its universe.
 	index *KeyIndex
@@ -693,7 +798,7 @@ const listEntrySize = 12
 // sequential walk and decoded in parallel afterwards; off is the
 // cell's first entry in the backing blocks.
 type listSpan struct {
-	key  string
+	key  CellKey
 	raw  []byte
 	off  int
 	list RankList
@@ -706,28 +811,24 @@ func (sd *snapDecoded) decodeLists(c *snapCursor) error {
 	if err != nil {
 		return err
 	}
-	sd.lists = make(map[string]RankList, n)
+	sd.cells = make(map[CellKey]cell, n)
 	if sd.index != nil {
-		sd.index.cells = make(map[string]*cellKeys, n)
+		sd.index.cells = make(map[CellKey]*cellKeys, n)
 	}
 	spans := make([]listSpan, 0, n)
 	total := 0
 	prevKey := ""
 	for i := 0; i < n; i++ {
-		key, err := c.str()
+		key, err := readKey(c, i, &prevKey, parseCellKey)
 		if err != nil {
 			return err
 		}
-		if i > 0 && key <= prevKey {
-			return c.errf("list keys not strictly sorted (%q after %q)", key, prevKey)
-		}
-		prevKey = key
 		ok, err := c.pres()
 		if err != nil {
 			return err
 		}
 		if !ok {
-			sd.lists[key] = nil
+			sd.cells[key] = cell{}
 			if sd.index != nil {
 				sd.index.cells[key] = &cellKeys{ids: []KeyID{}, firstPos: []int32{}}
 			}
@@ -775,6 +876,10 @@ func (sd *snapDecoded) decodeLists(c *snapCursor) error {
 				Value:  math.Float64frombits(binary.LittleEndian.Uint64(rec[4:])),
 			}
 		}
+		if err := validateList(sp.key, list); err != nil {
+			errs[i] = c.errf("%v", err)
+			return
+		}
 		sp.list = list
 		if sd.index != nil {
 			sp.view = sd.cellView(sp.raw, idBlock[lo:lo:hi], posBlock[lo:lo:hi], free)
@@ -786,10 +891,29 @@ func (sd *snapDecoded) decodeLists(c *snapCursor) error {
 		}
 	}
 	for i := range spans {
-		sd.lists[spans[i].key] = spans[i].list
+		sd.cells[spans[i].key] = cell{list: spans[i].list}
 		if sd.index != nil {
 			sd.index.cells[spans[i].key] = spans[i].view
 		}
+	}
+	return nil
+}
+
+// validateList checks one rank list: non-empty domains, and finite,
+// non-negative, descending values.
+func validateList(key CellKey, list RankList) error {
+	prev := math.Inf(1)
+	for i, e := range list {
+		if e.Domain == "" {
+			return fmt.Errorf("list %q entry %d: empty domain", key, i)
+		}
+		if math.IsNaN(e.Value) || math.IsInf(e.Value, 0) || e.Value < 0 {
+			return fmt.Errorf("list %q entry %d (%s): bad value %v", key, i, e.Domain, e.Value)
+		}
+		if e.Value > prev {
+			return fmt.Errorf("list %q entry %d (%s): values not descending (%v after %v)", key, i, e.Domain, e.Value, prev)
+		}
+		prev = e.Value
 	}
 	return nil
 }
@@ -818,25 +942,29 @@ func (sd *snapDecoded) cellView(raw []byte, ids []KeyID, pos []int32, free chan 
 	return view
 }
 
+// keyShare is one decoded COVR entry.
+type keyShare struct {
+	key   CellKey
+	share float64
+}
+
 func (sd *snapDecoded) decodeCoverage(c *snapCursor) error {
 	// ≥9 bytes per entry: 1-byte key length + 8-byte share.
 	n, err := c.count(9)
 	if err != nil {
 		return err
 	}
-	sd.coverage = make(map[string]float64, n)
+	sd.cov = make([]keyShare, n)
 	prevKey := ""
-	for i := 0; i < n; i++ {
-		key, err := c.str()
-		if err != nil {
+	for i := range sd.cov {
+		if sd.cov[i].key, err = readKey(c, i, &prevKey, parseCellKey); err != nil {
 			return err
 		}
-		if i > 0 && key <= prevKey {
-			return c.errf("coverage keys not strictly sorted (%q after %q)", key, prevKey)
-		}
-		prevKey = key
-		if sd.coverage[key], err = c.f64(); err != nil {
+		if sd.cov[i].share, err = c.f64(); err != nil {
 			return err
+		}
+		if s := sd.cov[i].share; math.IsNaN(s) || s < 0 || s > 1 {
+			return c.errf("coverage %q: %v outside [0,1]", sd.cov[i].key, s)
 		}
 	}
 	return nil
@@ -847,30 +975,77 @@ func (sd *snapDecoded) decodeDist(c *snapCursor) error {
 	if err != nil {
 		return err
 	}
-	sd.dist = make(map[string]*DistCurve, n)
+	sd.dist = make(map[curveKey]*DistCurve, n)
 	prevKey := ""
 	for i := 0; i < n; i++ {
-		key, err := c.str()
+		key, err := readKey(c, i, &prevKey, parseCurveKey)
 		if err != nil {
 			return err
 		}
-		if i > 0 && key <= prevKey {
-			return c.errf("dist keys not strictly sorted (%q after %q)", key, prevKey)
-		}
-		prevKey = key
 		ok, err := c.pres()
 		if err != nil {
 			return err
 		}
 		if !ok {
-			sd.dist[key] = nil
-			continue
+			return c.errf("dist %q: null curve", key)
 		}
 		shares, err := c.f64Slice()
 		if err != nil {
 			return err
 		}
+		if err := validateCurve(key, shares); err != nil {
+			return c.errf("%v", err)
+		}
 		sd.dist[key] = &DistCurve{Shares: shares}
+	}
+	return nil
+}
+
+// validateCurve checks one distribution curve: descending shares in
+// [0,1].
+func validateCurve(key curveKey, shares []float64) error {
+	prev := math.Inf(1)
+	for i, s := range shares {
+		if math.IsNaN(s) || s < 0 || s > 1 {
+			return fmt.Errorf("dist %q share %d: %v outside [0,1]", key, i, s)
+		}
+		if s > prev {
+			return fmt.Errorf("dist %q share %d: shares not descending (%v after %v)", key, i, s, prev)
+		}
+		prev = s
+	}
+	return nil
+}
+
+// readKey reads the i-th key text of a section, checks that it sorts
+// strictly after the previous one, *prev, and parses it. Parsers accept
+// only canonical text, so strictly sorted texts are distinct keys.
+func readKey[K any](c *snapCursor, i int, prev *string, parse func(string) (K, error)) (K, error) {
+	var k K
+	text, err := c.str()
+	if err != nil {
+		return k, err
+	}
+	if i > 0 && text <= *prev {
+		return k, c.errf("keys not strictly sorted (%q after %q)", text, *prev)
+	}
+	*prev = text
+	if k, err = parse(text); err != nil {
+		return k, c.errf("%v", err)
+	}
+	return k, nil
+}
+
+// join gives each decoded cell its COVR share, refusing a share whose
+// cell LSTS does not hold.
+func (sd *snapDecoded) join() error {
+	for _, cs := range sd.cov {
+		c, ok := sd.cells[cs.key]
+		if !ok {
+			return fmt.Errorf("coverage %q has no list", cs.key)
+		}
+		c.coverage, c.hasCoverage = cs.share, true
+		sd.cells[cs.key] = c
 	}
 	return nil
 }
@@ -931,7 +1106,7 @@ func DecodeSnapshotBytes(data []byte) (*Dataset, *SnapshotInfo, error) {
 		return nil, nil, err
 	}
 
-	if err := validateDataset(sd.months, sd.lists, sd.coverage, sd.dist); err != nil {
+	if err := sd.join(); err != nil {
 		return nil, nil, fmt.Errorf("chrome: invalid dataset: %w", err)
 	}
 
@@ -939,9 +1114,8 @@ func DecodeSnapshotBytes(data []byte) (*Dataset, *SnapshotInfo, error) {
 		Opts:      sd.opts,
 		Countries: sd.countries,
 		Months:    sd.months,
-		lists:     sd.lists,
+		cells:     sd.cells,
 		dist:      sd.dist,
-		coverage:  sd.coverage,
 	}
 	// Freshly built dataset: generation 0 == indexGen 0.
 	ds.index = sd.index

@@ -47,7 +47,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	// The derived index must match what buildIndex would compute from
 	// scratch: same key universe, same per-cell views.
-	checkSameIndex(t, "derived", ds.Index(), buildIndex(ds.lists))
+	checkSameIndex(t, "derived", ds.Index(), buildIndex(ds.cells))
 
 	// Re-encoding the decoded dataset must reproduce the snapshot.
 	if !bytes.Equal(snap, snapshotBytes(t, ds)) {
@@ -237,6 +237,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(deltaMagic[:])
 	f.Add([]byte{})
 	f.Add([]byte(`{"lists":{}}`))
+	emptySnap, _ := emptyArtifacts(f)
+	for _, seed := range keyCaseArtifacts(f, emptySnap) {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if ds, _, err := DecodeSnapshotBytes(data); err == nil {

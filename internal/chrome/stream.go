@@ -3,6 +3,7 @@ package chrome
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,12 +153,10 @@ type distEntry struct {
 	loads, timeMS float64
 }
 
-// streamCellResult is what one streamed cell hands the fan-in:
-// already-ranked bounded lists plus the sparse distribution shard.
+// streamCellResult is what one streamed cell hands the fan-in: its
+// two ranked cells, one per metric, plus the sparse distribution shard.
 type streamCellResult struct {
-	byLoads, byTime   RankList
-	covLoads, covTime float64
-	hasLoads, hasTime bool
+	loads, time cell
 	// dist is the cell's pooled distribution shard (nil unless the
 	// cell's month is DistMonth). Ownership travels with the result:
 	// the fan-in returns it to the pool after merging — recycling it
@@ -191,44 +190,30 @@ func assembleStreamCtx(ctx context.Context, w *world.World, tcfg telemetry.Confi
 	assembleStart := time.Now()
 	ds, jobs := newDataset(w, opts)
 
-	accLoads, accTime, err := runStreamCells(ctx, w, tcfg, opts, jobs, ds.lists, ds.coverage)
+	dist, err := runStreamCells(ctx, w, tcfg, opts, jobs, ds.cells)
 	if err != nil {
 		return nil, err
 	}
-
-	curveStart := time.Now()
-	for _, p := range world.Platforms {
-		// NewDistCurve copies and keeps only positive volumes, so the
-		// dense vectors (zeros for never-seen keys) feed it directly.
-		ds.dist[distKey(p, world.PageLoads)] = NewDistCurve(accLoads[p])
-		ds.dist[distKey(p, world.TimeOnPage)] = NewDistCurve(accTime[p])
-	}
-	metrics.ObserveStage("chrome.stream.curves", time.Since(curveStart))
+	ds.dist = dist
 	metrics.ObserveStage("chrome.assemble", time.Since(assembleStart))
 	return ds, nil
 }
 
 // runStreamCells is the streaming engine shared by full assembly and
 // incremental month appends: it samples the given jobs through the
-// bounded-memory pipeline, writes rank lists and coverage into the
-// caller's maps, and returns the dense per-platform distribution
-// accumulators fed by every job whose month is opts.DistMonth (both
-// nil when no job touches DistMonth — an append of a non-dist month
-// skips the interning pass entirely). Cells fork their RNG streams
-// from the job identity alone, so any subset of the canonical job
-// list produces exactly the cells a full run would — the property the
-// append-equals-rebuild guarantee rests on.
-func runStreamCells(ctx context.Context, w *world.World, tcfg telemetry.Config, opts Options, jobs []cellJob, lists map[string]RankList, coverage map[string]float64) (accLoads, accTime map[world.Platform][]float64, err error) {
+// bounded-memory pipeline, writes their cells into the caller's map,
+// and returns the global distribution curves of the jobs whose month
+// is opts.DistMonth (nil when no job touches DistMonth — an append of
+// a non-dist month skips the interning pass entirely). Cells fork
+// their RNG streams from the job identity alone, so any subset of the
+// canonical job list produces exactly the cells a full run would — the
+// property the append-equals-rebuild guarantee rests on.
+func runStreamCells(ctx context.Context, w *world.World, tcfg telemetry.Config, opts Options, jobs []cellJob, cells map[CellKey]cell) (map[curveKey]*DistCurve, error) {
 	root := world.NewRNG(opts.Seed)
 
-	needDist := false
-	for _, j := range jobs {
-		if j.month == opts.DistMonth {
-			needDist = true
-			break
-		}
-	}
+	needDist := slices.ContainsFunc(jobs, func(j cellJob) bool { return j.month == opts.DistMonth })
 	var di *distKeyIndex
+	var accLoads, accTime map[world.Platform][]float64
 	if needDist {
 		indexStart := time.Now()
 		di = buildDistKeyIndex(w)
@@ -292,21 +277,15 @@ func runStreamCells(ctx context.Context, w *world.World, tcfg telemetry.Config, 
 			}
 		})
 
-		res := streamCellResult{
-			byLoads: RankList(sc.selLoads.AppendSorted(make([]Entry, 0, sc.selLoads.Len()))),
-			byTime:  RankList(sc.selTime.AppendSorted(make([]Entry, 0, sc.selTime.Len()))),
-		}
-		scratchPool.Put(sc)
-		res.dist = dist
 		// Coverage from the streamed exact totals: the numerator is
 		// summed over the ranked list in rank order, matching the
 		// reference pipeline's arithmetic operation for operation.
-		if tot.Loads > 0 {
-			res.covLoads, res.hasLoads = sumValues(res.byLoads)/float64(tot.Loads), true
+		res := streamCellResult{
+			loads: newCell(sc.selLoads.AppendSorted(make([]Entry, 0, sc.selLoads.Len())), float64(tot.Loads)),
+			time:  newCell(sc.selTime.AppendSorted(make([]Entry, 0, sc.selTime.Len())), float64(tot.TimeMS)),
+			dist:  dist,
 		}
-		if tot.TimeMS > 0 {
-			res.covTime, res.hasTime = sumValues(res.byTime)/float64(tot.TimeMS), true
-		}
+		scratchPool.Put(sc)
 		return res, nil
 	}
 
@@ -322,23 +301,30 @@ func runStreamCells(ctx context.Context, w *world.World, tcfg telemetry.Config, 
 			}
 			distPool.Put(res.dist)
 		}
-		lists[listKey(j.country, j.platform, world.PageLoads, j.month)] = res.byLoads
-		lists[listKey(j.country, j.platform, world.TimeOnPage, j.month)] = res.byTime
-		if res.hasLoads {
-			coverage[listKey(j.country, j.platform, world.PageLoads, j.month)] = res.covLoads
-		}
-		if res.hasTime {
-			coverage[listKey(j.country, j.platform, world.TimeOnPage, j.month)] = res.covTime
-		}
+		cells[CellKey{j.country, j.platform, world.PageLoads, j.month}] = res.loads
+		cells[CellKey{j.country, j.platform, world.TimeOnPage, j.month}] = res.time
 		return nil
 	}
 
 	if err := parallel.StreamCtx(ctx, len(jobs), produce, consume); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	metrics.ObserveStage("chrome.stream.select", selectNanos.duration())
 	metrics.ObserveStage("chrome.stream.merge", mergeNanos.duration())
-	return accLoads, accTime, nil
+	if !needDist {
+		return nil, nil
+	}
+
+	curveStart := time.Now()
+	dist := make(map[curveKey]*DistCurve, len(world.Platforms)*len(world.Metrics))
+	for _, p := range world.Platforms {
+		// NewDistCurve copies and keeps only positive volumes, so the
+		// dense vectors (zeros for never-seen keys) feed it directly.
+		dist[curveKey{p, world.PageLoads}] = NewDistCurve(accLoads[p])
+		dist[curveKey{p, world.TimeOnPage}] = NewDistCurve(accTime[p])
+	}
+	metrics.ObserveStage("chrome.stream.curves", time.Since(curveStart))
+	return dist, nil
 }
 
 // atomicNanos accumulates durations from many goroutines.

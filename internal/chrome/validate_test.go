@@ -1,50 +1,172 @@
 package chrome
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
 	"wwb/internal/world"
 )
 
-// corruptCases are datasets that violate a dataset invariant, each
-// with a fragment of the error that must name it. EncodeSnapshot does
-// not validate, so every one encodes; DecodeSnapshotBytes must reject
-// every one with a descriptive error.
+// usFeb is the one cell most corrupt cases corrupt.
+var usFeb = CellKey{"US", world.Windows, world.PageLoads, world.Feb2022}
+
+// corruptCases violate a dataset invariant, each with a fragment of
+// the error that must name it. A case is either a Dataset, which
+// EncodeSnapshot encodes without validating, or — for a corrupt key
+// text, which no typed key formats to — raw key texts that
+// keyTexts.artifact writes into the sections verbatim. The decoders
+// must reject every one with a descriptive error.
 var corruptCases = map[string]struct {
 	ds   *Dataset
+	keys keyTexts
 	want string
 }{
-	"malformed cell key": {&Dataset{lists: map[string]RankList{"US|0|0": {}}}, "want country|platform|metric|month"},
-	"empty country":      {&Dataset{lists: map[string]RankList{"|0|0|5": {}}}, "empty country"},
-	"bad platform":       {&Dataset{lists: map[string]RankList{"US|7|0|5": {}}}, "bad platform"},
-	"bad metric":         {&Dataset{lists: map[string]RankList{"US|0|9|5": {}}}, "bad metric"},
-	"bad month":          {&Dataset{lists: map[string]RankList{"US|0|0|99": {}}}, "bad month"},
-	"non-numeric key":    {&Dataset{lists: map[string]RankList{"US|x|0|5": {}}}, "bad platform"},
-	"empty domain":       {&Dataset{lists: map[string]RankList{"US|0|0|5": {{Domain: "", Value: 1}}}}, "empty domain"},
-	"negative value":     {&Dataset{lists: map[string]RankList{"US|0|0|5": {{Domain: "a.com", Value: -1}}}}, "bad value"},
-	"NaN-ish value":      {&Dataset{lists: map[string]RankList{"US|0|0|5": {{Domain: "a.com", Value: math.Inf(1)}}}}, "bad value"},
-	"ascending values":   {&Dataset{lists: map[string]RankList{"US|0|0|5": {{Domain: "a.com", Value: 1}, {Domain: "b.com", Value: 2}}}}, "not descending"},
-	"coverage above 1":   {&Dataset{coverage: map[string]float64{"US|0|0|5": 1.5}}, "outside [0,1]"},
-	"coverage below 0":   {&Dataset{coverage: map[string]float64{"US|0|0|5": -0.1}}, "outside [0,1]"},
-	"month out of range": {&Dataset{Months: []world.Month{99}}, "month 99 out of range"},
-	"bad dist key":       {&Dataset{dist: map[string]*DistCurve{"0": {Shares: []float64{}}}}, "want platform|metric"},
-	"null dist curve":    {&Dataset{dist: map[string]*DistCurve{"0|0": nil}}, "null curve"},
-	"dist share above 1": {&Dataset{dist: map[string]*DistCurve{"0|0": {Shares: []float64{1.5}}}}, "outside [0,1]"},
-	"ascending shares":   {&Dataset{dist: map[string]*DistCurve{"0|0": {Shares: []float64{0.1, 0.2}}}}, "shares not descending"},
+	"malformed cell key":    {keys: keyTexts{lists: []string{"US|0|0"}}, want: "want country|platform|metric|month"},
+	"empty country":         {keys: keyTexts{lists: []string{"|0|0|5"}}, want: "empty country"},
+	"bad platform":          {keys: keyTexts{lists: []string{"US|7|0|5"}}, want: "bad platform"},
+	"bad metric":            {keys: keyTexts{lists: []string{"US|0|9|5"}}, want: "bad metric"},
+	"bad month":             {keys: keyTexts{lists: []string{"US|0|0|99"}}, want: "bad month"},
+	"non-numeric key":       {keys: keyTexts{lists: []string{"US|x|0|5"}}, want: "bad platform"},
+	"zero-padded key":       {keys: keyTexts{lists: []string{"US|00|0|5"}}, want: "not canonical"},
+	"signed key":            {keys: keyTexts{lists: []string{"US|+0|0|5"}}, want: "not canonical"},
+	"coverage without list": {keys: keyTexts{cov: []string{"US|0|0|5"}}, want: "has no list"},
+	"bad coverage key":      {keys: keyTexts{lists: []string{"US|0|0|5"}, cov: []string{"US|0|0|05"}}, want: "not canonical"},
+	"empty domain":          {ds: &Dataset{cells: map[CellKey]cell{usFeb: {list: RankList{{Domain: "", Value: 1}}}}}, want: "empty domain"},
+	"negative value":        {ds: &Dataset{cells: map[CellKey]cell{usFeb: {list: RankList{{Domain: "a.com", Value: -1}}}}}, want: "bad value"},
+	"NaN-ish value":         {ds: &Dataset{cells: map[CellKey]cell{usFeb: {list: RankList{{Domain: "a.com", Value: math.Inf(1)}}}}}, want: "bad value"},
+	"ascending values":      {ds: &Dataset{cells: map[CellKey]cell{usFeb: {list: RankList{{Domain: "a.com", Value: 1}, {Domain: "b.com", Value: 2}}}}}, want: "not descending"},
+	"coverage above 1":      {ds: &Dataset{cells: map[CellKey]cell{usFeb: {coverage: 1.5, hasCoverage: true}}}, want: "outside [0,1]"},
+	"coverage below 0":      {ds: &Dataset{cells: map[CellKey]cell{usFeb: {coverage: -0.1, hasCoverage: true}}}, want: "outside [0,1]"},
+	"month out of range":    {ds: &Dataset{Months: []world.Month{99}}, want: "month 99 out of range"},
+	"bad dist key":          {keys: keyTexts{dist: []string{"0"}}, want: "want platform|metric"},
+	"dist key out of range": {keys: keyTexts{dist: []string{"9|9"}}, want: "bad platform"},
+	"non-numeric dist key":  {keys: keyTexts{dist: []string{"a|b"}}, want: "bad platform"},
+	"zero-padded dist key":  {keys: keyTexts{dist: []string{"0|00"}}, want: "not canonical"},
+	"null dist curve":       {ds: &Dataset{dist: map[curveKey]*DistCurve{{}: nil}}, want: "null curve"},
+	"dist share above 1":    {ds: &Dataset{dist: map[curveKey]*DistCurve{{}: {Shares: []float64{1.5}}}}, want: "outside [0,1]"},
+	"ascending shares":      {ds: &Dataset{dist: map[curveKey]*DistCurve{{}: {Shares: []float64{0.1, 0.2}}}}, want: "shares not descending"},
 }
 
-func TestDecodeRejectsCorruptDatasets(t *testing.T) {
+// keyTexts are raw key texts for the LSTS, COVR and DIST sections,
+// each slice sorted.
+type keyTexts struct{ lists, cov, dist []string }
+
+// artifact returns base — a snapshot or delta of no cells — with its
+// LSTS, COVR and DIST sections replaced by sections holding the key
+// texts verbatim: each list nil, each coverage share 0.5, each curve
+// empty.
+func (kt keyTexts) artifact(t testing.TB, base []byte) []byte {
+	t.Helper()
+	// Keep the file header and the first two sections: META (or DMET)
+	// and DOMS.
+	off := 12
+	for i := 0; i < 2; i++ {
+		off += 16 + int(binary.LittleEndian.Uint64(base[off+4:]))
+	}
+	var buf bytes.Buffer
+	buf.Write(base[:off])
+	e := &snapEncoder{w: bufio.NewWriter(&buf)}
+	e.uvarint(uint64(len(kt.lists)))
+	for _, k := range kt.lists {
+		e.str(k)
+		e.sec.WriteByte(presNil)
+	}
+	if err := e.flushSection("LSTS"); err != nil {
+		t.Fatal(err)
+	}
+	e.uvarint(uint64(len(kt.cov)))
+	for _, k := range kt.cov {
+		e.str(k)
+		e.f64(0.5)
+	}
+	if err := e.flushSection("COVR"); err != nil {
+		t.Fatal(err)
+	}
+	e.uvarint(uint64(len(kt.dist)))
+	for _, k := range kt.dist {
+		e.str(k)
+		e.sec.WriteByte(presSome)
+		e.f64Slice([]float64{})
+	}
+	if err := e.flushSection("DIST"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// emptyArtifacts returns a snapshot and a delta that hold no cells.
+func emptyArtifacts(t testing.TB) (snap, delta []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := EncodeDelta(&buf, &Increment{Month: world.Feb2022}, DeltaBase{Name: "study.wwb"}, testProvenance); err != nil {
+		t.Fatal(err)
+	}
+	return snapshotBytes(t, &Dataset{}), buf.Bytes()
+}
+
+// keyCaseArtifacts frames every key-text corrupt case, in name order,
+// by base: the fuzzers' seeds.
+func keyCaseArtifacts(t testing.TB, base []byte) [][]byte {
+	var names []string
 	for name, tc := range corruptCases {
-		_, _, err := DecodeSnapshotBytes(snapshotBytes(t, tc.ds))
-		if err == nil {
-			t.Errorf("%s: DecodeSnapshotBytes accepted the dataset", name)
+		if tc.ds == nil {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	out := make([][]byte, len(names))
+	for i, name := range names {
+		out[i] = corruptCases[name].keys.artifact(t, base)
+	}
+	return out
+}
+
+// TestDecodeRejectsCorruptDatasets feeds every corrupt case to the
+// snapshot decoder, and every key-text case to the delta decoder too.
+func TestDecodeRejectsCorruptDatasets(t *testing.T) {
+	emptySnap, emptyDelta := emptyArtifacts(t)
+	for name, tc := range corruptCases {
+		check := func(format string, err error) {
+			if err == nil {
+				t.Errorf("%s: %s decoder accepted the input", name, format)
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: %s decoder error %q does not mention %q", name, format, err, tc.want)
+			}
+		}
+		if tc.ds != nil {
+			_, _, err := DecodeSnapshotBytes(snapshotBytes(t, tc.ds))
+			check("snapshot", err)
 			continue
 		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", name, err, tc.want)
-		}
+		_, _, err := DecodeSnapshotBytes(tc.keys.artifact(t, emptySnap))
+		check("snapshot", err)
+		_, err = DecodeDeltaBytes(tc.keys.artifact(t, emptyDelta))
+		check("delta", err)
+	}
+}
+
+// TestKeyTextsFrameValidArtifacts: canonical key texts framed the same
+// way decode, so each rejection above is the key's doing.
+func TestKeyTextsFrameValidArtifacts(t *testing.T) {
+	emptySnap, emptyDelta := emptyArtifacts(t)
+	kt := keyTexts{lists: []string{"US|0|0|5"}, cov: []string{"US|0|0|5"}, dist: []string{"0|0"}}
+	ds, _, err := DecodeSnapshotBytes(kt.artifact(t, emptySnap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.NumLists() != 1 || ds.Coverage("US", world.Windows, world.PageLoads, world.Feb2022) != 0.5 || ds.Dist(world.Windows, world.PageLoads) == nil {
+		t.Errorf("decoded %d lists, coverage %v, curve %v", ds.NumLists(), ds.Coverage("US", world.Windows, world.PageLoads, world.Feb2022), ds.Dist(world.Windows, world.PageLoads))
+	}
+	if _, err := DecodeDeltaBytes(kt.artifact(t, emptyDelta)); err != nil {
+		t.Fatal(err)
 	}
 }
 
