@@ -237,19 +237,6 @@ func mergeKeys(old, domKeys []string) (keys []string, remap, domID []KeyID) {
 	return keys, remap, domID
 }
 
-// subset returns an index over the same key universe holding only the
-// views of the given cells — a shard view's index. Views are shared,
-// not copied.
-func (ix *KeyIndex) subset(cells map[CellKey]cell) *KeyIndex {
-	sub := &KeyIndex{keys: ix.keys, cells: make(map[CellKey]*cellKeys, len(cells))}
-	for k := range cells {
-		if c, ok := ix.cells[k]; ok {
-			sub.cells[k] = c
-		}
-	}
-	return sub
-}
-
 // NumKeys returns the size of the interned key universe; valid KeyIDs
 // are [0, NumKeys).
 func (ix *KeyIndex) NumKeys() int { return len(ix.keys) }

@@ -28,13 +28,14 @@ func (d *Dataset) ShardView(keep func(country string, month world.Month) bool) *
 		Months:    d.Months,
 		cells:     make(map[CellKey]cell),
 		dist:      d.dist,
+		index:     &KeyIndex{keys: ix.keys, cells: make(map[CellKey]*cellKeys)}, // generation 0 == indexGen 0
 	}
 	for k, c := range d.cells {
 		if keep(k.Country, k.Month) {
 			out.cells[k] = c
+			out.index.cells[k] = ix.cells[k] // a fresh index holds a view of every cell
 		}
 	}
-	out.index = ix.subset(out.cells) // generation 0 == indexGen 0
 	return out
 }
 

@@ -3,7 +3,6 @@ package chrome
 import (
 	"context"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -211,7 +210,13 @@ func assembleStreamCtx(ctx context.Context, w *world.World, tcfg telemetry.Confi
 func runStreamCells(ctx context.Context, w *world.World, tcfg telemetry.Config, opts Options, jobs []cellJob, cells map[CellKey]cell) (map[curveKey]*DistCurve, error) {
 	root := world.NewRNG(opts.Seed)
 
-	needDist := slices.ContainsFunc(jobs, func(j cellJob) bool { return j.month == opts.DistMonth })
+	needDist := false
+	for _, j := range jobs {
+		if j.month == opts.DistMonth {
+			needDist = true
+			break
+		}
+	}
 	var di *distKeyIndex
 	var accLoads, accTime map[world.Platform][]float64
 	if needDist {
