@@ -145,60 +145,52 @@ func byText[K interface {
 	return out
 }
 
-// parseCellKey parses and range-checks a cell key's text form. It
-// accepts only the text String formats — Atoi alone would also read
-// "00" or "+0" as 0 — so two texts never land on one cell.
+// parseCellKey parses and range-checks a cell key's text form. Each
+// field must read back as it is written (see enum), and a country
+// holds no "|", so it accepts only the text String formats: two texts
+// never land on one cell.
 func parseCellKey(text string) (CellKey, error) {
 	f := strings.Split(text, "|")
 	if len(f) != 4 {
 		return CellKey{}, fmt.Errorf("cell key %q: want country|platform|metric|month", text)
 	}
 	k := CellKey{f[0], world.Platform(enum(f[1])), world.Metric(enum(f[2])), world.Month(enum(f[3]))}
-	var bad string
 	switch {
 	case k.Country == "":
-		bad = "empty country"
+		return CellKey{}, fmt.Errorf("cell key %q: empty country", text)
 	case !world.ValidPlatform(int(k.Platform)):
-		bad = fmt.Sprintf("bad platform %q", f[1])
+		return CellKey{}, fmt.Errorf("cell key %q: bad platform %q", text, f[1])
 	case !world.ValidMetric(int(k.Metric)):
-		bad = fmt.Sprintf("bad metric %q", f[2])
+		return CellKey{}, fmt.Errorf("cell key %q: bad metric %q", text, f[2])
 	case !world.ValidMonth(int(k.Month)):
-		bad = fmt.Sprintf("bad month %q", f[3])
-	case k.String() != text:
-		bad = "not canonical"
-	default:
-		return k, nil
+		return CellKey{}, fmt.Errorf("cell key %q: bad month %q", text, f[3])
 	}
-	return CellKey{}, fmt.Errorf("cell key %q: %s", text, bad)
+	return k, nil
 }
 
 // parseCurveKey parses and range-checks a curve key's text form,
-// accepting only the text String formats.
+// accepting only the text String formats, as parseCellKey does.
 func parseCurveKey(text string) (curveKey, error) {
 	f := strings.Split(text, "|")
 	if len(f) != 2 {
 		return curveKey{}, fmt.Errorf("dist key %q: want platform|metric", text)
 	}
 	k := curveKey{world.Platform(enum(f[0])), world.Metric(enum(f[1]))}
-	var bad string
 	switch {
 	case !world.ValidPlatform(int(k.Platform)):
-		bad = fmt.Sprintf("bad platform %q", f[0])
+		return curveKey{}, fmt.Errorf("dist key %q: bad platform %q", text, f[0])
 	case !world.ValidMetric(int(k.Metric)):
-		bad = fmt.Sprintf("bad metric %q", f[1])
-	case k.String() != text:
-		bad = "not canonical"
-	default:
-		return k, nil
+		return curveKey{}, fmt.Errorf("dist key %q: bad metric %q", text, f[1])
 	}
-	return curveKey{}, fmt.Errorf("dist key %q: %s", text, bad)
+	return k, nil
 }
 
 // enum reads a key's decimal field, or -1, which no enum holds, when
-// the field is not a number.
+// the field is not the decimal text of a number: Atoi alone would
+// also read "00" or "+0" as 0.
 func enum(field string) int {
 	v, err := strconv.Atoi(field)
-	if err != nil {
+	if err != nil || strconv.Itoa(v) != field {
 		return -1
 	}
 	return v

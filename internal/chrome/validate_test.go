@@ -32,10 +32,10 @@ var corruptCases = map[string]struct {
 	"bad metric":            {keys: keyTexts{lists: []string{"US|0|9|5"}}, want: "bad metric"},
 	"bad month":             {keys: keyTexts{lists: []string{"US|0|0|99"}}, want: "bad month"},
 	"non-numeric key":       {keys: keyTexts{lists: []string{"US|x|0|5"}}, want: "bad platform"},
-	"zero-padded key":       {keys: keyTexts{lists: []string{"US|00|0|5"}}, want: "not canonical"},
-	"signed key":            {keys: keyTexts{lists: []string{"US|+0|0|5"}}, want: "not canonical"},
+	"zero-padded key":       {keys: keyTexts{lists: []string{"US|00|0|5"}}, want: "bad platform"},
+	"signed key":            {keys: keyTexts{lists: []string{"US|+0|0|5"}}, want: "bad platform"},
 	"coverage without list": {keys: keyTexts{cov: []string{"US|0|0|5"}}, want: "has no list"},
-	"bad coverage key":      {keys: keyTexts{lists: []string{"US|0|0|5"}, cov: []string{"US|0|0|05"}}, want: "not canonical"},
+	"bad coverage key":      {keys: keyTexts{lists: []string{"US|0|0|5"}, cov: []string{"US|0|0|05"}}, want: "bad month"},
 	"empty domain":          {ds: &Dataset{cells: map[CellKey]cell{usFeb: {list: RankList{{Domain: "", Value: 1}}}}}, want: "empty domain"},
 	"negative value":        {ds: &Dataset{cells: map[CellKey]cell{usFeb: {list: RankList{{Domain: "a.com", Value: -1}}}}}, want: "bad value"},
 	"NaN-ish value":         {ds: &Dataset{cells: map[CellKey]cell{usFeb: {list: RankList{{Domain: "a.com", Value: math.Inf(1)}}}}}, want: "bad value"},
@@ -46,7 +46,7 @@ var corruptCases = map[string]struct {
 	"bad dist key":          {keys: keyTexts{dist: []string{"0"}}, want: "want platform|metric"},
 	"dist key out of range": {keys: keyTexts{dist: []string{"9|9"}}, want: "bad platform"},
 	"non-numeric dist key":  {keys: keyTexts{dist: []string{"a|b"}}, want: "bad platform"},
-	"zero-padded dist key":  {keys: keyTexts{dist: []string{"0|00"}}, want: "not canonical"},
+	"zero-padded dist key":  {keys: keyTexts{dist: []string{"0|00"}}, want: "bad metric"},
 	"null dist curve":       {ds: &Dataset{dist: map[curveKey]*DistCurve{{}: nil}}, want: "null curve"},
 	"dist share above 1":    {ds: &Dataset{dist: map[curveKey]*DistCurve{{}: {Shares: []float64{1.5}}}}, want: "outside [0,1]"},
 	"ascending shares":      {ds: &Dataset{dist: map[curveKey]*DistCurve{{}: {Shares: []float64{0.1, 0.2}}}}, want: "shares not descending"},
