@@ -16,8 +16,12 @@
 //
 //	GET  /healthz
 //	GET  /metrics
-//	GET  /status            fleet health, restarts, current artifact
-//	POST /admin/swap?data=… validation-gated fleet swap
+//	GET  /status            fleet health, restarts, running artifact and its provenance
+//	POST /admin/swap?data=… validation-gated fleet swap: 200 converged,
+//	                        409 wrong world, 422 quarantined, 502 rolled back
+//
+// The supervisor is the only way to roll a fleet onto a new artifact;
+// wwbrouter only follows the epochs its shards report.
 package main
 
 import (
@@ -89,7 +93,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8079", "supervisor admin listen address")
 		manifestPath = flag.String("manifest", "", "JSON fleet manifest (overrides -data/-shards/-replicas/-base-port)")
-		data         = flag.String("data", "", "artifact every replica serves at boot (.wwb snapshot, or .wwbd delta over its base chain)")
+		data         = flag.String("data", "", "artifact every replica serves at boot (.wwb snapshot, or .wwbd delta over its base chain); required")
 		shards       = flag.Int("shards", 2, "shard count")
 		replicas     = flag.Int("replicas", 1, "replicas per shard")
 		basePort     = flag.Int("base-port", 8081, "first replica port; slot s,r listens on base-port + s*replicas + r")
@@ -123,13 +127,6 @@ func main() {
 	if m.ServeBin == "" {
 		m.ServeBin = "wwbserve"
 	}
-	if m.Data == "" {
-		log.Fatal("a boot artifact is required (-data or manifest \"data\"): supervised replicas serve snapshots, not self-assembled studies")
-	}
-	if _, err := fleet.ValidateSnapshot(m.Data); err != nil {
-		log.Fatalf("boot artifact %s failed validation: %v", m.Data, err)
-	}
-
 	sup, err := fleet.NewSupervisor(fleet.SupervisorConfig{
 		Shards:        m.Shards,
 		Data:          m.Data,

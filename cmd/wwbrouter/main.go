@@ -3,8 +3,9 @@
 // lists, a country's public bucket export) are proxied to the shard
 // owning their (country, month) cell; per-site rank profiles fan out
 // to every shard and merge in canonical order, so every response is
-// byte-identical to one unsharded wwbserve holding the whole dataset. POST /admin/swap rolls the entire fleet to a new
-// dataset artifact with zero downtime.
+// byte-identical to one unsharded wwbserve holding the whole dataset.
+// The router rolls nothing: wwbfleet swaps the fleet, and the router
+// follows the epochs its shards report.
 //
 // Topology comes from -shards: semicolon-separated shard groups, each
 // a comma-separated replica list, in shard-index order:

@@ -86,27 +86,27 @@ const (
 // alongside it as part of the dataset itself.
 type SnapshotProvenance struct {
 	// Tool is the producing command (e.g. "wwbgen").
-	Tool string
+	Tool string `json:"tool"`
 	// WorldSeed is the universe-generation seed (distinct from
 	// Options.Seed, which drives telemetry sampling).
-	WorldSeed uint64
+	WorldSeed uint64 `json:"worldSeed"`
 	// Scale is the universe scale the world was generated at.
-	Scale string
+	Scale string `json:"scale"`
 }
 
 // SnapshotInfo describes a decoded dataset artifact.
 type SnapshotInfo struct {
 	// Format is FormatWWB, or FormatWWBD for a dataset resolved
 	// through a base+delta chain.
-	Format string
+	Format string `json:"format"`
 	// Version is the artifact's format version.
-	Version uint32
+	Version uint32 `json:"version"`
 	// Provenance is the embedded provenance. For a resolved delta
 	// chain it is the final delta's producer provenance.
-	Provenance SnapshotProvenance
+	Provenance SnapshotProvenance `json:"provenance"`
 	// Chain counts delta links resolved to produce the dataset: 0 for
 	// a plain artifact, n for a base plus n stacked deltas.
-	Chain int
+	Chain int `json:"chain"`
 }
 
 // ---------------------------------------------------------------------------
@@ -436,13 +436,14 @@ func encodeDataSections(e *snapEncoder, cells map[CellKey]cell, dist map[curveKe
 // bounds-checked against the bytes remaining, so declared counts can
 // never drive allocations past what the file actually contains.
 type snapCursor struct {
-	tag string
-	b   []byte
-	off int
+	kind string // the walker's kind: "snapshot" or "delta"
+	tag  string
+	b    []byte
+	off  int
 }
 
 func (c *snapCursor) errf(format string, args ...any) error {
-	return fmt.Errorf("chrome: snapshot section %s: %s", c.tag, fmt.Sprintf(format, args...))
+	return fmt.Errorf("chrome: %s: section %s: %s", c.kind, c.tag, fmt.Sprintf(format, args...))
 }
 
 func (c *snapCursor) rem() int { return len(c.b) - c.off }
@@ -648,7 +649,7 @@ func (w *sectionWalker) next(tag string) (*snapCursor, error) {
 			w.kind, tag, want, got)
 	}
 	w.off += 16 + int(length)
-	return &snapCursor{tag: tag, b: payload}, nil
+	return &snapCursor{kind: w.kind, tag: tag, b: payload}, nil
 }
 
 // section pairs a section tag with the decoder for its payload.
@@ -1099,7 +1100,7 @@ func DecodeSnapshotBytes(data []byte) (*Dataset, *SnapshotInfo, error) {
 	}
 
 	if err := sd.join(); err != nil {
-		return nil, nil, fmt.Errorf("chrome: invalid dataset: %w", err)
+		return nil, nil, fmt.Errorf("chrome: snapshot: invalid dataset: %w", err)
 	}
 
 	ds := &Dataset{

@@ -139,6 +139,8 @@ func TestDecodeRejectsCorruptDatasets(t *testing.T) {
 				t.Errorf("%s: %s decoder accepted the input", name, format)
 			} else if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s: %s decoder error %q does not mention %q", name, format, err, tc.want)
+			} else if prefix := "chrome: " + format + ":"; !strings.HasPrefix(err.Error(), prefix) {
+				t.Errorf("%s: %s decoder error %q does not start with %q", name, format, err, prefix)
 			}
 		}
 		if tc.ds != nil {

@@ -2,7 +2,7 @@
 // wwbserve process into a sharded, replicated fleet with zero-downtime
 // dataset rollover.
 //
-// Three pieces compose it:
+// Four pieces compose it:
 //
 //   - Server: the /v1 dataset HTTP API (extracted from wwbserve so the
 //     router and the fleet tests can host shards in-process), extended
@@ -21,7 +21,11 @@
 //     response is byte-identical to a single process serving the
 //     whole dataset. Replicas are health-gated with retry-on-failure,
 //     and the fan-out is epoch-checked so a response is never
-//     assembled from two dataset epochs.
+//     assembled from two dataset epochs. It follows swaps, never
+//     makes them.
+//   - Supervisor: runs the replicas (cmd/wwbfleet) and is the only
+//     way to roll the fleet onto a new artifact: Swap gates it once,
+//     on validity and on provenance, and rolls back a failed rollout.
 //   - LoadGen/RunLoad: a seed-deterministic zipfian query-mix
 //     generator and open-loop replay harness (cmd/wwbload) reporting
 //     p50/p99 latency and shed rate against SLOs.

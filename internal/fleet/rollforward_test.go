@@ -95,20 +95,92 @@ func rolledOracle() *chrome.Dataset {
 	return chrome.Assemble(fleetWorld, telemetry.DefaultConfig(), opts)
 }
 
-// TestFleetDeltaSwapByteEquivalence is the roll-forward acceptance
-// test at the serving layer: boot a 2-shard fleet on the base
-// snapshot, hot-swap it to the March delta through the router, and
-// require every route of the full /v1 matrix — the appended month
-// included — to answer with the exact bytes of a single unsharded
-// server over a full rebuild of the extended window. The delta is
-// also required to be byte-identical whether the append ran under
-// GOMAXPROCS 1 or 8.
-func TestFleetDeltaSwapByteEquivalence(t *testing.T) {
+// TestRouterCruxFreshAfterOutOfBandSwap is the regression test for the
+// stale crux export: the router once kept its own /v1/crux export and
+// judged it current against fleet info it had cached itself, so a swap
+// performed behind the router's back (a POST /admin/swap straight to
+// the replicas) left the old epoch's export serving. The router now
+// keeps no export; /v1/crux must still follow the shards' epoch through
+// an out-of-band swap and through a supervised swap back.
+func TestRouterCruxFreshAfterOutOfBandSwap(t *testing.T) {
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(prevWriter())
+
+	singleA := httptest.NewServer(
+		NewServer(fleetDS, ServerConfig{Month: fleetDS.Opts.DistMonth}).Routes(MiddlewareConfig{}))
+	defer singleA.Close()
+	singleB := httptest.NewServer(
+		NewServer(altDS, ServerConfig{Month: altDS.Opts.DistMonth}).Routes(MiddlewareConfig{}))
+	defer singleB.Close()
+	_, _, wantA := fetch(t, singleA.URL, "/v1/crux")
+	_, _, wantB := fetch(t, singleB.URL, "/v1/crux")
+	if bytes.Equal(wantA, wantB) {
+		t.Fatal("crux oracles identical across datasets; staleness would be invisible")
+	}
+
+	dir := t.TempDir()
+	dataA := writeSnapshot(t, dir, "A.wwb", fleetDS)
+	dataB := writeSnapshot(t, dir, "B.wwb", altDS)
+	ff := &fakeFleet{t: t, shards: 2, procs: map[string]*fakeProc{}}
+	sup, groups, _ := startSupervisedFleet(t, ff, 2, 1, dataA)
+	router := startRouterOver(t, groups)
+
+	// Warm the router's fleet info on epoch 1.
+	if _, _, got := fetch(t, router.URL, "/v1/crux"); !bytes.Equal(got, wantA) {
+		t.Fatal("pre-swap crux differs from the epoch-1 oracle")
+	}
+
+	// Swap every shard out of band: straight to the replicas, the
+	// router never sees a request.
+	for i, g := range groups {
+		resp, err := http.Post("http://"+g[0]+"/admin/swap?data="+url.QueryEscape(dataB)+"&epoch=2", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("out-of-band swap of shard %d: status %d", i, resp.StatusCode)
+		}
+	}
+
+	status, _, got := fetch(t, router.URL, "/v1/crux")
+	if status != http.StatusOK {
+		t.Fatalf("post-swap crux: status %d", status)
+	}
+	if bytes.Equal(got, wantA) {
+		t.Fatal("router served the old epoch's crux export after an out-of-band swap")
+	}
+	if !bytes.Equal(got, wantB) {
+		t.Fatalf("post-swap crux matches neither oracle: %.120s", got)
+	}
+
+	// And a supervised swap: back to A at a strictly newer epoch.
+	if _, err := sup.Swap(context.Background(), dataA); err != nil {
+		t.Fatalf("supervised swap back: %v", err)
+	}
+	if _, _, got := fetch(t, router.URL, "/v1/crux"); !bytes.Equal(got, wantA) {
+		t.Fatal("router served a stale crux export after the supervised swap")
+	}
+}
+
+// TestSupervisorDeltaSwap is the roll-forward acceptance test at the
+// serving layer. It drives a supervised 2-shard fleet through a delta
+// rollout: the gate resolves the .wwbd chain, and the fleet converges
+// on the appended month at a strictly newer epoch. Through a router,
+// every route of the full /v1 matrix — the appended month included —
+// must then answer with the exact bytes of a single unsharded server
+// over a full rebuild of the extended window. The delta is required
+// to be byte-identical whether the append ran under GOMAXPROCS 1 or 8.
+// A valid snapshot of the wrong world lineage is refused by the
+// provenance gate without being quarantined — it is someone's good
+// artifact, just not this fleet's.
+func TestSupervisorDeltaSwap(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(prevWriter())
 
 	dir := t.TempDir()
-	_, deltaPath, _ := buildDeltaArtifacts(t, dir, 1)
+	basePath, deltaPath, _ := buildDeltaArtifacts(t, dir, 1)
 	delta1, err := os.ReadFile(deltaPath)
 	if err != nil {
 		t.Fatal(err)
@@ -122,6 +194,9 @@ func TestFleetDeltaSwapByteEquivalence(t *testing.T) {
 	if !bytes.Equal(delta1, delta8) {
 		t.Fatal("delta bytes differ between GOMAXPROCS=1 and GOMAXPROCS=8")
 	}
+	wrongProv := rollProv
+	wrongProv.WorldSeed++
+	wrongPath := writeSnapshotProv(t, dir, "wrongworld.wwb", altDS, wrongProv)
 
 	oracleDS := rolledOracle()
 	single := httptest.NewServer(
@@ -149,18 +224,43 @@ func TestFleetDeltaSwapByteEquivalence(t *testing.T) {
 	}
 
 	// Live fleet: boot on the base epoch, warm the caches on the old
-	// month, then roll the whole fleet to the delta through the router.
-	groups := startShards(t, fleetDS, 2, fileLoader)
-	router := startRouter(t, groups)
+	// month, then roll the whole fleet to the delta.
+	ff := &fakeFleet{t: t, shards: 2, procs: map[string]*fakeProc{}}
+	sup, groups, _ := startSupervisedFleet(t, ff, 2, 1, basePath)
+	router := startRouterOver(t, groups)
 	if status, _, _ := fetch(t, router.URL, "/v1/crux"); status != http.StatusOK {
 		t.Fatal("pre-swap crux failed")
 	}
 	if status, _, body := fetch(t, router.URL, "/v1/list?country="+fleetDS.Countries[0]+"&month=2022-03"); status != http.StatusNotFound {
 		t.Fatalf("pre-swap March list: status %d (%s), want 404", status, body)
 	}
-	status, body := postSwap(t, router.URL, "data="+url.QueryEscape(deltaPath))
-	if status != http.StatusOK || !strings.Contains(string(body), `"complete":true`) {
-		t.Fatalf("fleet swap to delta: status %d (%s)", status, body)
+
+	out, err := sup.Swap(context.Background(), deltaPath)
+	if err != nil {
+		t.Fatalf("delta swap: %v", err)
+	}
+	if !out.Complete || out.Epoch != 2 {
+		t.Fatalf("delta swap outcome %+v, want complete at epoch 2", out)
+	}
+	if sup.CurrentData() != deltaPath {
+		t.Fatalf("current data %q, want %q", sup.CurrentData(), deltaPath)
+	}
+	// Every replica now serves the rolled-forward month.
+	for _, g := range groups {
+		for _, addr := range g {
+			if e := epochOf(t, addr); e != 2 {
+				t.Errorf("replica %s at epoch %d, want 2", addr, e)
+			}
+			resp, err := http.Get("http://" + addr + "/shard/info")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if !strings.Contains(string(body), `"month":"2022-03"`) {
+				t.Errorf("replica %s shard info lacks the appended analysis month: %.200s", addr, body)
+			}
+		}
 	}
 
 	paths := equivPaths(oracleDS)
@@ -191,120 +291,6 @@ func TestFleetDeltaSwapByteEquivalence(t *testing.T) {
 	}
 	if sawMarch == 0 {
 		t.Fatal("equivalence matrix never queried the appended month")
-	}
-}
-
-// TestRouterCruxFreshAfterOutOfBandSwap is the regression test for the
-// stale crux export: the router once kept its own /v1/crux export and
-// judged it current against fleet info it had cached itself, so a swap
-// performed behind the router's back (a supervisor posting /admin/swap
-// straight to the replicas) left the old epoch's export serving. The
-// router now keeps no export; /v1/crux must still follow the shards'
-// epoch through an out-of-band swap and through the router's own.
-func TestRouterCruxFreshAfterOutOfBandSwap(t *testing.T) {
-	log.SetOutput(io.Discard)
-	defer log.SetOutput(prevWriter())
-
-	singleA := httptest.NewServer(
-		NewServer(fleetDS, ServerConfig{Month: fleetDS.Opts.DistMonth}).Routes(MiddlewareConfig{}))
-	defer singleA.Close()
-	singleB := httptest.NewServer(
-		NewServer(altDS, ServerConfig{Month: altDS.Opts.DistMonth}).Routes(MiddlewareConfig{}))
-	defer singleB.Close()
-	_, _, wantA := fetch(t, singleA.URL, "/v1/crux")
-	_, _, wantB := fetch(t, singleB.URL, "/v1/crux")
-	if bytes.Equal(wantA, wantB) {
-		t.Fatal("crux oracles identical across datasets; staleness would be invisible")
-	}
-
-	groups := startShards(t, fleetDS, 2, testLoader)
-	router := startRouter(t, groups)
-
-	// Warm the router's fleet info on epoch 1.
-	if _, _, got := fetch(t, router.URL, "/v1/crux"); !bytes.Equal(got, wantA) {
-		t.Fatal("pre-swap crux differs from the epoch-1 oracle")
-	}
-
-	// Swap every shard out of band: straight to the replicas, the
-	// router never sees a request.
-	for i, g := range groups {
-		resp, err := http.Post(g[0]+"/admin/swap?data=B.wwb&epoch=2", "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("out-of-band swap of shard %d: status %d", i, resp.StatusCode)
-		}
-	}
-
-	status, _, got := fetch(t, router.URL, "/v1/crux")
-	if status != http.StatusOK {
-		t.Fatalf("post-swap crux: status %d", status)
-	}
-	if bytes.Equal(got, wantA) {
-		t.Fatal("router served the old epoch's crux export after an out-of-band swap")
-	}
-	if !bytes.Equal(got, wantB) {
-		t.Fatalf("post-swap crux matches neither oracle: %.120s", got)
-	}
-
-	// And a swap through the router itself: back to A at a strictly
-	// newer epoch.
-	if status, body := postSwap(t, router.URL, "data=A.wwb"); status != http.StatusOK {
-		t.Fatalf("router swap back: status %d (%s)", status, body)
-	}
-	if _, _, got := fetch(t, router.URL, "/v1/crux"); !bytes.Equal(got, wantA) {
-		t.Fatal("router served a stale crux export after its own swap")
-	}
-}
-
-// TestSupervisorDeltaSwap drives a supervised 2-shard fleet through a
-// delta rollout: the gate resolves the .wwbd chain, the fleet
-// converges on the appended month at a strictly newer epoch, and a
-// valid snapshot of the wrong world lineage is refused by the
-// provenance gate without being quarantined — it is someone's good
-// artifact, just not this fleet's.
-func TestSupervisorDeltaSwap(t *testing.T) {
-	log.SetOutput(io.Discard)
-	defer log.SetOutput(prevWriter())
-
-	dir := t.TempDir()
-	basePath, deltaPath, _ := buildDeltaArtifacts(t, dir, 0)
-	wrongProv := rollProv
-	wrongProv.WorldSeed++
-	wrongPath := writeSnapshotProv(t, dir, "wrongworld.wwb", altDS, wrongProv)
-
-	ff := &fakeFleet{t: t, shards: 2, procs: map[string]*fakeProc{}}
-	sup, groups, _ := startSupervisedFleet(t, ff, 2, 1, basePath)
-
-	out, err := sup.Swap(context.Background(), deltaPath)
-	if err != nil {
-		t.Fatalf("delta swap: %v", err)
-	}
-	if !out.Complete || out.Epoch != 2 {
-		t.Fatalf("delta swap outcome %+v, want complete at epoch 2", out)
-	}
-	if sup.CurrentData() != deltaPath {
-		t.Fatalf("current data %q, want %q", sup.CurrentData(), deltaPath)
-	}
-	// Every replica now serves the rolled-forward month.
-	for _, g := range groups {
-		for _, addr := range g {
-			if e := epochOf(t, addr); e != 2 {
-				t.Errorf("replica %s at epoch %d, want 2", addr, e)
-			}
-			resp, err := http.Get("http://" + addr + "/shard/info")
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if !strings.Contains(string(body), `"month":"2022-03"`) {
-				t.Errorf("replica %s shard info lacks the appended analysis month: %.200s", addr, body)
-			}
-		}
 	}
 
 	// Wrong lineage: valid file, wrong world — rejected, not

@@ -268,7 +268,7 @@ type Router struct {
 	lat         latRing
 
 	// infoMu guards the cached fleet info (epoch, analysis month,
-	// country roster); invalidated on swap or observed epoch change.
+	// country roster); invalidated on an observed epoch change.
 	infoMu sync.Mutex
 	info   *fleetInfo
 }
@@ -327,7 +327,6 @@ func (rt *Router) Routes(mcfg MiddlewareConfig) http.Handler {
 	mux.HandleFunc("GET /v1/crux", rt.handleCrux)
 	mux.HandleFunc("GET /v1/experiments", rt.handleExperiments)
 	mux.HandleFunc("GET /v1/experiment/{id}", rt.handleProxyAny)
-	mux.HandleFunc("POST /admin/swap", rt.handleSwap)
 	mux.HandleFunc("GET /shard/info", rt.handleInfo)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusNotFound, "no such endpoint %s", r.URL.Path)
@@ -690,7 +689,7 @@ func (rt *Router) getInfo(ctx context.Context) (*fleetInfo, error) {
 
 // invalidate drops the cached fleet info (and with it the default
 // month) so the next request refetches; called when a response's epoch
-// disagrees with the cache and after swaps.
+// disagrees with the cache.
 func (rt *Router) invalidate() {
 	rt.infoMu.Lock()
 	rt.info = nil
@@ -947,41 +946,6 @@ func (rt *Router) handleInfo(w http.ResponseWriter, r *http.Request) {
 		"month":     info.Month,
 		"countries": info.Countries,
 		"months":    info.Months,
-	})
-}
-
-// handleSwap orchestrates a fleet-wide epoch swap (swapFleet) over
-// every replica of every shard and reports each replica's outcome.
-func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
-	path := r.FormValue("data")
-	if path == "" {
-		HTTPError(w, http.StatusBadRequest, "missing data parameter (path to the new artifact)")
-		return
-	}
-	var targets []swapTarget
-	for i, g := range rt.shards {
-		for _, rep := range g.replicas {
-			targets = append(targets, swapTarget{shard: i, base: rep.base, name: rep.base})
-		}
-	}
-	epoch, results, err := swapFleet(r.Context(), rt.client, targets, path)
-	if err != nil {
-		HTTPError(w, http.StatusBadGateway, "%v", err)
-		return
-	}
-	rt.invalidate()
-	ok := countFailed(results) == 0
-	status := http.StatusOK
-	if !ok {
-		status = http.StatusBadGateway
-	} else {
-		mRouterEpoch.Set(int64(epoch))
-	}
-	WriteJSON(w, status, map[string]any{
-		"epoch":    epoch,
-		"data":     path,
-		"complete": ok,
-		"replicas": results,
 	})
 }
 

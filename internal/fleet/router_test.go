@@ -205,35 +205,3 @@ func TestRouterReportsGatewayErrorWhenShardUnreachable(t *testing.T) {
 		t.Errorf("degraded envelope %q does not attribute shard 0", env["error"])
 	}
 }
-
-// TestRouterSwapReportsReplicaEnvelope: a fleet swap that fails on
-// every replica answers 502, leaves the fleet on its epoch, and reports
-// each replica's error as the message of the replica's JSON envelope,
-// as the supervisor does.
-func TestRouterSwapReportsReplicaEnvelope(t *testing.T) {
-	log.SetOutput(io.Discard)
-	defer log.SetOutput(prevWriter())
-
-	router := startRouter(t, startShards(t, fleetDS, 2, testLoader))
-	status, body := postSwap(t, router.URL, "data=missing.wwb")
-	if status != http.StatusBadGateway {
-		t.Fatalf("swap to a missing artifact: status %d (%s), want 502", status, body)
-	}
-	var out struct {
-		Epoch    uint64       `json:"epoch"`
-		Complete bool         `json:"complete"`
-		Replicas []swapResult `json:"replicas"`
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Complete || out.Epoch != 2 || len(out.Replicas) != 2 {
-		t.Fatalf("outcome %s, want incomplete at epoch 2 over 2 replicas", body)
-	}
-	want := `swap failed: loading missing.wwb: no such artifact "missing.wwb"`
-	for _, r := range out.Replicas {
-		if r.Status != http.StatusInternalServerError || r.Error != want {
-			t.Errorf("replica %s: status %d error %q, want 500 %q", r.Replica, r.Status, r.Error, want)
-		}
-	}
-}

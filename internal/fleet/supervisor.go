@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -71,8 +72,9 @@ type SupervisorConfig struct {
 	// Shards lists, per shard index, the listen addresses
 	// (host:port) of that shard's replicas.
 	Shards [][]string
-	// Data is the artifact every replica serves at boot; it becomes
-	// the initial rollback target for failed swaps.
+	// Data is the artifact every replica serves at boot (required). It
+	// passes the validation gate in NewSupervisor and becomes the
+	// initial rollback target for failed swaps.
 	Data string
 	// Runner launches one replica process.
 	Runner Runner
@@ -130,9 +132,13 @@ type Supervisor struct {
 	slots  []*slot
 
 	// dataMu guards currentData, the artifact the fleet last converged
-	// on — the rollback target for a mid-rollout failure.
+	// on — the rollback target for a mid-rollout failure — and
+	// currentInfo, what the validation gate read from it: the
+	// provenance gate compares against it without decoding the
+	// artifact again.
 	dataMu      sync.Mutex
 	currentData string
+	currentInfo *chrome.SnapshotInfo
 
 	// swapMu serialises fleet swaps; concurrent rollouts would race
 	// their target epochs.
@@ -140,14 +146,20 @@ type Supervisor struct {
 }
 
 // NewSupervisor builds a supervisor for the configured fleet. Runner
-// is required; Data may be empty when the replicas boot self-assembled
-// datasets (rollback is then unavailable until the first good swap).
+// and Data are required, and Data must pass the validation gate.
 func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("supervisor needs at least one shard")
 	}
 	if cfg.Runner == nil {
 		return nil, fmt.Errorf("supervisor needs a Runner")
+	}
+	if cfg.Data == "" {
+		return nil, fmt.Errorf("supervisor needs a boot artifact: replicas serve snapshots, not self-assembled studies")
+	}
+	info, err := ValidateSnapshot(cfg.Data)
+	if err != nil {
+		return nil, fmt.Errorf("boot artifact %s failed validation: %w", cfg.Data, err)
 	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 10 * time.Second}
@@ -164,7 +176,7 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if cfg.StableAfter <= 0 {
 		cfg.StableAfter = 10 * time.Second
 	}
-	s := &Supervisor{cfg: cfg, client: cfg.Client, currentData: cfg.Data}
+	s := &Supervisor{cfg: cfg, client: cfg.Client, currentData: cfg.Data, currentInfo: info}
 	for i, reps := range cfg.Shards {
 		if len(reps) == 0 {
 			return nil, fmt.Errorf("shard %d has no replicas", i)
@@ -180,14 +192,21 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 
 // CurrentData returns the artifact the fleet last converged on.
 func (s *Supervisor) CurrentData() string {
-	s.dataMu.Lock()
-	defer s.dataMu.Unlock()
-	return s.currentData
+	path, _ := s.current()
+	return path
 }
 
-func (s *Supervisor) setCurrentData(path string) {
+// current returns the artifact the fleet last converged on and what
+// the validation gate read from it.
+func (s *Supervisor) current() (string, *chrome.SnapshotInfo) {
 	s.dataMu.Lock()
-	s.currentData = path
+	defer s.dataMu.Unlock()
+	return s.currentData, s.currentInfo
+}
+
+func (s *Supervisor) setCurrent(path string, info *chrome.SnapshotInfo) {
+	s.dataMu.Lock()
+	s.currentData, s.currentInfo = path, info
 	s.dataMu.Unlock()
 }
 
@@ -380,6 +399,10 @@ func Quarantine(path string, cause error) string {
 	return bad
 }
 
+// errProvenance marks a swap the provenance gate refused: a valid
+// artifact of a different world than the running fleet's.
+var errProvenance = errors.New("provenance gate rejected")
+
 // SwapOutcome is the result of one fleet swap attempt.
 type SwapOutcome struct {
 	Epoch       uint64       `json:"epoch"`
@@ -393,9 +416,11 @@ type SwapOutcome struct {
 // Swap rolls the whole fleet to a new artifact with the crash-safe
 // protocol:
 //
-//  1. Gate: scratch-load the artifact here first. A corrupt snapshot
-//     is quarantined (renamed .bad, provenance logged) and no replica
-//     ever sees it.
+//  1. Gate: scratch-load the artifact here first — the only decode a
+//     swap makes on the supervisor. A corrupt snapshot is quarantined
+//     (renamed .bad, provenance logged) and no replica ever sees it; a
+//     valid artifact of another world is refused (errProvenance)
+//     against the info the gate kept for the running artifact.
 //  2. Roll out (swapFleet): POST /admin/swap?data=…&epoch=target
 //     (current fleet max + 1) to every replica in parallel — the fixed
 //     target keeps the operation idempotent per replica.
@@ -419,41 +444,36 @@ func (s *Supervisor) Swap(ctx context.Context, path string) (*SwapOutcome, error
 		info.Provenance.WorldSeed, info.Provenance.Scale)
 
 	// Provenance gate: the proposed artifact must descend from the same
-	// world as the one the fleet currently serves. A delta's binding to
-	// its own base is already checked by the chain resolution above;
-	// this check catches the remaining mistake — rolling a healthy
-	// fleet onto a perfectly valid snapshot of a different universe.
+	// world as the one the fleet currently serves, as the gate read it
+	// when that artifact was admitted. A delta's binding to its own
+	// base is already checked by the chain resolution above; this
+	// check catches the remaining mistake — rolling a healthy fleet
+	// onto a perfectly valid snapshot of a different universe.
 	// Artifacts without provenance (no producing tool) are exempt.
-	if prev := s.CurrentData(); prev != "" && prev != path && info.Provenance.Tool != "" {
-		if prevInfo, perr := ValidateSnapshot(prev); perr != nil {
-			log.Printf("provenance gate skipped: current artifact %s unreadable: %v", prev, perr)
-		} else if prevInfo.Provenance.Tool != "" &&
-			(prevInfo.Provenance.WorldSeed != info.Provenance.WorldSeed ||
-				prevInfo.Provenance.Scale != info.Provenance.Scale) {
-			return &SwapOutcome{Data: path}, fmt.Errorf(
-				"provenance gate rejected %s: world seed %d scale %q does not match the running fleet's %s (seed %d scale %q)",
-				path, info.Provenance.WorldSeed, info.Provenance.Scale,
-				prev, prevInfo.Provenance.WorldSeed, prevInfo.Provenance.Scale)
-		}
+	prev, prevInfo := s.current()
+	if p, q := info.Provenance, prevInfo.Provenance; p.Tool != "" && q.Tool != "" &&
+		(p.WorldSeed != q.WorldSeed || p.Scale != q.Scale) {
+		return &SwapOutcome{Data: path}, fmt.Errorf(
+			"%w %s: world seed %d scale %q does not match the running fleet's %s (seed %d scale %q)",
+			errProvenance, path, p.WorldSeed, p.Scale, prev, q.WorldSeed, q.Scale)
 	}
 
-	target, results, err := swapFleet(ctx, s.client, s.targets(), path)
+	target, results, err := s.swapFleet(ctx, path)
 	if err != nil {
 		return nil, err
 	}
 	out := &SwapOutcome{Epoch: target, Data: path, Complete: countFailed(results) == 0, Replicas: results}
 	if out.Complete {
-		s.setCurrentData(path)
+		s.setCurrent(path, info)
 		mSupSwapsOK.Inc()
 		return out, nil
 	}
 
-	prev := s.CurrentData()
-	if prev == "" || prev == path {
+	if prev == path {
 		return out, fmt.Errorf("swap to %s failed on %d replica(s) and no previous artifact is available to roll back to",
 			path, countFailed(results))
 	}
-	rbEpoch, rbResults, err := swapFleet(ctx, s.client, s.targets(), prev)
+	rbEpoch, rbResults, err := s.swapFleet(ctx, prev)
 	if err != nil {
 		return out, fmt.Errorf("swap to %s failed AND rollback to %s did not start: %w: fleet needs attention",
 			path, prev, err)
@@ -481,22 +501,6 @@ func countFailed(results []swapResult) int {
 	return n
 }
 
-// targets lists every supervised replica for swapFleet.
-func (s *Supervisor) targets() []swapTarget {
-	out := make([]swapTarget, len(s.slots))
-	for i, sl := range s.slots {
-		out[i] = swapTarget{shard: sl.spec.Shard, base: "http://" + sl.spec.Addr, name: sl.spec.Addr}
-	}
-	return out
-}
-
-// swapTarget is one replica a fleet swap posts to: its shard, its base
-// URL, and the name its swapResult reports.
-type swapTarget struct {
-	shard      int
-	base, name string
-}
-
 // swapResult is one replica's outcome during a fleet swap.
 type swapResult struct {
 	Shard   int    `json:"shard"`
@@ -505,22 +509,22 @@ type swapResult struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// swapFleet is the fleet swap both the router and the supervisor run:
-// it reads the fleet's maximum serving epoch over /shard/info, picks
-// max+1 as the target, and POSTs /admin/swap?data=…&epoch=target to
-// every replica in parallel, returning the target and one result per
-// replica. The target is strictly newer everywhere, even after a
+// swapFleet is the supervisor's rollout and rollback: it reads the
+// fleet's maximum serving epoch over /shard/info, picks max+1 as the
+// target, and POSTs /admin/swap?data=…&epoch=target to every replica in
+// parallel, returning the target and one result per replica, in slot
+// order. The target is strictly newer everywhere, even after a
 // previous partial swap, and fixing it makes the operation idempotent
 // per replica — a replica that already swapped answers 200 again — so
 // a partially failed swap is safely retried until the fleet converges.
-func swapFleet(ctx context.Context, client *http.Client, targets []swapTarget, path string) (uint64, []swapResult, error) {
+func (s *Supervisor) swapFleet(ctx context.Context, path string) (uint64, []swapResult, error) {
 	var maxE atomic.Uint64
-	parallel.ForEach(len(targets), func(i int) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, targets[i].base+"/shard/info", nil)
+	parallel.ForEach(len(s.slots), func(i int) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+s.slots[i].spec.Addr+"/shard/info", nil)
 		if err != nil {
 			return
 		}
-		resp, err := client.Do(req)
+		resp, err := s.client.Do(req)
 		if err != nil {
 			return
 		}
@@ -539,14 +543,15 @@ func swapFleet(ctx context.Context, client *http.Client, targets []swapTarget, p
 	}
 	epoch := maxE.Load() + 1
 	uri := "/admin/swap?data=" + url.QueryEscape(path) + "&epoch=" + strconv.FormatUint(epoch, 10)
-	results := parallel.Map(len(targets), func(i int) swapResult {
-		res := swapResult{Shard: targets[i].shard, Replica: targets[i].name}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, targets[i].base+uri, nil)
+	results := parallel.Map(len(s.slots), func(i int) swapResult {
+		spec := s.slots[i].spec
+		res := swapResult{Shard: spec.Shard, Replica: spec.Addr}
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+spec.Addr+uri, nil)
 		if err != nil {
 			res.Error = err.Error()
 			return res
 		}
-		resp, err := client.Do(req)
+		resp, err := s.client.Do(req)
 		if err != nil {
 			res.Error = err.Error()
 			return res
@@ -577,10 +582,12 @@ func (s *Supervisor) Routes(mcfg MiddlewareConfig) http.Handler {
 	})
 	mux.Handle("GET /metrics", metrics.Handler(metrics.Default))
 	mux.HandleFunc("GET /status", func(w http.ResponseWriter, _ *http.Request) {
+		data, info := s.current()
 		WriteJSON(w, http.StatusOK, map[string]any{
 			"role":     "supervisor",
 			"shards":   len(s.cfg.Shards),
-			"data":     s.CurrentData(),
+			"data":     data,
+			"artifact": info,
 			"replicas": s.Status(),
 		})
 	})
@@ -593,8 +600,11 @@ func (s *Supervisor) Routes(mcfg MiddlewareConfig) http.Handler {
 		out, err := s.Swap(r.Context(), path)
 		if err != nil {
 			status := http.StatusBadGateway
-			if out != nil && out.Quarantined != "" {
+			switch {
+			case out != nil && out.Quarantined != "":
 				status = http.StatusUnprocessableEntity
+			case errors.Is(err, errProvenance):
+				status = http.StatusConflict
 			}
 			WriteJSON(w, status, map[string]any{"error": err.Error(), "outcome": out})
 			return

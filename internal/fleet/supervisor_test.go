@@ -2,11 +2,14 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -334,5 +337,121 @@ func TestSupervisorSwapAndRollback(t *testing.T) {
 				t.Errorf("replica %s at epoch %d after rollback, want 4", addr, e)
 			}
 		}
+	}
+}
+
+// startRouterOver fronts a supervised fleet's host:port groups with an
+// in-process router.
+func startRouterOver(t *testing.T, groups [][]string) *httptest.Server {
+	t.Helper()
+	urls := make([][]string, len(groups))
+	for i, g := range groups {
+		for _, addr := range g {
+			urls[i] = append(urls[i], "http://"+addr)
+		}
+	}
+	return startRouter(t, urls)
+}
+
+// TestSupervisorSwapStatus pins what POST /admin/swap on the
+// supervisor answers for each way a swap ends: 200 converged, 422 for a
+// corrupt artifact (quarantined), 502 for a rollout that failed on the
+// replicas and was rolled back, and 409 for a valid artifact of another
+// world. The 502 outcome reports each replica's error as the message of
+// the replica's JSON envelope. The provenance gate and /status read
+// what the gate kept when the running artifact was admitted, so both
+// hold with that file deleted: the gate does not fail open.
+func TestSupervisorSwapStatus(t *testing.T) {
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(prevWriter())
+
+	dir := t.TempDir()
+	dataA := writeSnapshot(t, dir, "A.wwb", fleetDS)
+	dataB := writeSnapshot(t, dir, "B.wwb", altDS)
+	poison := writeSnapshot(t, dir, "poison.wwb", altDS)
+	otherWorld := writeSnapshotProv(t, dir, "other.wwb", altDS, chrome.SnapshotProvenance{Tool: "fleet-test", WorldSeed: 43})
+	good, err := os.ReadFile(dataA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := filepath.Join(dir, "C.wwb")
+	if err := os.WriteFile(corrupt, good[:len(good)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every replica refuses to load the poison artifact.
+	ff := &fakeFleet{t: t, shards: 2, procs: map[string]*fakeProc{}}
+	ff.loader = func(spec ReplicaSpec, path string) (*chrome.Dataset, error) {
+		if path == poison {
+			return nil, fmt.Errorf("disk sector went bad")
+		}
+		return fileLoader(path)
+	}
+	sup, groups, _ := startSupervisedFleet(t, ff, 2, 1, dataA)
+	ts := httptest.NewServer(sup.Routes(MiddlewareConfig{}))
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		name          string
+		data          string
+		removeRunning bool // delete the running artifact (B) first
+		status        int
+		epoch         uint64 // every replica's serving epoch afterwards
+	}{
+		{"converged", dataB, false, http.StatusOK, 2},
+		{"quarantined", corrupt, false, http.StatusUnprocessableEntity, 2},
+		{"rolled back", poison, false, http.StatusBadGateway, 3},
+		{"wrong world", otherWorld, true, http.StatusConflict, 3},
+	} {
+		if tc.removeRunning {
+			if err := os.Remove(dataB); err != nil {
+				t.Fatal(err)
+			}
+		}
+		status, body := postSwap(t, ts.URL, "data="+url.QueryEscape(tc.data))
+		if status != tc.status {
+			t.Fatalf("%s: status %d (%s), want %d", tc.name, status, body, tc.status)
+		}
+		for _, g := range groups {
+			for _, addr := range g {
+				if e := epochOf(t, addr); e != tc.epoch {
+					t.Errorf("%s: replica %s at epoch %d, want %d", tc.name, addr, e, tc.epoch)
+				}
+			}
+		}
+		if _, err := os.Stat(tc.data); os.IsNotExist(err) != (tc.status == http.StatusUnprocessableEntity) {
+			t.Errorf("%s: artifact quarantined = %v, want %v", tc.name, os.IsNotExist(err), tc.status == http.StatusUnprocessableEntity)
+		}
+		if status != http.StatusBadGateway {
+			continue
+		}
+		var env struct {
+			Outcome SwapOutcome `json:"outcome"`
+		}
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatal(err)
+		}
+		out := env.Outcome
+		if out.Complete || !out.RolledBack || out.Epoch != 3 || len(out.Replicas) != 2 {
+			t.Fatalf("outcome %s, want incomplete and rolled back at epoch 3 over 2 replicas", body)
+		}
+		want := "swap failed: loading " + poison + ": disk sector went bad"
+		for _, r := range out.Replicas {
+			if r.Status != http.StatusInternalServerError || r.Error != want {
+				t.Errorf("replica %s: status %d error %q, want 500 %q", r.Replica, r.Status, r.Error, want)
+			}
+		}
+	}
+
+	_, _, body := fetch(t, ts.URL, "/status")
+	var st struct {
+		Data     string              `json:"data"`
+		Artifact chrome.SnapshotInfo `json:"artifact"`
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if want := (chrome.SnapshotInfo{Format: chrome.FormatWWB, Version: chrome.SnapshotVersion, Provenance: chrome.SnapshotProvenance{Tool: "fleet-test"}}); st.Data != dataB || st.Artifact != want {
+		t.Errorf("status reports %s, want data %q and artifact %+v", body, dataB, want)
 	}
 }

@@ -1,13 +1,13 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
@@ -241,15 +241,20 @@ func TestHotSwapHammerSingleServer(t *testing.T) {
 }
 
 // TestHotSwapHammerFleet runs the same discipline through a router
-// over two shards: neither the cross-shard /v1/site merge nor the
-// routed /v1/list and /v1/crux may combine or confuse epochs, even
-// while the whole fleet rolls over repeatedly.
+// over a supervised two-shard fleet while the supervisor swaps it:
+// neither the cross-shard /v1/site merge nor the routed /v1/list and
+// /v1/crux may combine or confuse epochs, even while the whole fleet
+// rolls over repeatedly.
 func TestHotSwapHammerFleet(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(prevWriter())
 
-	groups := startShards(t, fleetDS, 2, testLoader)
-	router := startRouter(t, groups)
+	dir := t.TempDir()
+	dataA := writeSnapshot(t, dir, "A.wwb", fleetDS)
+	dataB := writeSnapshot(t, dir, "B.wwb", altDS)
+	ff := &fakeFleet{t: t, shards: 2, procs: map[string]*fakeProc{}}
+	sup, groups, _ := startSupervisedFleet(t, ff, 2, 1, dataA)
+	router := startRouterOver(t, groups)
 
 	paths := []string{
 		"/v1/list?country=" + fleetDS.Countries[0] + "&n=20",
@@ -258,16 +263,16 @@ func TestHotSwapHammerFleet(t *testing.T) {
 		"/v1/crux",
 	}
 	hammer(t, router.URL, paths, 10, func(i int) {
-		data := "B.wwb"
+		data := dataB
 		if i%2 == 1 {
-			data = "A.wwb"
+			data = dataA
 		}
-		status, body := postSwap(t, router.URL, "data="+data)
-		if status != http.StatusOK {
-			t.Fatalf("fleet swap %d: status %d (%s)", i, status, body)
+		out, err := sup.Swap(context.Background(), data)
+		if err != nil {
+			t.Fatalf("fleet swap %d: %v", i, err)
 		}
-		if !strings.Contains(string(body), `"complete":true`) {
-			t.Fatalf("fleet swap %d incomplete: %s", i, body)
+		if !out.Complete {
+			t.Fatalf("fleet swap %d incomplete: %+v", i, out)
 		}
 	})
 }
