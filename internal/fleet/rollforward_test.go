@@ -164,18 +164,15 @@ func TestRouterCruxFreshAfterOutOfBandSwap(t *testing.T) {
 	}
 }
 
-// TestSupervisorDeltaSwap is the roll-forward acceptance test at the
-// serving layer. It drives a supervised 2-shard fleet through a delta
-// rollout: the gate resolves the .wwbd chain, and the fleet converges
-// on the appended month at a strictly newer epoch. Through a router,
-// every route of the full /v1 matrix — the appended month included —
-// must then answer with the exact bytes of a single unsharded server
-// over a full rebuild of the extended window. The delta is required
-// to be byte-identical whether the append ran under GOMAXPROCS 1 or 8.
-// A valid snapshot of the wrong world lineage is refused by the
-// provenance gate without being quarantined — it is someone's good
-// artifact, just not this fleet's.
-func TestSupervisorDeltaSwap(t *testing.T) {
+// TestFleetDeltaSwapByteEquivalence is the roll-forward acceptance
+// test at the serving layer: boot a supervised 2-shard fleet on the
+// base snapshot, roll it to the March delta with the supervisor's
+// gated swap, and require every route of the full /v1 matrix — the
+// appended month included — to answer through a router with the exact
+// bytes of a single unsharded server over a full rebuild of the
+// extended window. The delta is also required to be byte-identical
+// whether the append ran under GOMAXPROCS 1 or 8.
+func TestFleetDeltaSwapByteEquivalence(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(prevWriter())
 
@@ -194,9 +191,6 @@ func TestSupervisorDeltaSwap(t *testing.T) {
 	if !bytes.Equal(delta1, delta8) {
 		t.Fatal("delta bytes differ between GOMAXPROCS=1 and GOMAXPROCS=8")
 	}
-	wrongProv := rollProv
-	wrongProv.WorldSeed++
-	wrongPath := writeSnapshotProv(t, dir, "wrongworld.wwb", altDS, wrongProv)
 
 	oracleDS := rolledOracle()
 	single := httptest.NewServer(
@@ -234,33 +228,8 @@ func TestSupervisorDeltaSwap(t *testing.T) {
 	if status, _, body := fetch(t, router.URL, "/v1/list?country="+fleetDS.Countries[0]+"&month=2022-03"); status != http.StatusNotFound {
 		t.Fatalf("pre-swap March list: status %d (%s), want 404", status, body)
 	}
-
-	out, err := sup.Swap(context.Background(), deltaPath)
-	if err != nil {
-		t.Fatalf("delta swap: %v", err)
-	}
-	if !out.Complete || out.Epoch != 2 {
-		t.Fatalf("delta swap outcome %+v, want complete at epoch 2", out)
-	}
-	if sup.CurrentData() != deltaPath {
-		t.Fatalf("current data %q, want %q", sup.CurrentData(), deltaPath)
-	}
-	// Every replica now serves the rolled-forward month.
-	for _, g := range groups {
-		for _, addr := range g {
-			if e := epochOf(t, addr); e != 2 {
-				t.Errorf("replica %s at epoch %d, want 2", addr, e)
-			}
-			resp, err := http.Get("http://" + addr + "/shard/info")
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if !strings.Contains(string(body), `"month":"2022-03"`) {
-				t.Errorf("replica %s shard info lacks the appended analysis month: %.200s", addr, body)
-			}
-		}
+	if out, err := sup.Swap(context.Background(), deltaPath); err != nil || !out.Complete {
+		t.Fatalf("fleet swap to delta: %+v, %v", out, err)
 	}
 
 	paths := equivPaths(oracleDS)
@@ -291,6 +260,54 @@ func TestSupervisorDeltaSwap(t *testing.T) {
 	}
 	if sawMarch == 0 {
 		t.Fatal("equivalence matrix never queried the appended month")
+	}
+}
+
+// TestSupervisorDeltaSwap drives a supervised 2-shard fleet through a
+// delta rollout: the gate resolves the .wwbd chain, the fleet
+// converges on the appended month at a strictly newer epoch, and a
+// valid snapshot of the wrong world lineage is refused by the
+// provenance gate without being quarantined — it is someone's good
+// artifact, just not this fleet's.
+func TestSupervisorDeltaSwap(t *testing.T) {
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(prevWriter())
+
+	dir := t.TempDir()
+	basePath, deltaPath, _ := buildDeltaArtifacts(t, dir, 0)
+	wrongProv := rollProv
+	wrongProv.WorldSeed++
+	wrongPath := writeSnapshotProv(t, dir, "wrongworld.wwb", altDS, wrongProv)
+
+	ff := &fakeFleet{t: t, shards: 2, procs: map[string]*fakeProc{}}
+	sup, groups, _ := startSupervisedFleet(t, ff, 2, 1, basePath)
+
+	out, err := sup.Swap(context.Background(), deltaPath)
+	if err != nil {
+		t.Fatalf("delta swap: %v", err)
+	}
+	if !out.Complete || out.Epoch != 2 {
+		t.Fatalf("delta swap outcome %+v, want complete at epoch 2", out)
+	}
+	if sup.CurrentData() != deltaPath {
+		t.Fatalf("current data %q, want %q", sup.CurrentData(), deltaPath)
+	}
+	// Every replica now serves the rolled-forward month.
+	for _, g := range groups {
+		for _, addr := range g {
+			if e := epochOf(t, addr); e != 2 {
+				t.Errorf("replica %s at epoch %d, want 2", addr, e)
+			}
+			resp, err := http.Get("http://" + addr + "/shard/info")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if !strings.Contains(string(body), `"month":"2022-03"`) {
+				t.Errorf("replica %s shard info lacks the appended analysis month: %.200s", addr, body)
+			}
+		}
 	}
 
 	// Wrong lineage: valid file, wrong world — rejected, not
